@@ -3,15 +3,14 @@
 // Runs the coarse pipeline on a wide synthetic corpus — many mid-sized
 // campaigns plus a large benign tail, the shape that makes the coarse
 // stage (tokenize -> tf-idf -> top phrases -> graph) the bottleneck —
-// once through the single-threaded reference path
-// (CoarseOptions::use_serial_coarse) and then through the sharded
-// parallel path at 1/2/4/8 threads. Every parallel run MUST produce a
-// result identical to the serial reference (clusters, singletons,
+// once through the test-only serial reference (tests/oracle) and then
+// through the production path at 1/2/4/8 threads. Every run MUST produce
+// a result identical to the reference (clusters, singletons,
 // per-document top phrases, edge count); any disagreement exits
 // non-zero so CI fails. Emits BENCH_coarse.json with per-phase timings
-// (tokenize/index/top-phrase/graph/components) for every configuration
-// plus shard-contention counters and the 4-thread speedup, giving the
-// repo a tracked trajectory for this path.
+// (tokenize/index/top-phrase/graph/components) for every thread count
+// and the 4-thread speedup over 1 thread, giving the repo a tracked
+// trajectory for this path.
 //
 // On single-core runners the speedup reported is honest (~1x or below);
 // the benchmark gates only on divergence, never on speedup.
@@ -26,6 +25,7 @@
 #include "coarse/coarse_clustering.h"
 #include "datagen/trafficking_gen.h"
 #include "io/json_writer.h"
+#include "oracle/reference_coarse.h"
 #include "util/timer.h"
 
 namespace {
@@ -50,7 +50,6 @@ struct RunOutcome {
   CoarseResult result;
   CoarseStageStats best;  // min-of-trials per phase + tokenize
   size_t threads = 0;
-  bool serial = false;
 };
 
 // Coarse results carry no floats, so exact comparison is the contract.
@@ -60,19 +59,17 @@ bool SameResult(const CoarseResult& a, const CoarseResult& b) {
 }
 
 RunOutcome RunConfig(const std::vector<std::string>& texts, size_t threads,
-                     bool serial, int trials) {
+                     int trials) {
   RunOutcome out;
   out.threads = threads;
-  out.serial = serial;
   CoarseOptions options;
   options.num_threads = threads;
-  options.use_serial_coarse = serial;
   for (int trial = 0; trial < trials; ++trial) {
     // Rebuild the corpus from raw text each trial so tokenization is
     // measured under the same thread count as the rest of the stage.
     Corpus corpus;
     WallTimer timer;
-    corpus.AddBatch(texts, serial ? 1 : threads);
+    corpus.AddBatch(texts, threads);
     const double tokenize_seconds = timer.ElapsedSeconds();
 
     CoarseClustering coarse(options);
@@ -96,9 +93,6 @@ RunOutcome RunConfig(const std::vector<std::string>& texts, size_t threads,
     if (first || result.stats.components_seconds < best.components_seconds) {
       best.components_seconds = result.stats.components_seconds;
     }
-    best.shard_flushes = result.stats.shard_flushes;
-    best.shard_contended = result.stats.shard_contended;
-    best.parallel_threads = result.stats.parallel_threads;
     if (first) {
       out.result = std::move(result);
     }
@@ -112,18 +106,13 @@ double TotalSeconds(const CoarseStageStats& s) {
 
 void WriteRun(JsonWriter& w, const RunOutcome& r) {
   w.BeginObject();
-  w.Key("label").String(r.serial ? "serial"
-                                 : "parallel_" + std::to_string(r.threads));
   w.Key("num_threads").Int(static_cast<int64_t>(r.threads));
-  w.Key("use_serial_coarse").Bool(r.serial);
   w.Key("tokenize_seconds").Double(r.best.tokenize_seconds);
   w.Key("index_seconds").Double(r.best.index_seconds);
   w.Key("top_phrase_seconds").Double(r.best.top_phrase_seconds);
   w.Key("graph_seconds").Double(r.best.graph_seconds);
   w.Key("components_seconds").Double(r.best.components_seconds);
   w.Key("total_seconds").Double(TotalSeconds(r.best));
-  w.Key("shard_flushes").Int(static_cast<int64_t>(r.best.shard_flushes));
-  w.Key("shard_contended").Int(static_cast<int64_t>(r.best.shard_contended));
   w.Key("num_clusters").Int(static_cast<int64_t>(r.result.clusters.size()));
   w.Key("num_edges").Int(static_cast<int64_t>(r.result.num_edges));
   w.EndObject();
@@ -144,51 +133,48 @@ int main(int argc, char** argv) {
   std::printf("corpus: %zu documents (wide: many mid-sized campaigns)\n",
               texts.size());
 
-  // Serial reference first so the parallel runs cannot benefit from a
-  // warm page cache they didn't earn.
-  RunOutcome serial =
-      RunConfig(texts, /*threads=*/1, /*serial=*/true, kTrials);
-  std::printf(
-      "serial:     total %.3fs  (tok %.3f  idx %.3f  top %.3f  graph %.3f  "
-      "comp %.3f)\n",
-      TotalSeconds(serial.best), serial.best.tokenize_seconds,
-      serial.best.index_seconds, serial.best.top_phrase_seconds,
-      serial.best.graph_seconds, serial.best.components_seconds);
+  // The serial reference first, on a corpus tokenized once.
+  Corpus reference_corpus;
+  reference_corpus.AddBatch(texts, /*num_threads=*/1);
+  WallTimer timer;
+  const CoarseResult reference =
+      oracle::ReferenceCoarse(reference_corpus, CoarseOptions{});
+  const double reference_seconds = timer.ElapsedSeconds();
+  std::printf("serial reference: %.3fs (coarse stage only)\n",
+              reference_seconds);
 
   double speedup4 = 0.0;
   std::vector<RunOutcome> runs;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    RunOutcome run = RunConfig(texts, threads, /*serial=*/false, kTrials);
-    if (!SameResult(run.result, serial.result)) {
+    RunOutcome run = RunConfig(texts, threads, kTrials);
+    if (!SameResult(run.result, reference)) {
       std::fprintf(stderr,
-                   "FAIL: parallel coarse run (num_threads=%zu) diverged "
-                   "from the serial reference\n",
+                   "FAIL: coarse run (num_threads=%zu) diverged from the "
+                   "serial reference\n",
                    threads);
       return 1;
     }
     std::printf(
         "threads=%zu: total %.3fs  (tok %.3f  idx %.3f  top %.3f  "
-        "graph %.3f  comp %.3f)  contended %zu/%zu flushes\n",
+        "graph %.3f  comp %.3f)\n",
         threads, TotalSeconds(run.best), run.best.tokenize_seconds,
         run.best.index_seconds, run.best.top_phrase_seconds,
-        run.best.graph_seconds, run.best.components_seconds,
-        run.best.shard_contended, run.best.shard_flushes);
+        run.best.graph_seconds, run.best.components_seconds);
     if (threads == 4 && TotalSeconds(run.best) > 0.0) {
-      speedup4 = TotalSeconds(serial.best) / TotalSeconds(run.best);
+      speedup4 = TotalSeconds(runs.front().best) / TotalSeconds(run.best);
     }
     runs.push_back(std::move(run));
   }
-  std::printf("speedup at 4 threads: %.2fx  (outputs identical: yes)\n",
+  std::printf("speedup at 4 threads over 1: %.2fx  (outputs identical: yes)\n",
               speedup4);
 
-  bench::BenchJson bench_json("infoshield-bench-coarse/2");
+  bench::BenchJson bench_json("infoshield-bench-coarse/3");
   JsonWriter& w = bench_json.writer();
   w.Key("corpus_documents").Int(static_cast<int64_t>(texts.size()));
   w.Key("trials").Int(kTrials);
   w.Key("outputs_identical").Bool(true);
-  w.Key("serial");
-  WriteRun(w, serial);
-  w.Key("parallel").BeginArray();
+  w.Key("reference_seconds").Double(reference_seconds);
+  w.Key("runs").BeginArray();
   for (const RunOutcome& run : runs) {
     WriteRun(w, run);
   }

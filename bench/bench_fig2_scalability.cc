@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
 
   // Thread sweep at fixed N: both stages run behind
   // InfoShieldOptions::num_threads; the coarse phase columns show where
-  // the sharded pipeline spends its time as workers are added. Output is
+  // the partitioned pipeline spends its time as workers are added. Output is
   // byte-identical across rows (determinism_test enforces it); this
   // section only reports the cost.
   const size_t kSweepTarget = 16000;

@@ -13,8 +13,8 @@
 // bytes (the fuzzer explores family count/size/length, noise, shingle
 // length, and banding), runs both backends, and asserts identical
 // clusters and singletons. It also asserts the LSH backend itself is
-// byte-identical across the serial escape hatch and 1/4 worker threads,
-// mirroring diff_coarse_fuzz's discipline for the tf-idf backend.
+// byte-identical at 1, 2, 4 and 8 worker threads, mirroring
+// diff_coarse_fuzz's discipline for the tf-idf backend.
 
 #include <cstdint>
 #include <string>
@@ -127,7 +127,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (const std::string& text : texts) corpus.Add(text);
 
   options.backend = CoarseBackend::kTfidfGraph;
-  options.use_serial_coarse = true;
   options.num_threads = 1;
   const std::string tfidf_partition =
       PartitionString(CoarseClustering(options).Run(corpus));
@@ -140,13 +139,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       << ", bands=" << options.lsh.bands << ")";
 
   const std::string lsh_reference = Canonical(lsh_serial);
-  options.use_serial_coarse = false;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
+  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
     options.num_threads = threads;
     const std::string parallel =
         Canonical(CoarseClustering(options).Run(corpus));
     CHECK(parallel == lsh_reference)
-        << "LSH backend diverged from its serial reference at " << threads
+        << "LSH backend diverged from its 1-thread run at " << threads
         << " thread(s) on a corpus of " << texts.size() << " docs";
   }
   return 0;

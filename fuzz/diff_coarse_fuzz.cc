@@ -1,11 +1,12 @@
 // Harness (e2): differential fuzzing of the coarse stage.
 //
-// The sharded parallel coarse pipeline (ShardedPhraseCounter, per-chunk
-// top-phrase fan-out, canonical edge replay) must be byte-identical to
-// the serial reference at every thread count. This harness decodes fuzz
-// bytes into a synthetic corpus, runs the coarse stage serially and with
-// 1 and 4 worker threads, and asserts identical clusters, singletons,
-// per-document top phrases, and edge counts.
+// The coarse pipeline (partitioned df count, per-chunk top-phrase
+// fan-out, canonical edge replay) must be byte-identical to the
+// test-only serial reference (tests/oracle) at every thread count. This
+// harness decodes fuzz bytes into a synthetic corpus, runs the reference
+// and the coarse stage with 1, 2, 4 and 8 worker threads, and asserts
+// identical clusters, singletons, per-document top phrases, and edge
+// counts.
 
 #include <cstdint>
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "coarse/coarse_clustering.h"
 #include "fuzz_util.h"
+#include "oracle/reference_coarse.h"
 #include "synthetic_corpus.h"
 #include "text/corpus.h"
 #include "util/logging.h"
@@ -26,7 +28,7 @@ using infoshield::Corpus;
 
 // Canonical serialization of everything the coarse stage promises to
 // reproduce across thread counts (stats deliberately excluded — timings
-// and shard counters legitimately differ).
+// legitimately differ).
 std::string Canonical(const CoarseResult& result) {
   std::string out;
   out += "clusters:";
@@ -72,12 +74,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       infoshield::fuzz::DecodeSyntheticTexts(in, /*max_docs=*/16);
   const Corpus corpus = infoshield::fuzz::BuildSyntheticCorpus(texts);
 
-  options.use_serial_coarse = true;
-  options.num_threads = 1;
-  const std::string serial = Canonical(CoarseClustering(options).Run(corpus));
+  const std::string serial =
+      Canonical(infoshield::oracle::ReferenceCoarse(corpus, options));
 
-  options.use_serial_coarse = false;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     options.num_threads = threads;
     const std::string parallel =
         Canonical(CoarseClustering(options).Run(corpus));

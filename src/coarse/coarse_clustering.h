@@ -64,23 +64,17 @@ struct CoarseOptions {
   // pathological inputs without affecting normal runs.
   size_t max_phrase_degree = 0;
   // Worker threads for the coarse pipeline (1 = sequential, 0 = hardware
-  // concurrency). The parallel path shards the tf-idf df accumulation by
-  // PhraseHash, fans per-document top-phrase selection and bipartite-edge
-  // generation across the pool, and replays the collected edges in
-  // canonical (document, phrase-rank) order — output is byte-identical
-  // to the serial path for any value (DESIGN.md §11).
+  // concurrency). The partitioned df count and the per-document
+  // top-phrase selection fan out across the pool; the edges are then
+  // replayed in canonical (document, phrase-rank) order, so the output
+  // is byte-identical for any value (DESIGN.md §11).
   size_t num_threads = 1;
-  // Escape hatch mirroring FineOptions::use_naive_costing: run the
-  // single-threaded reference implementation regardless of num_threads.
-  // Exists to cross-check the parallel path (determinism_test) and to
-  // measure the win (bench_coarse reports both).
-  bool use_serial_coarse = false;
 };
 
-// Per-phase wall-clock breakdown and shard diagnostics for one coarse
-// run. Deliberately not part of the canonical JSON output: the serial
-// and parallel paths must emit byte-identical results while reporting
-// very different timings.
+// Per-phase wall-clock breakdown and LSH bucket diagnostics for one
+// coarse run. Deliberately not part of the canonical JSON output: runs
+// at different thread counts emit byte-identical results while
+// reporting very different timings.
 struct CoarseStageStats {
   // tokenize_seconds is filled by callers that build the corpus from raw
   // text (e.g. via Corpus::AddBatch) — tokenization has already happened
@@ -95,11 +89,6 @@ struct CoarseStageStats {
   double graph_seconds = 0.0;
   // Component extraction and cluster/singleton emission.
   double components_seconds = 0.0;
-  // Sharded df-index merge diagnostics (0 on the serial path).
-  size_t shard_flushes = 0;
-  size_t shard_contended = 0;
-  // Worker count the run actually used (1 = serial path ran).
-  size_t parallel_threads = 1;
   // MinHash/LSH backend phases and bucket diagnostics (all 0 on the
   // tf-idf backend; index/top_phrase are 0 on the LSH backend).
   double signature_seconds = 0.0;  // MinHash signature computation
@@ -140,9 +129,9 @@ struct CoarseResult {
 };
 
 // The anchor/degree/union pass over bipartite edges in canonical
-// (document, phrase-rank) order, shared by the serial and parallel
-// batch paths — and, statefully, by the incremental ingest path — so
-// none of them can drift. Instead of materializing phrase vertices,
+// (document, phrase-rank) order, shared by both coarse backends and,
+// statefully, by the incremental ingest path, so none of them can
+// drift. Instead of materializing phrase vertices,
 // documents sharing a top phrase are unioned directly: the first
 // document seen with each phrase acts as the phrase's anchor. This
 // yields exactly the connected components of the bipartite graph
@@ -184,7 +173,7 @@ class CoarseEdgeAccumulator {
 };
 
 // Component extraction + canonical cluster/singleton emission into
-// `result`, shared by the batch paths and the incremental assembly:
+// `result`, shared by both backends and the incremental assembly:
 // components below min_cluster_size spill into result->singletons
 // (sorted ascending), the rest append to result->clusters in
 // smallest-member order.
@@ -197,21 +186,17 @@ class CoarseClustering {
   explicit CoarseClustering(CoarseOptions options)
       : options_(options) {}
 
-  // Dispatches on options().backend: the tf-idf graph backend goes to
-  // the serial reference path (use_serial_coarse, or an effective
-  // thread count of 1) or the sharded parallel path; kMinhashLsh goes
-  // to RunLshCoarse (lsh/lsh_coarse.h), forced to one worker under the
-  // same use_serial_coarse escape hatch. Every path produces
-  // byte-identical results at any thread count (enforced by
-  // determinism_test, bench_coarse, and bench_lsh).
+  // Runs options().backend at options().num_threads: the tf-idf graph
+  // backend here, kMinhashLsh in RunLshCoarse (lsh/lsh_coarse.h). One
+  // code path per backend at every thread count; the results are
+  // byte-identical across thread counts and, for tf-idf, to the serial
+  // reference in tests/oracle (determinism_test, coarse_clustering_test,
+  // the diff_coarse fuzzers, bench_coarse).
   CoarseResult Run(const Corpus& corpus) const;
 
   const CoarseOptions& options() const { return options_; }
 
  private:
-  CoarseResult RunSerial(const Corpus& corpus) const;
-  CoarseResult RunParallel(const Corpus& corpus, size_t threads) const;
-
   CoarseOptions options_;
 };
 

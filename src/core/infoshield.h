@@ -22,8 +22,8 @@ namespace infoshield {
 struct InfoShieldOptions {
   CoarseOptions coarse;
   FineOptions fine;
-  // Worker threads for both stages: the coarse pipeline (sharded df
-  // accumulation, per-document top-phrase selection, edge generation)
+  // Worker threads for both stages: the coarse pipeline (partitioned df
+  // counting, per-document top-phrase selection)
   // and the fine stage (coarse clusters are independent). Overrides
   // coarse.num_threads. 1 = sequential; 0 = hardware concurrency.
   // Results are bit-identical for any thread count: coarse edges replay

@@ -6,7 +6,7 @@
 
 #include "mdl/cost_model.h"
 #include "text/ngram.h"
-#include "tfidf/sharded_counter.h"
+#include "tfidf/df_count.h"
 #include "tfidf/tfidf_index.h"
 #include "util/audit.h"
 #include "util/logging.h"
@@ -57,29 +57,14 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
   stats.batch_docs = new_size - old_size;
   stats.total_docs = new_size;
 
-  // --- df delta: per-document-deduplicated phrase counts for the new
-  // documents only, folded into the snapshot table. Additivity makes the
-  // folded table equal a from-scratch build over all new_size documents.
+  // --- df delta: the new documents' counts, from the same partitioned
+  // count the batch index runs, folded into the snapshot table.
+  // Additivity makes the folded table equal a from-scratch build over all
+  // new_size documents.
   WallTimer timer;
-  {
-    ShardedPhraseCounter::Local delta;
-    std::unordered_set<PhraseHash> seen;
-    for (size_t d = old_size; d < new_size; ++d) {
-      seen.clear();
-      for (const NgramSpan& g :
-           ExtractNgrams(corpus_.docs()[d], options_.coarse.tfidf.max_ngram)) {
-        // analyzer: allow(hot-loop-alloc) -- the hoisted `seen` set is
-        // cleared and reused per document; rehashes amortize across the
-        // batch (a per-document reserve target is unknowable).
-        seen.insert(g.hash);
-      }
-      // determinism: commutative integer increments; order cannot matter.
-      for (PhraseHash hash : seen) {
-        delta.Increment(hash);
-      }
-    }
-    df_table_.ApplyBatch(&delta, new_size - old_size);
-  }
+  DfCounts delta = CountDocumentFrequencies(
+      corpus_, old_size, new_size, options_.coarse.tfidf.max_ngram, threads);
+  df_table_.ApplyBatch(&delta, new_size - old_size, threads);
   const uint64_t generation = df_table_.generation();
   stats.generation = generation;
   stats.df_seconds = timer.ElapsedSeconds();

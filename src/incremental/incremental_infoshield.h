@@ -2,8 +2,8 @@
 // documents into a live InfoShield model without re-running the whole
 // pipeline, while staying byte-identical to a fresh batch run.
 //
-// The batch pipeline is the oracle, in the use_serial_coarse /
-// use_naive_costing tradition: after ANY sequence of IngestBatch calls,
+// The batch pipeline is the oracle, in the use_naive_costing tradition:
+// after ANY sequence of IngestBatch calls,
 // ResultToJson(result(), corpus()) must byte-match a fresh
 // InfoShield::Run over the concatenated corpus (incremental_test, the
 // diff_incremental fuzz harness, and bench_incremental all enforce
@@ -11,8 +11,9 @@
 // additive or cheap to replay:
 //
 //   df table    — document frequency is a commutative integer sum, so a
-//                 batch folds in exactly (SnapshotDfTable::ApplyBatch);
-//                 readers score against a frozen snapshot.
+//                 batch's partitioned count folds in exactly
+//                 (SnapshotDfTable::ApplyBatch, the same fold the batch
+//                 index makes); readers score against a frozen snapshot.
 //   top phrases — idf = lg(N/df) moves for EVERY phrase when N grows,
 //                 so all documents are rescored each ingest. This is the
 //                 cheap, embarrassingly-parallel part of the pipeline;

@@ -23,7 +23,6 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
   const size_t n = corpus.size();
   if (n == 0) return result;
   const size_t threads = ThreadPool::ResolveNumThreads(num_threads);
-  result.stats.parallel_threads = threads;
 
   // Signatures + band keys: a pure per-document function of (tokens,
   // hash family), so workers own contiguous chunks and write only their
@@ -49,9 +48,8 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
 
   // Banded bucketing, for the candidate-pair diagnostics the sub-linear
   // claim is measured by (and the Query primitive a serving layer
-  // needs). The canonical replay below does NOT read the index — bucket
-  // member order is scheduling-dependent and nothing deterministic may
-  // come from it.
+  // needs). The canonical replay below does not read the index: it
+  // replays the band keys doc-major instead.
   timer.Restart();
   LshIndex index(options.minhash, options.lsh);
   index.Build(signatures, threads);

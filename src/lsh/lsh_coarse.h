@@ -4,10 +4,10 @@
 // fanned across the thread pool) -> band bucket keys -> canonical
 // doc-major edge replay through CoarseEdgeAccumulator -> connected
 // components via EmitCoarseComponents. The replay consumes (doc, band
-// key) edges in exactly the order the serial loop produces them, so —
-// as with the tf-idf backend's (doc, phrase-rank) replay — output is
-// byte-identical at any thread count and the max_phrase_degree hub cap
-// drops the same edges on every path.
+// key) edges in ascending document order, so (as with the tf-idf
+// backend's (doc, phrase-rank) replay) output is byte-identical at any
+// thread count and the max_phrase_degree hub cap drops the same edges
+// at every thread count.
 //
 // CoarseResult::doc_top_phrases carries each document's band keys, so
 // the fine stage's phrase-sharing neighbor seeding transparently
@@ -24,8 +24,7 @@
 namespace infoshield {
 
 // Runs the MinHash/LSH candidate generator with `num_threads` workers
-// (1 = the serial reference; callers pass 1 to honor
-// CoarseOptions::use_serial_coarse). CHECK-fails on invalid
+// (0 = hardware concurrency). CHECK-fails on invalid
 // minhash/lsh parameters — validate with
 // options.lsh.Validate(options.minhash) first where the parameters come
 // from user input.

@@ -49,58 +49,69 @@ std::vector<uint64_t> BandKeys(const MinHashSignature& sig,
   return keys;
 }
 
+namespace {
+
+struct KeyDoc {
+  uint64_t key;
+  DocId doc;
+};
+
+}  // namespace
+
 void LshIndex::Build(const std::vector<MinHashSignature>& signatures,
                      size_t num_threads) {
   const size_t n = signatures.size();
   if (n == 0) return;
   const size_t threads = ThreadPool::ResolveNumThreads(num_threads);
   const size_t num_chunks = std::min(n, threads * 4);
-  // Each worker owns a contiguous chunk of documents, accumulates its
-  // bucket inserts into a private shard-partitioned buffer, and flushes
-  // each shard under that shard's Mutex exactly once — the
-  // ShardedPhraseCounter discipline, so lock traffic is O(shards) per
-  // chunk instead of O(docs * bands).
+  // Pass 1: each chunk's (band key, doc) pairs, bucketed by partition.
+  std::vector<std::array<std::vector<KeyDoc>, kNumPartitions>> pairs(num_chunks);
   ThreadPool::ParallelFor(threads, num_chunks, [&](size_t chunk) {
-    const size_t begin = chunk * n / num_chunks;
     const size_t end = (chunk + 1) * n / num_chunks;
-    std::array<std::unordered_map<uint64_t, std::vector<DocId>>, kNumShards>
-        local;
-    // Most band keys are unique (non-duplicate documents never share
-    // one), so size each local shard for the worst case up front —
-    // growing a multi-million-entry map through rehashes dominates the
-    // build otherwise.
-    const size_t expected = (end - begin) * params_.bands / kNumShards + 1;
-    // determinism: reserve() only — no elements exist yet, nothing to
-    // observe in any order.
-    for (auto& shard : local) shard.reserve(expected);
-    for (size_t d = begin; d < end; ++d) {
-      const std::vector<uint64_t> keys = BandKeys(signatures[d], params_);
-      for (const uint64_t key : keys) {
-        local[ShardOf(key)][key].push_back(static_cast<DocId>(d));
-      }
-    }
-    for (size_t s = 0; s < kNumShards; ++s) {
-      if (local[s].empty()) continue;
-      MutexLock lock(&shards_[s].mu);
-      // determinism: merge order only affects bucket-internal member
-      // order, which no reader observes unsorted (see header).
-      for (auto& [key, docs] : local[s]) {
-        std::vector<DocId>& bucket = shards_[s].buckets[key];
-        bucket.insert(bucket.end(), docs.begin(), docs.end());
+    for (size_t d = chunk * n / num_chunks; d < end; ++d) {
+      for (const uint64_t key : BandKeys(signatures[d], params_)) {
+        pairs[chunk][PartitionOf(key)].push_back(
+            KeyDoc{key, static_cast<DocId>(d)});
       }
     }
   });
+  // Pass 2: one worker per partition sorts its pairs by (key, doc) and
+  // cuts them into buckets.
+  std::array<Partition, kNumPartitions> built;
+  ThreadPool::ParallelFor(threads, kNumPartitions, [&](size_t p) {
+    std::vector<KeyDoc> sorted;
+    for (auto& chunk : pairs) {
+      sorted.insert(sorted.end(), chunk[p].begin(), chunk[p].end());
+      std::vector<KeyDoc>().swap(chunk[p]);
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const KeyDoc& a, const KeyDoc& b) {
+                return a.key != b.key ? a.key < b.key : a.doc < b.doc;
+              });
+    Partition part;
+    part.docs.reserve(sorted.size());
+    for (const KeyDoc& pair : sorted) {
+      if (part.keys.empty() || part.keys.back() != pair.key) {
+        part.keys.push_back(pair.key);
+        part.offsets.push_back(part.docs.size());
+      }
+      part.docs.push_back(pair.doc);
+    }
+    part.offsets.push_back(part.docs.size());
+    built[p] = std::move(part);
+  });
+  partitions_ = std::move(built);
 }
 
 std::vector<DocId> LshIndex::Query(const MinHashSignature& sig) const {
   std::vector<DocId> out;
-  const std::vector<uint64_t> keys = BandKeys(sig, params_);
-  for (const uint64_t key : keys) {
-    const Shard& shard = shards_[ShardOf(key)];
-    MutexLock lock(&shard.mu);
-    auto it = shard.buckets.find(key);
-    if (it == shard.buckets.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
+  for (const uint64_t key : BandKeys(sig, params_)) {
+    const Partition& part = partitions_[PartitionOf(key)];
+    const auto it = std::lower_bound(part.keys.begin(), part.keys.end(), key);
+    if (it == part.keys.end() || *it != key) continue;
+    const size_t bucket = static_cast<size_t>(it - part.keys.begin());
+    out.insert(out.end(), part.docs.begin() + part.offsets[bucket],
+               part.docs.begin() + part.offsets[bucket + 1]);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -109,14 +120,12 @@ std::vector<DocId> LshIndex::Query(const MinHashSignature& sig) const {
 
 LshIndex::Stats LshIndex::ComputeStats() const {
   Stats stats;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    stats.num_buckets += shard.buckets.size();
-    // determinism: commutative aggregation (sum/max) only; no element
-    // order observed.
-    for (const auto& [key, docs] : shard.buckets) {
-      stats.max_bucket = std::max(stats.max_bucket, docs.size());
-      stats.candidate_pairs += docs.size() * (docs.size() - 1) / 2;
+  for (const Partition& part : partitions_) {
+    stats.num_buckets += part.keys.size();
+    for (size_t i = 0; i < part.keys.size(); ++i) {
+      const size_t size = part.offsets[i + 1] - part.offsets[i];
+      stats.max_bucket = std::max(stats.max_bucket, size);
+      stats.candidate_pairs += size * (size - 1) / 2;
     }
   }
   return stats;

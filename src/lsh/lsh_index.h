@@ -8,15 +8,15 @@
 // probability 1 - (1 - J^rows)^bands for Jaccard J, the classic S-curve
 // with threshold ~ (1/bands)^(1/rows).
 //
-// The index is the queryable side of the coarse backend: Build fans
-// signature bucketing across workers into hash-sharded buckets (shard
-// state GUARDED_BY its Mutex; each worker batches per shard so a flush
-// takes every shard lock at most once, mirroring ShardedPhraseCounter),
-// and Query returns the sorted candidate set for a probe signature.
-// Insertion order inside a bucket is scheduling-dependent, so nothing
-// deterministic may be derived from bucket member order — Query sorts,
-// and the coarse backend never reads the index for its canonical edge
-// replay (lsh_coarse.cc replays doc-major band keys instead).
+// The index is the queryable side of the coarse backend. Build buckets
+// the signatures in the two lock-free passes of the df count
+// (tfidf/df_count.h): document chunks scatter their (band key, doc)
+// pairs by the key's top bits, then one worker per partition sorts its
+// pairs and cuts them into buckets. Every bucket therefore lists its
+// documents in ascending order whatever the thread count. Query returns
+// the sorted candidate set for a probe signature; the coarse backend
+// never reads the index for its canonical edge replay (lsh_coarse.cc
+// replays doc-major band keys instead).
 
 #ifndef INFOSHIELD_LSH_LSH_INDEX_H_
 #define INFOSHIELD_LSH_LSH_INDEX_H_
@@ -24,14 +24,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "lsh/minhash.h"
 #include "text/corpus.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace infoshield {
 
@@ -57,15 +54,6 @@ std::vector<uint64_t> BandKeys(const MinHashSignature& sig,
 
 class LshIndex {
  public:
-  // Sharded like ShardedPhraseCounter: power of two, selected by the
-  // bucket key's top bits so shard choice stays independent of the
-  // unordered_map's low-bit bucketing.
-  static constexpr size_t kNumShards = 64;
-
-  static constexpr size_t ShardOf(uint64_t key) {
-    return static_cast<size_t>(key >> 58) & (kNumShards - 1);
-  }
-
   struct Stats {
     // Distinct (band, bucket) keys holding at least one document.
     size_t num_buckets = 0;
@@ -95,22 +83,32 @@ class LshIndex {
   // existing one" pre-filter uses.
   std::vector<DocId> Query(const MinHashSignature& sig) const;
 
-  // Aggregate bucket statistics (scans all shards; call after Build).
+  // Aggregate bucket statistics (scans all partitions; call after Build).
   Stats ComputeStats() const;
 
   const MinHashParams& minhash_params() const { return minhash_; }
   const LshParams& params() const { return params_; }
 
  private:
-  struct Shard {
-    // mutable so Query/ComputeStats (logically const reads) can lock.
-    mutable Mutex mu;
-    std::unordered_map<uint64_t, std::vector<DocId>> buckets GUARDED_BY(mu);
+  // Partitions, selected by the bucket key's top bits like the df
+  // count's.
+  static constexpr size_t kNumPartitions = 64;
+
+  static constexpr size_t PartitionOf(uint64_t key) {
+    return static_cast<size_t>(key >> 58);
+  }
+
+  // One partition's buckets: keys ascending, bucket i holding
+  // docs[offsets[i], offsets[i + 1]), ascending.
+  struct Partition {
+    std::vector<uint64_t> keys;
+    std::vector<size_t> offsets;
+    std::vector<DocId> docs;
   };
 
   MinHashParams minhash_;
   LshParams params_;
-  std::array<Shard, kNumShards> shards_;
+  std::array<Partition, kNumPartitions> partitions_;
 };
 
 }  // namespace infoshield

@@ -1,5 +1,7 @@
 #include "text/ngram.h"
 
+#include <algorithm>
+
 namespace infoshield {
 
 PhraseHash HashNgram(const TokenId* tokens, size_t n) {
@@ -28,6 +30,18 @@ std::vector<NgramSpan> ExtractNgrams(const Document& doc, size_t max_n) {
     }
   }
   return out;
+}
+
+void AppendNgramHashes(const Document& doc, size_t min_n, size_t max_n,
+                       std::vector<PhraseHash>* out) {
+  const size_t len = doc.tokens.size();
+  min_n = std::max<size_t>(min_n, 1);
+  for (size_t begin = 0; begin < len; ++begin) {
+    const size_t limit = std::min(max_n, len - begin);
+    for (size_t n = min_n; n <= limit; ++n) {
+      out->push_back(HashNgram(doc.tokens.data() + begin, n));
+    }
+  }
 }
 
 }  // namespace infoshield

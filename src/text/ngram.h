@@ -32,6 +32,12 @@ struct NgramSpan {
 // All n-grams of lengths 1..max_n in a document, in document order.
 std::vector<NgramSpan> ExtractNgrams(const Document& doc, size_t max_n);
 
+// Appends the hash of every n-gram of length min_n..max_n in `doc` to
+// *out, in ExtractNgrams order. Hot paths hash into a reused buffer this
+// way instead of allocating spans per document.
+void AppendNgramHashes(const Document& doc, size_t min_n, size_t max_n,
+                       std::vector<PhraseHash>* out);
+
 }  // namespace infoshield
 
 #endif  // INFOSHIELD_TEXT_NGRAM_H_

@@ -3,93 +3,39 @@
 #include <algorithm>
 #include <cmath>
 
-#include "tfidf/sharded_counter.h"
+#include "tfidf/df_count.h"
+#include "tfidf/snapshot_df_table.h"
 #include "util/audit.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace infoshield {
 
 void TfidfIndex::Build(const Corpus& corpus, const TfidfOptions& options,
                        size_t num_threads) {
-  options_ = options;
-  num_documents_ = corpus.size();
-  from_snapshot_ = false;
-  snapshot_ = DfSnapshot();
-  df_.clear();
-  build_stats_ = TfidfBuildStats{};
-  const size_t threads = ThreadPool::ResolveNumThreads(num_threads);
-  if (threads <= 1 || corpus.size() < 2) {
-    // Serial reference path: one global map, one pass.
-    std::unordered_map<PhraseHash, uint32_t> seen;
-    for (const Document& doc : corpus.docs()) {
-      seen.clear();
-      for (const NgramSpan& g : ExtractNgrams(doc, options_.max_ngram)) {
-        seen.emplace(g.hash, 0);
-      }
-      // determinism: commutative integer increments; order cannot matter.
-      for (const auto& [hash, unused] : seen) {
-        ++df_[hash];
-      }
-    }
-  } else {
-    // Sharded parallel path: contiguous document chunks fan out across
-    // the pool; each worker accumulates per-document-deduplicated
-    // counts into a private shard-partitioned map and flushes it
-    // shard-wise under the shard mutexes. Counts are a commutative sum,
-    // so the merged table equals the serial one for any schedule.
-    const size_t n = corpus.size();
-    const size_t num_chunks = std::min(n, threads * 4);
-    ShardedPhraseCounter counter;
-    ThreadPool::ParallelFor(threads, num_chunks, [&](size_t chunk) {
-      const size_t begin = chunk * n / num_chunks;
-      const size_t end = (chunk + 1) * n / num_chunks;
-      ShardedPhraseCounter::Local local;
-      std::unordered_map<PhraseHash, uint32_t> seen;
-      for (size_t d = begin; d < end; ++d) {
-        seen.clear();
-        for (const NgramSpan& g :
-             ExtractNgrams(corpus.docs()[d], options_.max_ngram)) {
-          seen.emplace(g.hash, 0);
-        }
-        // determinism: commutative integer increments; order cannot
-        // matter.
-        for (const auto& [hash, unused] : seen) {
-          local.Increment(hash);
-        }
-      }
-      counter.Flush(&local);
-    });
-    counter.Drain(&df_);
-    const ShardedPhraseCounter::Stats stats = counter.stats();
-    build_stats_.shard_flushes = stats.flushes;
-    build_stats_.shard_contended = stats.contended;
-  }
-  INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
+  DfCounts counts = CountDocumentFrequencies(corpus, 0, corpus.size(),
+                                             options.max_ngram, num_threads);
+  SnapshotDfTable table;
+  table.ApplyBatch(&counts, corpus.size(), num_threads);
+  BuildFromSnapshot(table.Snapshot(), options);
 }
 
 void TfidfIndex::BuildFromSnapshot(const DfSnapshot& snapshot,
                                    const TfidfOptions& options) {
   options_ = options;
-  num_documents_ = snapshot.num_documents();
-  from_snapshot_ = true;
   snapshot_ = snapshot;
-  df_.clear();
-  build_stats_ = TfidfBuildStats{};
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
 }
 
 size_t TfidfIndex::DocumentFrequency(PhraseHash phrase) const {
-  if (from_snapshot_) return snapshot_.DocumentFrequency(phrase);
-  auto it = df_.find(phrase);
-  return it == df_.end() ? 0 : it->second;
+  return snapshot_.DocumentFrequency(phrase);
 }
 
 double TfidfIndex::ScoreWithDf(size_t df, size_t tf) const {
-  if (df == 0 || num_documents_ == 0) return 0.0;
+  const size_t num_documents = snapshot_.num_documents();
+  if (df == 0 || num_documents == 0) return 0.0;
   double idf =
-      std::log(static_cast<double>(num_documents_) / static_cast<double>(df));
+      std::log(static_cast<double>(num_documents) / static_cast<double>(df));
   return static_cast<double>(tf) * idf;
 }
 
@@ -98,23 +44,25 @@ double TfidfIndex::Score(PhraseHash phrase, size_t tf) const {
 }
 
 std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
+  // Term frequencies of the document's eligible phrases: sort the n-gram
+  // hashes, then each run of equal hashes is one phrase and its tf.
   const size_t min_n = std::min(options_.min_ngram, options_.max_ngram);
-  // Count term frequencies of the document's distinct eligible phrases.
-  std::unordered_map<PhraseHash, uint32_t> tf;
-  for (const NgramSpan& g : ExtractNgrams(doc, options_.max_ngram)) {
-    if (g.n < min_n) continue;
-    ++tf[g.hash];
-  }
+  std::vector<PhraseHash> grams;
+  grams.reserve(doc.tokens.size() * options_.max_ngram);
+  AppendNgramHashes(doc, min_n, options_.max_ngram, &grams);
+  std::sort(grams.begin(), grams.end());
 
   std::vector<ScoredPhrase> scored;
-  scored.reserve(tf.size());
-  // determinism: unordered gather; `scored` is fully sorted below.
   // One df lookup per phrase: the min_df filter and the score share it
   // (Score(hash, tf) would redo the hash probe).
-  for (const auto& [hash, count] : tf) {
-    const size_t df = DocumentFrequency(hash);
-    if (df < options_.min_df) continue;
-    scored.push_back(ScoredPhrase{hash, ScoreWithDf(df, count)});
+  for (size_t i = 0; i < grams.size();) {
+    size_t j = i + 1;
+    while (j < grams.size() && grams[j] == grams[i]) ++j;
+    const size_t df = DocumentFrequency(grams[i]);
+    if (df >= options_.min_df) {
+      scored.push_back(ScoredPhrase{grams[i], ScoreWithDf(df, j - i)});
+    }
+    i = j;
   }
 
   // top_fraction applies to the phrases actually eligible after the
@@ -126,12 +74,13 @@ std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
   keep = std::max(keep, options_.min_phrases_per_doc);
   keep = std::min(keep, scored.size());
 
-  // Deterministic order: score desc, hash asc as tie-break.
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredPhrase& a, const ScoredPhrase& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.hash < b.hash;
-            });
+  // Deterministic order: score desc, hash asc as tie-break (a total
+  // order, since the hashes are distinct).
+  std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
+                    [](const ScoredPhrase& a, const ScoredPhrase& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.hash < b.hash;
+                    });
   scored.resize(keep);
   INFOSHIELD_AUDIT_INVARIANTS(ValidateTopPhrases(scored));
   return scored;
@@ -143,22 +92,6 @@ Status TfidfIndex::ValidateInvariants() const {
            StrFormat("top_fraction %.3f outside [0, 1]",
                      options_.top_fraction));
   a.Expect(options_.max_ngram >= 1, "max_ngram is 0");
-  if (from_snapshot_) {
-    a.Expect(df_.empty(), "snapshot-backed index also owns a df map");
-    a.Expect(num_documents_ == snapshot_.num_documents(),
-             StrFormat("index says %zu documents but its snapshot says %zu",
-                       num_documents_, snapshot_.num_documents()));
-    return a.Finish();
-  }
-  // determinism: validation only; each entry is checked independently.
-  for (const auto& [hash, df] : df_) {
-    if (df < 1 || df > num_documents_) {
-      a.Expect(false,
-               StrFormat("phrase %llu has df %u outside [1, %zu]",
-                         static_cast<unsigned long long>(hash), df,
-                         num_documents_));
-    }
-  }
   return a.Finish();
 }
 

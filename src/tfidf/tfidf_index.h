@@ -17,7 +17,6 @@
 #define INFOSHIELD_TFIDF_TFIDF_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "text/corpus.h"
@@ -53,9 +52,10 @@ struct ScoredPhrase {
   double score;
 };
 
-// Diagnostics from a sharded (parallel) Build; zeros after a serial one.
+// Build diagnostics. The partitioned df count takes no locks, so nothing
+// contends and shard_contended stays 0; the field remains only because
+// perfbench reports it as tfidf.shard_contended.
 struct TfidfBuildStats {
-  size_t shard_flushes = 0;
   size_t shard_contended = 0;
 };
 
@@ -63,21 +63,19 @@ class TfidfIndex {
  public:
   TfidfIndex() = default;
 
-  // Scans the corpus and builds document-frequency tables. With
-  // num_threads > 1 (0 = hardware concurrency) the accumulation is
-  // sharded by PhraseHash across a worker pool (sharded_counter.h);
-  // because df accumulation is a commutative integer sum, the resulting
-  // table is identical to the serial build for any thread count.
+  // Counts the corpus's document frequencies (df_count.h) with
+  // `num_threads` workers (0 = hardware concurrency) and folds them into
+  // a fresh df table. The table is identical for any thread count.
   void Build(const Corpus& corpus, const TfidfOptions& options,
              size_t num_threads = 1);
 
   // Points the index at a frozen df snapshot (snapshot_df_table.h)
-  // instead of scanning a corpus: no df maps are copied, so this is
-  // O(1). Scoring then reads the snapshot's generation no matter what
-  // later ApplyBatch calls do to the underlying table. Because df
-  // accumulation is additive, an index built from a snapshot covering
-  // documents [0, N) scores byte-identically to Build over those same
-  // N documents — the bridge the incremental path's differential oracle
+  // instead of scanning a corpus: O(1), no df maps are copied. Scoring
+  // then reads the snapshot's generation no matter what later ApplyBatch
+  // calls do to the underlying table. Build is this over a table holding
+  // exactly its corpus, so an index built from a snapshot covering
+  // documents [0, N) scores byte-identically to Build over those same N
+  // documents — the bridge the incremental path's differential oracle
   // rests on.
   void BuildFromSnapshot(const DfSnapshot& snapshot,
                          const TfidfOptions& options);
@@ -91,16 +89,14 @@ class TfidfIndex {
   // tf-idf score of a phrase occurring `tf` times in one document.
   double Score(PhraseHash phrase, size_t tf) const;
 
-  size_t num_documents() const { return num_documents_; }
-  size_t num_phrases() const {
-    return from_snapshot_ ? snapshot_.num_phrases() : df_.size();
-  }
+  size_t num_documents() const { return snapshot_.num_documents(); }
+  size_t num_phrases() const { return snapshot_.num_phrases(); }
   const TfidfOptions& options() const { return options_; }
   const TfidfBuildStats& build_stats() const { return build_stats_; }
 
-  // Deep invariant audit (util/audit.h): every document frequency lies in
-  // [1, num_documents] and the stored options are sane. Returns OK or an
-  // Internal status listing every violation.
+  // Invariant audit (util/audit.h): the stored options are sane (the df
+  // table audits itself, SnapshotDfTable::ValidateInvariants). Returns OK
+  // or an Internal status listing every violation.
   Status ValidateInvariants() const;
 
  private:
@@ -110,12 +106,7 @@ class TfidfIndex {
   double ScoreWithDf(size_t df, size_t tf) const;
 
   TfidfOptions options_;
-  size_t num_documents_ = 0;
   TfidfBuildStats build_stats_;
-  // Exactly one df source is active: the owned map (after Build) or the
-  // frozen snapshot (after BuildFromSnapshot).
-  bool from_snapshot_ = false;
-  std::unordered_map<PhraseHash, uint32_t> df_;
   DfSnapshot snapshot_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/reference_coarse.h"
+
 namespace infoshield {
 namespace {
 
@@ -103,49 +105,45 @@ Corpus MixtureCorpus() {
   return c;
 }
 
+// Everything the coarse stage promises to reproduce (stats excluded).
+void ExpectSameResult(const CoarseResult& actual, const CoarseResult& want,
+                      size_t threads) {
+  EXPECT_EQ(actual.clusters, want.clusters) << "threads=" << threads;
+  EXPECT_EQ(actual.singletons, want.singletons) << "threads=" << threads;
+  EXPECT_EQ(actual.doc_top_phrases, want.doc_top_phrases)
+      << "threads=" << threads;
+  EXPECT_EQ(actual.num_edges, want.num_edges) << "threads=" << threads;
+}
+
 TEST(CoarseTest, ParallelMatchesSerialReference) {
   Corpus c = MixtureCorpus();
-  CoarseOptions serial_opts;
-  serial_opts.use_serial_coarse = true;
-  CoarseResult serial = CoarseClustering(serial_opts).Run(c);
-  EXPECT_EQ(serial.stats.parallel_threads, 1u);
-  for (size_t threads : {2u, 4u, 8u}) {
+  const CoarseResult reference = oracle::ReferenceCoarse(c, CoarseOptions{});
+  ASSERT_FALSE(reference.clusters.empty());
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     CoarseOptions opts;
     opts.num_threads = threads;
-    CoarseResult parallel = CoarseClustering(opts).Run(c);
-    EXPECT_EQ(parallel.clusters, serial.clusters) << "threads=" << threads;
-    EXPECT_EQ(parallel.singletons, serial.singletons)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.doc_top_phrases, serial.doc_top_phrases)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.num_edges, serial.num_edges) << "threads=" << threads;
-    EXPECT_EQ(parallel.stats.parallel_threads, threads);
+    ExpectSameResult(CoarseClustering(opts).Run(c), reference, threads);
   }
 }
 
 TEST(CoarseTest, ParallelMatchesSerialWithPhraseDegreeCap) {
   // The degree cap is order-sensitive: only a hub phrase's first
   // max_phrase_degree edges survive, so which documents "win" depends
-  // on edge order. The parallel path replays its collected edges in the
-  // serial (document, phrase-rank) order and must therefore cap the
+  // on edge order. The production path replays its edges in the
+  // reference's (document, phrase-rank) order and must therefore cap the
   // exact same edges.
   Corpus c;
   for (int i = 0; i < 12; ++i) {
     c.Add("hub shared phrase everywhere plus suffix " + std::to_string(i) +
           " " + std::to_string(i * 3 + 50));
   }
-  CoarseOptions serial_opts;
-  serial_opts.max_phrase_degree = 3;
-  serial_opts.use_serial_coarse = true;
-  CoarseResult serial = CoarseClustering(serial_opts).Run(c);
-  CoarseOptions par_opts = serial_opts;
-  par_opts.use_serial_coarse = false;
-  par_opts.num_threads = 4;
-  CoarseResult parallel = CoarseClustering(par_opts).Run(c);
-  EXPECT_EQ(parallel.clusters, serial.clusters);
-  EXPECT_EQ(parallel.singletons, serial.singletons);
-  EXPECT_EQ(parallel.doc_top_phrases, serial.doc_top_phrases);
-  EXPECT_EQ(parallel.num_edges, serial.num_edges);
+  CoarseOptions opts;
+  opts.max_phrase_degree = 3;
+  const CoarseResult reference = oracle::ReferenceCoarse(c, opts);
+  for (size_t threads : {1u, 4u}) {
+    opts.num_threads = threads;
+    ExpectSameResult(CoarseClustering(opts).Run(c), reference, threads);
+  }
 }
 
 TEST(CoarseTest, StatsCarryPerPhaseTimings) {
@@ -158,8 +156,9 @@ TEST(CoarseTest, StatsCarryPerPhaseTimings) {
   EXPECT_GE(r.stats.graph_seconds, 0.0);
   EXPECT_GE(r.stats.components_seconds, 0.0);
   EXPECT_GE(r.stats.total_seconds(), r.stats.index_seconds);
-  // The sharded build flushed at least one local shard per chunk.
-  EXPECT_GT(r.stats.shard_flushes, 0u);
+  // The LSH-only phases stay empty on the tf-idf backend.
+  EXPECT_EQ(r.stats.signature_seconds, 0.0);
+  EXPECT_EQ(r.stats.lsh_buckets, 0u);
 }
 
 TEST(CoarseTest, EdgeCountPositiveWhenClustered) {

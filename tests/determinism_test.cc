@@ -14,6 +14,7 @@
 #include "core/infoshield.h"
 #include "datagen/trafficking_gen.h"
 #include "io/json_writer.h"
+#include "oracle/reference_coarse.h"
 
 namespace infoshield {
 namespace {
@@ -32,13 +33,11 @@ LabeledAds MakeCorpus(uint64_t seed) {
 
 std::string RunToJson(const Corpus& corpus, size_t num_threads,
                       bool naive_costing = false, size_t scan_threads = 1,
-                      bool serial_coarse = false,
                       CoarseBackend backend = CoarseBackend::kTfidfGraph) {
   InfoShieldOptions options;
   options.num_threads = num_threads;
   options.fine.use_naive_costing = naive_costing;
   options.fine.scan_threads = scan_threads;
-  options.coarse.use_serial_coarse = serial_coarse;
   options.coarse.backend = backend;
   InfoShield shield(options);
   InfoShieldResult result = shield.Run(corpus);
@@ -76,20 +75,25 @@ TEST(DeterminismTest, NaiveCostingIsByteIdenticalToOptimized) {
   }
 }
 
-TEST(DeterminismTest, SerialCoarseEscapeHatchIsByteIdentical) {
-  // The sharded parallel coarse pipeline (parallel df accumulation,
-  // per-document top-phrase fan-out, sort-and-union edge replay) is
-  // required to be exact: CoarseOptions::use_serial_coarse re-runs the
-  // single-threaded reference, and the two must render to the same
-  // bytes at every thread count.
+TEST(DeterminismTest, CoarseMatchesSerialOracleAtEveryThreadCount) {
+  // The coarse stage (partitioned df count, per-document top-phrase
+  // fan-out, canonical edge replay) is required to be exact: at every
+  // thread count it must reproduce the test-only serial reference
+  // field for field. The fine stage reads nothing else of it, so equal
+  // coarse results render to the same bytes.
   LabeledAds data = MakeCorpus(/*seed=*/42);
-  const std::string serial = RunToJson(data.corpus, /*num_threads=*/1,
-                                       /*naive_costing=*/false,
-                                       /*scan_threads=*/1,
-                                       /*serial_coarse=*/true);
-  for (size_t threads : {1u, 4u, 8u}) {
-    EXPECT_EQ(serial, RunToJson(data.corpus, threads))
-        << "parallel coarse diverged at num_threads=" << threads;
+  const CoarseResult reference =
+      oracle::ReferenceCoarse(data.corpus, CoarseOptions{});
+  ASSERT_FALSE(reference.clusters.empty());
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    CoarseOptions options;
+    options.num_threads = threads;
+    const CoarseResult run = CoarseClustering(options).Run(data.corpus);
+    EXPECT_EQ(run.clusters, reference.clusters) << "threads=" << threads;
+    EXPECT_EQ(run.singletons, reference.singletons) << "threads=" << threads;
+    EXPECT_EQ(run.doc_top_phrases, reference.doc_top_phrases)
+        << "threads=" << threads;
+    EXPECT_EQ(run.num_edges, reference.num_edges) << "threads=" << threads;
   }
 }
 
@@ -109,19 +113,17 @@ TEST(DeterminismTest, ScanThreadsDoNotChangeOutput) {
 TEST(DeterminismTest, MinhashLshBackendIsByteIdenticalAcrossThreads) {
   // The MinHash/LSH coarse backend must honor the same contract as the
   // tf-idf backend: signatures are pure per-document functions, band
-  // keys replay doc-major through the shared edge accumulator, so the
-  // serial escape hatch and any worker count render to the same bytes.
+  // keys replay doc-major through the shared edge accumulator, so any
+  // worker count renders to the same bytes as one worker.
   LabeledAds data = MakeCorpus(/*seed=*/42);
   const std::string serial = RunToJson(data.corpus, /*num_threads=*/1,
                                        /*naive_costing=*/false,
                                        /*scan_threads=*/1,
-                                       /*serial_coarse=*/true,
                                        CoarseBackend::kMinhashLsh);
   ASSERT_FALSE(serial.empty());
-  for (size_t threads : {1u, 4u, 8u}) {
+  for (size_t threads : {4u, 8u}) {
     EXPECT_EQ(serial, RunToJson(data.corpus, threads,
                                 /*naive_costing=*/false, /*scan_threads=*/1,
-                                /*serial_coarse=*/false,
                                 CoarseBackend::kMinhashLsh))
         << "LSH coarse backend diverged at num_threads=" << threads;
   }

@@ -5,32 +5,32 @@
 
 #include "tfidf/snapshot_df_table.h"
 
+#include <algorithm>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "text/corpus.h"
 #include "text/ngram.h"
+#include "tfidf/df_count.h"
 #include "tfidf/tfidf_index.h"
 
 namespace infoshield {
 namespace {
 
-// Per-document-deduplicated phrase counts for docs [begin, end), exactly
-// as TfidfIndex::Build accumulates them.
-void AccumulateDelta(const Corpus& corpus, size_t begin, size_t end,
-                     size_t max_ngram, ShardedPhraseCounter::Local* delta) {
-  std::unordered_set<PhraseHash> seen;
-  for (size_t d = begin; d < end; ++d) {
-    seen.clear();
-    for (const NgramSpan& g : ExtractNgrams(corpus.docs()[d], max_ngram)) {
-      seen.insert(g.hash);
-    }
-    for (PhraseHash hash : seen) delta->Increment(hash);
-  }
+// A batch delta for docs [begin, end), counted exactly as
+// TfidfIndex::Build counts the whole corpus.
+DfCounts Delta(const Corpus& corpus, size_t begin, size_t end,
+               size_t max_ngram) {
+  return CountDocumentFrequencies(corpus, begin, end, max_ngram,
+                                  /*num_threads=*/1);
+}
+
+bool IsEmpty(const DfCounts& delta) {
+  return std::all_of(delta.begin(), delta.end(),
+                     [](const std::vector<PhraseDf>& p) { return p.empty(); });
 }
 
 Corpus MakeCorpus(const std::vector<std::string>& texts) {
@@ -69,10 +69,9 @@ TEST(SnapshotDfTableTest, FoldInMatchesBatchBuildExactly) {
   const TfidfOptions options;
 
   SnapshotDfTable table;
-  ShardedPhraseCounter::Local delta;
-  AccumulateDelta(corpus, 0, 3, options.max_ngram, &delta);
+  DfCounts delta = Delta(corpus, 0, 3, options.max_ngram);
   table.ApplyBatch(&delta, 3);
-  AccumulateDelta(corpus, 3, corpus.size(), options.max_ngram, &delta);
+  delta = Delta(corpus, 3, corpus.size(), options.max_ngram);
   table.ApplyBatch(&delta, corpus.size() - 3);
 
   TfidfIndex reference;
@@ -95,18 +94,16 @@ TEST(SnapshotDfTableTest, FoldInMatchesBatchBuildExactly) {
 TEST(SnapshotDfTableTest, ApplyBatchClearsTheDelta) {
   const Corpus corpus = MakeCorpus(SampleTexts());
   SnapshotDfTable table;
-  ShardedPhraseCounter::Local delta;
-  AccumulateDelta(corpus, 0, corpus.size(), 5, &delta);
-  ASSERT_FALSE(delta.empty());
+  DfCounts delta = Delta(corpus, 0, corpus.size(), 5);
+  ASSERT_FALSE(IsEmpty(delta));
   table.ApplyBatch(&delta, corpus.size());
-  EXPECT_TRUE(delta.empty());
+  EXPECT_TRUE(IsEmpty(delta));
 }
 
 TEST(SnapshotDfTableTest, SnapshotIsFrozenAcrossApplyBatch) {
   const Corpus corpus = MakeCorpus(SampleTexts());
   SnapshotDfTable table;
-  ShardedPhraseCounter::Local delta;
-  AccumulateDelta(corpus, 0, 2, 5, &delta);
+  DfCounts delta = Delta(corpus, 0, 2, 5);
   table.ApplyBatch(&delta, 2);
 
   DfSnapshot frozen = table.Snapshot();
@@ -115,7 +112,7 @@ TEST(SnapshotDfTableTest, SnapshotIsFrozenAcrossApplyBatch) {
     before.emplace_back(g.hash, frozen.DocumentFrequency(g.hash));
   }
 
-  AccumulateDelta(corpus, 2, corpus.size(), 5, &delta);
+  delta = Delta(corpus, 2, corpus.size(), 5);
   table.ApplyBatch(&delta, corpus.size() - 2);
 
   // The old snapshot still reads generation-1 values; a fresh snapshot
@@ -139,8 +136,7 @@ TEST(SnapshotDfTableTest, IndexFromSnapshotScoresByteIdenticallyToBuild) {
   const TfidfOptions options;
 
   SnapshotDfTable table;
-  ShardedPhraseCounter::Local delta;
-  AccumulateDelta(corpus, 0, corpus.size(), options.max_ngram, &delta);
+  DfCounts delta = Delta(corpus, 0, corpus.size(), options.max_ngram);
   table.ApplyBatch(&delta, corpus.size());
 
   TfidfIndex built;
@@ -168,8 +164,7 @@ TEST(SnapshotDfTableTest, ReadersSeeFrozenScoresUnderConcurrentWrites) {
   // while the writer folds in batch after batch.
   const Corpus corpus = MakeCorpus(SampleTexts());
   SnapshotDfTable table;
-  ShardedPhraseCounter::Local delta;
-  AccumulateDelta(corpus, 0, 2, 5, &delta);
+  DfCounts delta = Delta(corpus, 0, 2, 5);
   table.ApplyBatch(&delta, 2);
 
   const DfSnapshot frozen = table.Snapshot();
@@ -197,10 +192,9 @@ TEST(SnapshotDfTableTest, ReadersSeeFrozenScoresUnderConcurrentWrites) {
     });
   }
   std::thread writer([&] {
-    ShardedPhraseCounter::Local local;
     for (int round = 0; round < kRounds; ++round) {
-      AccumulateDelta(corpus, 2, corpus.size(), 5, &local);
-      table.ApplyBatch(&local, corpus.size() - 2);
+      DfCounts batch = Delta(corpus, 2, corpus.size(), 5);
+      table.ApplyBatch(&batch, corpus.size() - 2);
     }
   });
   for (std::thread& t : readers) t.join();

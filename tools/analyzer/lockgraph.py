@@ -31,8 +31,8 @@ them via ThreadPool::ParallelFor and friends.
 src/util/mutex.{h,cc} and thread_annotations.h are excluded: they are
 the primitive layer whose internal std::mutex is below this analysis.
 
-Self-edges (re-acquiring the mutex you hold, e.g. the TryLock-then-Lock
-fallback in ShardedPhraseCounter::Flush) are not recorded: TSA already
+Self-edges (re-acquiring the mutex you hold, e.g. a TryLock-then-Lock
+fallback) are not recorded: TSA already
 rejects true double-acquisition, and the idiomatic fallback is not an
 ordering fact.
 

@@ -38,9 +38,9 @@ and over the real tree, asserting:
    cleaned, live entries LRU-capped;
  * the real tree has zero unsuppressed findings, its lock-order
    graph names the mutexes of every current Mutex user (thread_pool,
-   logging, sharded_counter, audit), and its race report carries the
-   schema tag, the pipeline's thread roots, and the annotated
-   shared-state surface;
+   logging, snapshot_df_table, audit), and its race report
+   carries the schema tag, the pipeline's thread roots, and the
+   annotated shared-state surface;
  * a failing run exits 1, not the violation count (a raw count would
    wrap modulo 256 on POSIX).
 
@@ -95,8 +95,7 @@ SEEDED_RACES = ("Telemetry::dropped_", "Ledger::balance_",
 REQUIRED_GRAPH_NODES = (
     "ThreadPool::mutex_",
     "logging::g_severity_mu",
-    "ShardedPhraseCounter::stats_mu_",
-    "Shard::mu",
+    "SnapshotDfTable::mu_",
     "audit::g_stats_mu",
 )
 

@@ -49,7 +49,7 @@ int Main(int argc, char** argv) {
       .AddInt("max-docs-per-template", 10,
               "member documents rendered per template (0 = all)")
       .AddInt("threads", 1,
-              "worker threads for both stages: the sharded coarse "
+              "worker threads for both stages: the partitioned coarse "
               "pipeline and the per-cluster fine stage (0 = all cores); "
               "results are identical for any value")
       .AddBool("color", true, "ANSI colors in terminal output")
