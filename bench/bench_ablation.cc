@@ -60,7 +60,7 @@ void AblationMsaBackend() {
               "edits rise (profiles blur alternative branches, §II-D).\n");
 }
 
-void AblationConsensusSearch() {
+void AblationSearchMode() {
   std::printf("\n--- A2: consensus search (dichotomous vs. exhaustive) ---\n");
   LabeledTweets data = MakeCorpus(30, 0.08, 73);
   double costs[2];
@@ -188,7 +188,7 @@ void AblationVsTemplateMatching() {
 int main() {
   bench::PrintHeader("Ablations (DESIGN.md design decisions)");
   AblationMsaBackend();
-  AblationConsensusSearch();
+  AblationSearchMode();
   AblationNeighborSeeding();
   AblationMinNgram();
   AblationVsTemplateMatching();

@@ -182,7 +182,7 @@ void ConsensusSearchBench(benchmark::State& state, bool exhaustive) {
   options.exhaustive_consensus_search = exhaustive;
   FineClustering fine(options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fine.ConsensusSearch(graph, docs, cm));
+    benchmark::DoNotOptimize(fine.SearchConsensus(graph, docs, cm).consensus);
   }
 }
 void BM_ConsensusSearchDichotomous(benchmark::State& state) {
@@ -194,11 +194,10 @@ void BM_ConsensusSearchExhaustive(benchmark::State& state) {
 BENCHMARK(BM_ConsensusSearchDichotomous)->RangeMultiplier(2)->Range(4, 64);
 BENCHMARK(BM_ConsensusSearchExhaustive)->RangeMultiplier(2)->Range(4, 64);
 
-// Fine stage on one skewed cluster: the default cached + incremental
-// hot path vs. the naive escape hatch (re-align per probe, re-encode
-// per slot candidate). The gap between the two is the optimization's
-// tracked win; bench_fine wires the same comparison into CI.
-void FineStageBench(benchmark::State& state, bool naive) {
+// Fine stage on one skewed cluster: the consensus-identity cache and
+// incremental slot costing on the shape that stresses them (DESIGN.md
+// §10).
+void BM_FineStage(benchmark::State& state) {
   const size_t num_docs = static_cast<size_t>(state.range(0));
   Rng rng(10);
   Corpus corpus;
@@ -217,22 +216,13 @@ void FineStageBench(benchmark::State& state, bool naive) {
     ids.push_back(static_cast<DocId>(i));
   }
   const CostModel cm = CostModel::ForVocabulary(corpus.vocab());
-  FineOptions options;
-  options.use_naive_costing = naive;
-  FineClustering fine(options);
+  FineClustering fine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(fine.RunOnCluster(corpus, ids, cm));
   }
   state.SetComplexityN(static_cast<int64_t>(num_docs));
 }
-void BM_FineStageOptimized(benchmark::State& state) {
-  FineStageBench(state, false);
-}
-void BM_FineStageNaive(benchmark::State& state) {
-  FineStageBench(state, true);
-}
-BENCHMARK(BM_FineStageOptimized)->RangeMultiplier(2)->Range(8, 64);
-BENCHMARK(BM_FineStageNaive)->RangeMultiplier(2)->Range(8, 64);
+BENCHMARK(BM_FineStage)->RangeMultiplier(2)->Range(8, 64);
 
 // MSA backend comparison (Ablation A1's runtime side).
 void BM_ProfileMsaAddSequence(benchmark::State& state) {

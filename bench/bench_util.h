@@ -21,7 +21,8 @@ namespace bench {
 std::string GitDescribe();
 
 // The canonical BENCH_*.json envelope shared by every harness
-// (bench_fine, bench_coarse, bench_incremental, bench_lsh): one
+// (bench_coarse, bench_fig2_scalability, bench_incremental, bench_lsh,
+// bench_micro): one
 // top-level object opened with a "schema" name (e.g.
 // "infoshield-bench-lsh/1") and a "git_describe" provenance field, an
 // arbitrary harness-driven body via writer(), and a uniform

@@ -1,20 +1,27 @@
 // Harness (e1): differential fuzzing of the fine stage.
 //
-// The incremental fine stage (consensus-identity cache, alignment reuse,
+// The production fine stage (consensus-identity cache, alignment reuse,
 // GapCostProfile slot probes) exists only as an optimization of the
-// naive reference (FineOptions::use_naive_costing). The contract is
-// byte-identical output. This harness decodes fuzz bytes into a small
-// synthetic corpus, runs the full pipeline both ways, and asserts the
-// canonical JSON serializations match byte for byte; the end-to-end
-// result must also pass the deep invariant auditors.
+// test-only reference costing (tests/oracle/reference_fine.h), which
+// re-aligns every candidate per probe and re-encodes every candidate per
+// slot. The contract is bit-identical search results. This harness
+// decodes fuzz bytes into a small synthetic corpus, runs the full
+// pipeline, requires the result to pass the deep invariant auditors,
+// and then compares SearchConsensus against the reference field for
+// field (consensus, slot gaps, every alignment, cost bits) on every
+// accepted template's candidate set and on the whole corpus as one
+// candidate set, the latter reaching mixes no template accepts.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/fine_clustering.h"
 #include "core/infoshield.h"
 #include "fuzz_util.h"
-#include "io/json_writer.h"
+#include "mdl/cost_model.h"
+#include "oracle/reference_fine.h"
 #include "synthetic_corpus.h"
 #include "text/corpus.h"
 #include "util/logging.h"
@@ -22,13 +29,17 @@
 
 namespace {
 
+using infoshield::CostModel;
 using infoshield::Corpus;
+using infoshield::DocId;
+using infoshield::FineClustering;
 using infoshield::InfoShield;
 using infoshield::InfoShieldOptions;
 using infoshield::InfoShieldResult;
+using infoshield::MsaAligner;
 using infoshield::MsaBackend;
-using infoshield::ResultToJson;
 using infoshield::Status;
+using infoshield::TokenId;
 using infoshield::ValidateInfoShieldResult;
 
 }  // namespace
@@ -38,7 +49,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   InfoShieldOptions options;
   const uint8_t option_bits = in.TakeByte();
-  // Both runs get the same knobs; only the costing path differs.
   options.fine.exhaustive_consensus_search = (option_bits & 1) != 0;
   options.fine.msa_backend =
       (option_bits & 2) != 0 ? MsaBackend::kProfile : MsaBackend::kPoa;
@@ -48,26 +58,31 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       infoshield::fuzz::DecodeSyntheticTexts(in, /*max_docs=*/12);
   const Corpus corpus = infoshield::fuzz::BuildSyntheticCorpus(texts);
 
-  options.fine.use_naive_costing = false;
-  const InfoShieldResult optimized = InfoShield(options).Run(corpus);
-  Status audit = ValidateInfoShieldResult(optimized, corpus);
+  const InfoShieldResult result = InfoShield(options).Run(corpus);
+  Status audit = ValidateInfoShieldResult(result, corpus);
   CHECK(audit.ok()) << audit.ToString();
 
-  options.fine.use_naive_costing = true;
-  const InfoShieldResult naive = InfoShield(options).Run(corpus);
+  const CostModel cost_model = CostModel::ForVocabulary(corpus.vocab());
+  const std::string template_diff =
+      infoshield::oracle::DiffTemplatesAgainstReference(
+          result.templates, corpus, cost_model, options.fine);
+  CHECK(template_diff.empty())
+      << "fine stage diverged from the reference costing on "
+      << template_diff << " (corpus of " << texts.size() << " docs, "
+      << result.templates.size() << " templates)";
 
-  const std::string optimized_json = ResultToJson(optimized, corpus);
-  const std::string naive_json = ResultToJson(naive, corpus);
-  if (optimized_json != naive_json) {
-    size_t diverge = 0;
-    while (diverge < optimized_json.size() && diverge < naive_json.size() &&
-           optimized_json[diverge] == naive_json[diverge]) {
-      ++diverge;
-    }
-    CHECK(false) << "optimized and naive fine costing diverged at JSON "
-                 << "byte " << diverge << " (corpus of " << texts.size()
-                 << " docs, " << optimized.templates.size() << " vs "
-                 << naive.templates.size() << " templates)";
+  std::vector<std::vector<TokenId>> docs;
+  for (DocId d = 0; d < corpus.size(); ++d) {
+    docs.push_back(corpus.doc(d).tokens);
   }
+  const std::unique_ptr<MsaAligner> graph =
+      infoshield::oracle::BuildCandidateAlignment(docs, options.fine);
+  const std::string corpus_diff = infoshield::oracle::DiffConsensusChoice(
+      FineClustering(options.fine).SearchConsensus(*graph, docs, cost_model),
+      infoshield::oracle::ReferenceSearchConsensus(*graph, docs, cost_model,
+                                                   options.fine));
+  CHECK(corpus_diff.empty())
+      << "consensus search over the whole " << texts.size()
+      << "-doc corpus diverged from the reference costing: " << corpus_diff;
   return 0;
 }

@@ -71,10 +71,9 @@ struct CoarseOptions {
   size_t num_threads = 1;
 };
 
-// Per-phase wall-clock breakdown and LSH bucket diagnostics for one
-// coarse run. Deliberately not part of the canonical JSON output: runs
-// at different thread counts emit byte-identical results while
-// reporting very different timings.
+// Per-phase wall-clock breakdown for one coarse run. Deliberately not
+// part of the canonical JSON output: runs at different thread counts
+// emit byte-identical results while reporting very different timings.
 struct CoarseStageStats {
   // tokenize_seconds is filled by callers that build the corpus from raw
   // text (e.g. via Corpus::AddBatch) — tokenization has already happened
@@ -89,17 +88,13 @@ struct CoarseStageStats {
   double graph_seconds = 0.0;
   // Component extraction and cluster/singleton emission.
   double components_seconds = 0.0;
-  // MinHash/LSH backend phases and bucket diagnostics (all 0 on the
-  // tf-idf backend; index/top_phrase are 0 on the LSH backend).
-  double signature_seconds = 0.0;  // MinHash signature computation
-  double bucket_seconds = 0.0;     // banded bucketing (LshIndex::Build)
-  size_t lsh_buckets = 0;          // distinct occupied (band, bucket) keys
-  size_t lsh_max_bucket = 0;       // fullest bucket (hub diagnostic)
-  size_t lsh_candidate_pairs = 0;  // sum over buckets of C(size, 2)
+  // MinHash signature + band-key computation (0 on the tf-idf backend;
+  // index/top_phrase are 0 on the LSH backend).
+  double signature_seconds = 0.0;
 
   double total_seconds() const {
     return index_seconds + top_phrase_seconds + signature_seconds +
-           bucket_seconds + graph_seconds + components_seconds;
+           graph_seconds + components_seconds;
   }
 };
 
@@ -123,8 +118,7 @@ struct CoarseResult {
   std::vector<std::vector<PhraseHash>> doc_top_phrases;
   // Bipartite edge count (for diagnostics / scaling studies).
   size_t num_edges = 0;
-  // Per-phase timings + shard counters (never serialized into the
-  // canonical JSON).
+  // Per-phase timings (never serialized into the canonical JSON).
   CoarseStageStats stats;
 };
 

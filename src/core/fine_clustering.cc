@@ -51,32 +51,6 @@ double TotalCost(const CostModel& cm, size_t num_docs,
 
 }  // namespace
 
-double FineClustering::CandidateDataCost(
-    const std::vector<TokenId>& consensus,
-    const std::vector<std::vector<TokenId>>& docs,
-    const CostModel& cost_model, FineStageStats* stats) const {
-  // Evaluate the candidate the way it would actually be used: slots
-  // detected, model cost included. Scoring data cost alone (a literal
-  // reading of Eq. 6) systematically prefers bloated consensuses —
-  // every variant branch kept as constants, paid for with cheap
-  // deletions — which then fail the MDL acceptance test; the paper's
-  // stated goal is total-cost minimization, so the search target is
-  // C(T_i) + C(D_i | T_i) after slot detection.
-  Template tmpl(consensus);
-  std::vector<Alignment> alignments;
-  alignments.reserve(docs.size());
-  for (const auto& doc : docs) {
-    alignments.push_back(NeedlemanWunsch(tmpl.tokens, doc, options_.scoring));
-  }
-  if (stats != nullptr) stats->alignments_computed += docs.size();
-  DetectSlotsNaive(tmpl, alignments, cost_model, stats);
-  double cost = cost_model.TemplateCost(tmpl.length(), tmpl.num_slots());
-  for (const Alignment& a : alignments) {
-    cost += EncodeDocumentWithAlignment(tmpl, a, cost_model).base_cost;
-  }
-  return cost;
-}
-
 FineClustering::ConsensusChoice FineClustering::EvaluateCandidate(
     const std::vector<TokenId>& consensus,
     const std::vector<std::vector<TokenId>>& docs,
@@ -92,11 +66,10 @@ FineClustering::ConsensusChoice FineClustering::EvaluateCandidate(
   }
   if (stats != nullptr) stats->alignments_computed += docs.size();
   std::vector<double> base_costs;
-  DetectSlotsIncremental(choice.tmpl, choice.alignments, cost_model, stats,
-                         &base_costs);
-  // Same accumulation order as CandidateDataCost: template cost first,
-  // then per-document bases — floating-point addition is not
-  // associative, and the naive path must match bit for bit.
+  DetectSlots(choice.tmpl, choice.alignments, cost_model, stats, &base_costs);
+  // Template cost first, then per-document bases — floating-point
+  // addition is not associative, and the reference costing
+  // (tests/oracle/) must match bit for bit (DESIGN.md §10).
   choice.cost =
       cost_model.TemplateCost(choice.tmpl.length(), choice.tmpl.num_slots());
   for (double base : base_costs) choice.cost += base;
@@ -110,7 +83,6 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensus(
   const size_t n = candidate_docs.size();
   CHECK_GE(n, 1u);
   const int64_t h_max = static_cast<int64_t>(n) - 1;
-  const bool naive = options_.use_naive_costing;
 
   // Distinct thresholds frequently select the same sub-alignment
   // (supports are integers in [0, n); near-duplicate candidate sets
@@ -129,19 +101,15 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensus(
         alignment.ConsensusAtThreshold(static_cast<size_t>(h));
     if (stats != nullptr) ++stats->consensus_probes;
     double cost;
-    if (naive) {
-      cost = CandidateDataCost(consensus, candidate_docs, cost_model, stats);
+    auto found = by_consensus.find(consensus);
+    if (found != by_consensus.end()) {
+      if (stats != nullptr) ++stats->consensus_cache_hits;
+      cost = found->second.cost;
     } else {
-      auto found = by_consensus.find(consensus);
-      if (found != by_consensus.end()) {
-        if (stats != nullptr) ++stats->consensus_cache_hits;
-        cost = found->second.cost;
-      } else {
-        ConsensusChoice evaluated =
-            EvaluateCandidate(consensus, candidate_docs, cost_model, stats);
-        cost = evaluated.cost;
-        by_consensus.emplace(std::move(consensus), std::move(evaluated));
-      }
+      ConsensusChoice evaluated =
+          EvaluateCandidate(consensus, candidate_docs, cost_model, stats);
+      cost = evaluated.cost;
+      by_consensus.emplace(std::move(consensus), std::move(evaluated));
     }
     cache.emplace(h, cost);
     return cost;
@@ -180,36 +148,10 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensus(
     consider(lo);
   }
 
-  std::vector<TokenId> winner =
-      alignment.ConsensusAtThreshold(static_cast<size_t>(best_h));
-  if (!naive) {
-    auto found = by_consensus.find(winner);
-    CHECK(found != by_consensus.end());
-    return std::move(found->second);
-  }
-  // Naive escape hatch: rebuild the winner's template the way the
-  // pre-optimization code did — re-align every member and run full
-  // slot detection once more.
-  ConsensusChoice choice;
-  choice.consensus = std::move(winner);
-  choice.cost = best_cost;
-  choice.tmpl = Template(choice.consensus);
-  choice.alignments.reserve(candidate_docs.size());
-  for (const auto& doc : candidate_docs) {
-    choice.alignments.push_back(
-        NeedlemanWunsch(choice.tmpl.tokens, doc, options_.scoring));
-  }
-  if (stats != nullptr) stats->alignments_computed += candidate_docs.size();
-  DetectSlotsNaive(choice.tmpl, choice.alignments, cost_model, stats);
-  return choice;
-}
-
-std::vector<TokenId> FineClustering::ConsensusSearch(
-    const MsaAligner& alignment,
-    const std::vector<std::vector<TokenId>>& candidate_docs,
-    const CostModel& cost_model) const {
-  return SearchConsensus(alignment, candidate_docs, cost_model, nullptr)
-      .consensus;
+  auto found = by_consensus.find(
+      alignment.ConsensusAtThreshold(static_cast<size_t>(best_h)));
+  CHECK(found != by_consensus.end());
+  return std::move(found->second);
 }
 
 namespace {
@@ -244,48 +186,9 @@ std::vector<size_t> CandidateGaps(const std::vector<Alignment>& alignments) {
 
 void FineClustering::DetectSlots(Template& tmpl,
                                  const std::vector<Alignment>& alignments,
-                                 const CostModel& cost_model) const {
-  if (options_.use_naive_costing) {
-    DetectSlotsNaive(tmpl, alignments, cost_model, nullptr);
-  } else {
-    DetectSlotsIncremental(tmpl, alignments, cost_model, nullptr, nullptr);
-  }
-}
-
-void FineClustering::DetectSlotsNaive(Template& tmpl,
-                                      const std::vector<Alignment>& alignments,
-                                      const CostModel& cost_model,
-                                      FineStageStats* stats) const {
-  const std::vector<size_t> candidates = CandidateGaps(alignments);
-  if (stats != nullptr) stats->slot_candidates_evaluated += candidates.size();
-
-  auto data_cost = [&]() {
-    double cost = 0.0;
-    for (const Alignment& a : alignments) {
-      cost += EncodeDocumentWithAlignment(tmpl, a, cost_model).base_cost;
-    }
-    return cost;
-  };
-  auto model_cost = [&]() {
-    return cost_model.TemplateCost(tmpl.length(), tmpl.num_slots());
-  };
-
-  double current = data_cost() + model_cost();
-  for (size_t gap : candidates) {
-    tmpl.SetSlotAtGap(gap, true);
-    double with_slot = data_cost() + model_cost();
-    if (with_slot < current) {
-      current = with_slot;
-    } else {
-      tmpl.SetSlotAtGap(gap, false);
-    }
-  }
-}
-
-void FineClustering::DetectSlotsIncremental(
-    Template& tmpl, const std::vector<Alignment>& alignments,
-    const CostModel& cost_model, FineStageStats* stats,
-    std::vector<double>* final_base_costs) const {
+                                 const CostModel& cost_model,
+                                 FineStageStats* stats,
+                                 std::vector<double>* final_base_costs) const {
   // One O(length) walk per alignment captures everything the cost of any
   // slot mask depends on; every probe below is pure integer bookkeeping
   // plus one AlignmentCostBase call per document (see slot_analysis.h
@@ -299,8 +202,8 @@ void FineClustering::DetectSlotsIncremental(
   if (stats != nullptr) stats->slot_candidates_evaluated += candidates.size();
 
   std::vector<size_t> enabled = tmpl.SlotGaps();
-  // Matches the naive path's accumulation exactly: per-document bases
-  // summed from zero in document order, then the model cost added.
+  // Matches the reference costing's accumulation exactly: per-document
+  // bases summed from zero in document order, then the model cost added.
   auto total_cost = [&](const std::vector<size_t>& slot_gaps) {
     double data = 0.0;
     for (const GapCostProfile& p : profiles) {

@@ -52,12 +52,6 @@ struct FineOptions {
   // search of Algorithm 2.
   bool exhaustive_consensus_search = false;
   MsaBackend msa_backend = MsaBackend::kPoa;
-  // Escape hatch: re-align every member per consensus probe and re-encode
-  // every member per candidate slot, exactly as the pre-optimization code
-  // did. Output is byte-identical to the default (cached + incremental)
-  // path — determinism_test enforces it — so this exists only to
-  // cross-check and to measure the win (bench_fine reports both).
-  bool use_naive_costing = false;
   // Worker threads for the intra-cluster candidate-alignment scan (the
   // seed-vs-pool encoding probes are independent). 1 = sequential,
   // 0 = hardware concurrency. Results are byte-identical for any value;
@@ -68,11 +62,12 @@ struct FineOptions {
 
 // Hot-path counters for one fine-stage run (summed over seeds for
 // RunOnCluster, over clusters by the pipeline). Deliberately not part of
-// the canonical JSON output: the optimized and naive paths must emit
-// byte-identical results while reporting very different counter values.
+// the canonical JSON output: they measure work, not results, so the
+// test-only reference costing (tests/oracle/) reports very different
+// values for the same output.
 struct FineStageStats {
   // Full Needleman-Wunsch alignments computed (pool scans + consensus
-  // evaluations + any naive-path re-alignment).
+  // evaluations).
   size_t alignments_computed = 0;
   // Consensus-search cost evaluations requested (distinct thresholds).
   size_t consensus_probes = 0;
@@ -154,61 +149,39 @@ class FineClustering {
     double cost = 0.0;
   };
 
-  // Algorithm 2, returning the full evaluation of the winner. Probes are
-  // cached by consensus identity: distinct thresholds frequently select
-  // the same sub-alignment, and each cache hit skips one
-  // alignment+slot-detection pass over all candidate documents.
+  // Algorithm 2: searches thresholds h in [0, |Di|-1] for the consensus
+  // Sel(A, h) minimizing the candidates' cost, and returns the full
+  // evaluation of the winner. Probes are cached by consensus identity:
+  // distinct thresholds frequently select the same sub-alignment, and
+  // each cache hit skips one alignment+slot-detection pass over all
+  // candidate documents.
   ConsensusChoice SearchConsensus(
       const MsaAligner& alignment,
       const std::vector<std::vector<TokenId>>& candidate_docs,
       const CostModel& cost_model, FineStageStats* stats = nullptr) const;
 
-  // Algorithm 2: returns the consensus token sequence minimizing
-  // C(Di | Sel(A, h)) over thresholds h in [0, |Di|-1].
-  std::vector<TokenId> ConsensusSearch(
-      const MsaAligner& alignment,
-      const std::vector<std::vector<TokenId>>& candidate_docs,
-      const CostModel& cost_model) const;
-
   // Algorithm 3: adds slots to `tmpl` (in place) wherever they lower the
   // combined model+data cost; `alignments` are the candidates' alignments
-  // against tmpl.tokens and are not invalidated by slot changes.
+  // against tmpl.tokens and are not invalidated by slot changes. Each
+  // slot probe is an O(docs) GapCostProfile delta, not a re-encode
+  // (DESIGN.md §10). `final_base_costs`, when given, receives each
+  // document's base cost under the final mask, bit-identical to
+  // EncodeDocumentWithAlignment(tmpl, ...).base_cost.
   void DetectSlots(Template& tmpl, const std::vector<Alignment>& alignments,
-                   const CostModel& cost_model) const;
+                   const CostModel& cost_model,
+                   FineStageStats* stats = nullptr,
+                   std::vector<double>* final_base_costs = nullptr) const;
 
  private:
   // Cost of a candidate consensus as it would actually be adopted:
-  // template model cost plus the documents' encoding cost after slot
-  // detection (the lg t term is omitted — constant during the search).
-  // The naive probe path; the default path goes through
-  // EvaluateCandidate so alignments are computed once per distinct
-  // consensus and slot probes are incremental.
-  double CandidateDataCost(const std::vector<TokenId>& consensus,
-                           const std::vector<std::vector<TokenId>>& docs,
-                           const CostModel& cost_model,
-                           FineStageStats* stats) const;
-
-  // Aligns every candidate document against `consensus`, detects slots
-  // incrementally, and returns the populated ConsensusChoice.
+  // aligns every candidate document against `consensus` once, detects
+  // slots, and returns the populated ConsensusChoice whose cost is the
+  // template model cost plus the documents' base encoding costs (the
+  // lg t term is omitted — constant during the search).
   ConsensusChoice EvaluateCandidate(
       const std::vector<TokenId>& consensus,
       const std::vector<std::vector<TokenId>>& docs,
       const CostModel& cost_model, FineStageStats* stats) const;
-
-  // Algorithm 3 via full re-encoding per probe (escape hatch) and via
-  // the GapCostProfile delta algebra (default). Both mutate `tmpl`
-  // identically. The incremental variant can also report each
-  // document's final base encoding cost (bit-identical to
-  // EncodeDocumentWithAlignment(tmpl, ...).base_cost) for free.
-  void DetectSlotsNaive(Template& tmpl,
-                        const std::vector<Alignment>& alignments,
-                        const CostModel& cost_model,
-                        FineStageStats* stats) const;
-  void DetectSlotsIncremental(Template& tmpl,
-                              const std::vector<Alignment>& alignments,
-                              const CostModel& cost_model,
-                              FineStageStats* stats,
-                              std::vector<double>* final_base_costs) const;
 
   FineOptions options_;
 };

@@ -1,6 +1,8 @@
 #include "core/infoshield.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/audit.h"
 #include "util/logging.h"
@@ -21,19 +23,51 @@ size_t InfoShieldResult::num_suspicious() const {
   return n;
 }
 
-InfoShieldResult InfoShield::Run(const Corpus& corpus) const {
+InfoShieldResult AssembleResult(size_t num_docs, const CoarseResult& coarse,
+                                std::vector<FineResult> fine_results,
+                                double lg_vocab) {
+  CHECK_EQ(fine_results.size(), coarse.clusters.size());
   InfoShieldResult result;
-  result.doc_template.assign(corpus.size(), -1);
+  result.doc_template.assign(num_docs, -1);
+  result.num_coarse_clusters = coarse.clusters.size();
+  result.num_singletons = coarse.singletons.size();
+  result.coarse_stats = coarse.stats;
+  result.cluster_stats.reserve(fine_results.size());
+  for (size_t ci = 0; ci < fine_results.size(); ++ci) {
+    FineResult& fr = fine_results[ci];
+    result.fine_stats.MergeFrom(fr.stats);
 
+    ClusterStats stats;
+    stats.coarse_cluster_index = ci;
+    stats.num_docs = coarse.clusters[ci].size();
+    stats.num_templates = fr.templates.size();
+    stats.cost_before = fr.cost_before;
+    stats.cost_after = fr.cost_after;
+    stats.relative_length = fr.relative_length();
+    stats.lower_bound = RelativeLengthLowerBound(
+        std::max<size_t>(fr.templates.size(), 1), stats.num_docs, lg_vocab);
+    result.cluster_stats.push_back(stats);
+
+    for (TemplateCluster& tc : fr.templates) {
+      const int64_t template_index =
+          static_cast<int64_t>(result.templates.size());
+      for (DocId d : tc.members) {
+        result.doc_template[d] = template_index;
+      }
+      result.templates.push_back(std::move(tc));
+      result.template_coarse_cluster.push_back(ci);
+    }
+  }
+  return result;
+}
+
+InfoShieldResult InfoShield::Run(const Corpus& corpus) const {
   WallTimer timer;
   CoarseOptions coarse_options = options_.coarse;
   coarse_options.num_threads = options_.num_threads;
   CoarseClustering coarse(coarse_options);
-  CoarseResult coarse_result = coarse.Run(corpus);
-  result.coarse_seconds = timer.ElapsedSeconds();
-  result.coarse_stats = coarse_result.stats;
-  result.num_coarse_clusters = coarse_result.clusters.size();
-  result.num_singletons = coarse_result.singletons.size();
+  const CoarseResult coarse_result = coarse.Run(corpus);
+  const double coarse_seconds = timer.ElapsedSeconds();
 
   timer.Restart();
   const CostModel cost_model = CostModel::ForVocabulary(corpus.vocab());
@@ -58,32 +92,10 @@ InfoShieldResult InfoShield::Run(const Corpus& corpus) const {
         ++progress.clusters_done;
         progress.templates_found += fine_results[ci].templates.size();
       });
-  for (size_t ci = 0; ci < coarse_result.clusters.size(); ++ci) {
-    FineResult& fr = fine_results[ci];
-    result.fine_stats.MergeFrom(fr.stats);
-
-    ClusterStats stats;
-    stats.coarse_cluster_index = ci;
-    stats.num_docs = coarse_result.clusters[ci].size();
-    stats.num_templates = fr.templates.size();
-    stats.cost_before = fr.cost_before;
-    stats.cost_after = fr.cost_after;
-    stats.relative_length = fr.relative_length();
-    stats.lower_bound = RelativeLengthLowerBound(
-        std::max<size_t>(fr.templates.size(), 1), stats.num_docs,
-        cost_model.lg_vocab());
-    result.cluster_stats.push_back(stats);
-
-    for (TemplateCluster& tc : fr.templates) {
-      const int64_t template_index =
-          static_cast<int64_t>(result.templates.size());
-      for (DocId d : tc.members) {
-        result.doc_template[d] = template_index;
-      }
-      result.templates.push_back(std::move(tc));
-      result.template_coarse_cluster.push_back(ci);
-    }
-  }
+  InfoShieldResult result =
+      AssembleResult(corpus.size(), coarse_result, std::move(fine_results),
+                     cost_model.lg_vocab());
+  result.coarse_seconds = coarse_seconds;
   result.fine_seconds = timer.ElapsedSeconds();
   {
     // The guarded tallies and the deterministic merge must agree; a

@@ -62,8 +62,8 @@ struct InfoShieldResult {
   // Fine-stage hot-path counters summed over all coarse clusters (never
   // part of the canonical JSON; see FineStageStats).
   FineStageStats fine_stats;
-  // Coarse-stage per-phase timings and shard diagnostics (never part of
-  // the canonical JSON; see CoarseStageStats).
+  // Coarse-stage per-phase timings (never part of the canonical JSON;
+  // see CoarseStageStats).
   CoarseStageStats coarse_stats;
 
   bool IsSuspicious(DocId d) const { return doc_template[d] >= 0; }
@@ -82,6 +82,18 @@ class InfoShield {
  private:
   InfoShieldOptions options_;
 };
+
+// Builds the pipeline result from the coarse stage's output and each
+// coarse cluster's FineResult (parallel to coarse.clusters), in cluster
+// order: templates are numbered consecutively, doc_template labels every
+// member with its template's index, each cluster gets ClusterStats with
+// the Lemma-1 bound for `lg_vocab`, and the fine-stage counters are
+// summed. InfoShield::Run and IncrementalInfoShield::IngestBatch both
+// assemble here, so their results agree field for field. The wall-clock
+// fields are left to the caller.
+InfoShieldResult AssembleResult(size_t num_docs, const CoarseResult& coarse,
+                                std::vector<FineResult> fine_results,
+                                double lg_vocab);
 
 // Deep invariant audit (util/audit.h): every template cluster validates
 // against the corpus, doc_template is a consistent inverse of the

@@ -241,47 +241,10 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
     fine_cache_.emplace(entry.members.front(), std::move(entry));
   }
 
-  // --- assemble, replicating InfoShield::Run's merge loop so the
-  // result is field-for-field what the batch pipeline would build.
-  InfoShieldResult result;
-  result.doc_template.assign(corpus_.size(), -1);
-  result.num_coarse_clusters = components.clusters.size();
-  result.num_singletons = components.singletons.size();
-  result.cluster_stats.reserve(num_clusters);
-  size_t total_templates = 0;
-  for (const FineResult& fr : fine_results) {
-    total_templates += fr.templates.size();
-  }
-  result.templates.reserve(total_templates);
-  result.template_coarse_cluster.reserve(total_templates);
-  for (size_t ci = 0; ci < num_clusters; ++ci) {
-    FineResult& fr = fine_results[ci];
-    result.fine_stats.MergeFrom(fr.stats);
-
-    ClusterStats cluster_stats;
-    cluster_stats.coarse_cluster_index = ci;
-    cluster_stats.num_docs = components.clusters[ci].size();
-    cluster_stats.num_templates = fr.templates.size();
-    cluster_stats.cost_before = fr.cost_before;
-    cluster_stats.cost_after = fr.cost_after;
-    cluster_stats.relative_length = fr.relative_length();
-    cluster_stats.lower_bound = RelativeLengthLowerBound(
-        std::max<size_t>(fr.templates.size(), 1), cluster_stats.num_docs,
-        cost_model.lg_vocab());
-    result.cluster_stats.push_back(cluster_stats);
-
-    for (TemplateCluster& tc : fr.templates) {
-      const int64_t template_index =
-          static_cast<int64_t>(result.templates.size());
-      for (DocId d : tc.members) {
-        result.doc_template[d] = template_index;
-      }
-      result.templates.push_back(std::move(tc));
-      result.template_coarse_cluster.push_back(ci);
-    }
-  }
+  // --- assemble exactly as the batch pipeline does.
+  result_ = AssembleResult(corpus_.size(), components, std::move(fine_results),
+                           cost_model.lg_vocab());
   stats.fine_seconds = timer.ElapsedSeconds();
-  result_ = std::move(result);
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
   return stats;
 }

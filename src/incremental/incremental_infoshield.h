@@ -2,13 +2,13 @@
 // documents into a live InfoShield model without re-running the whole
 // pipeline, while staying byte-identical to a fresh batch run.
 //
-// The batch pipeline is the oracle, in the use_naive_costing tradition:
-// after ANY sequence of IngestBatch calls,
-// ResultToJson(result(), corpus()) must byte-match a fresh
+// The batch pipeline is the oracle: after ANY sequence of IngestBatch
+// calls, ResultToJson(result(), corpus()) must byte-match a fresh
 // InfoShield::Run over the concatenated corpus (incremental_test, the
 // diff_incremental fuzz harness, and bench_incremental all enforce
-// this). That contract is achievable because every stage is either
-// additive or cheap to replay:
+// this). Both assemble their result through AssembleResult. That
+// contract is achievable because every stage is either additive or
+// cheap to replay:
 //
 //   df table    — document frequency is a commutative integer sum, so a
 //                 batch's partitioned count folds in exactly

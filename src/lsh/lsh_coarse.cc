@@ -30,7 +30,6 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
   // the result is independent of the thread count by construction.
   WallTimer timer;
   const MinHashFamily family(options.minhash);
-  std::vector<MinHashSignature> signatures(n);
   result.doc_top_phrases.resize(n);
   const size_t num_chunks = std::min(n, threads * 4);
   ThreadPool::ParallelFor(threads, num_chunks, [&](size_t chunk) {
@@ -40,27 +39,15 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
       // analyzer: allow(hot-loop-alloc) -- Signature/BandKeys return
       // their per-document vectors by value (one move per document,
       // the API contract).
-      signatures[d] = family.Signature(corpus.docs()[d].tokens);
-      result.doc_top_phrases[d] = BandKeys(signatures[d], options.lsh);
+      result.doc_top_phrases[d] =
+          BandKeys(family.Signature(corpus.docs()[d].tokens), options.lsh);
     }
   });
   result.stats.signature_seconds = timer.ElapsedSeconds();
 
-  // Banded bucketing, for the candidate-pair diagnostics the sub-linear
-  // claim is measured by (and the Query primitive a serving layer
-  // needs). The canonical replay below does not read the index: it
-  // replays the band keys doc-major instead.
-  timer.Restart();
-  LshIndex index(options.minhash, options.lsh);
-  index.Build(signatures, threads);
-  const LshIndex::Stats bucket_stats = index.ComputeStats();
-  result.stats.lsh_buckets = bucket_stats.num_buckets;
-  result.stats.lsh_max_bucket = bucket_stats.max_bucket;
-  result.stats.lsh_candidate_pairs = bucket_stats.candidate_pairs;
-  result.stats.bucket_seconds = timer.ElapsedSeconds();
-
   // Canonical (doc, band-key) replay in ascending document order — the
   // band-key analogue of the tf-idf backend's (doc, phrase-rank) order.
+  // Nothing here needs the buckets themselves, so no LshIndex is built.
   // Documents sharing a bucket key union through the key's anchor
   // document; max_phrase_degree caps bucket degree identically on every
   // path because the edge sequence is identical on every path.

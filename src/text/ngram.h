@@ -23,18 +23,10 @@ using PhraseHash = uint64_t;
 // e.g. the unigram (5) and the bigram (5,0) cannot collide trivially.
 PhraseHash HashNgram(const TokenId* tokens, size_t n);
 
-struct NgramSpan {
-  PhraseHash hash;
-  uint32_t begin;  // token offset in the document
-  uint32_t n;      // gram length
-};
-
-// All n-grams of lengths 1..max_n in a document, in document order.
-std::vector<NgramSpan> ExtractNgrams(const Document& doc, size_t max_n);
-
 // Appends the hash of every n-gram of length min_n..max_n in `doc` to
-// *out, in ExtractNgrams order. Hot paths hash into a reused buffer this
-// way instead of allocating spans per document.
+// *out, ordered by start offset and, for one offset, by ascending length.
+// Hot paths hash into a reused buffer this way instead of allocating
+// per-document n-gram lists.
 void AppendNgramHashes(const Document& doc, size_t min_n, size_t max_n,
                        std::vector<PhraseHash>* out);
 

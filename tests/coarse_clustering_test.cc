@@ -156,9 +156,8 @@ TEST(CoarseTest, StatsCarryPerPhaseTimings) {
   EXPECT_GE(r.stats.graph_seconds, 0.0);
   EXPECT_GE(r.stats.components_seconds, 0.0);
   EXPECT_GE(r.stats.total_seconds(), r.stats.index_seconds);
-  // The LSH-only phases stay empty on the tf-idf backend.
+  // The LSH-only phase stays empty on the tf-idf backend.
   EXPECT_EQ(r.stats.signature_seconds, 0.0);
-  EXPECT_EQ(r.stats.lsh_buckets, 0u);
 }
 
 TEST(CoarseTest, EdgeCountPositiveWhenClustered) {

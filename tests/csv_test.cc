@@ -154,8 +154,12 @@ TEST(ReadCsvRecordTest, UnterminatedQuoteAtEofFails) {
 
 class CsvFileTest : public ::testing::Test {
  protected:
+  // One file per test: ctest runs the tests of this fixture as parallel
+  // processes, which must not write or remove each other's file.
   void SetUp() override {
-    path_ = testing::TempDir() + "/infoshield_csv_test.csv";
+    path_ = testing::TempDir() + "/infoshield_csv_test_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

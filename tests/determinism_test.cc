@@ -15,6 +15,7 @@
 #include "datagen/trafficking_gen.h"
 #include "io/json_writer.h"
 #include "oracle/reference_coarse.h"
+#include "oracle/reference_fine.h"
 
 namespace infoshield {
 namespace {
@@ -31,12 +32,26 @@ LabeledAds MakeCorpus(uint64_t seed) {
   return TraffickingGenerator(o).Generate(seed);
 }
 
+// One dominant near-duplicate campaign dwarfing a few small organized
+// clusters and a benign tail: the shape that makes the fine stage the
+// bottleneck and its consensus cache hit hardest.
+LabeledAds MakeSkewedCorpus() {
+  TraffickingGenOptions o;
+  o.num_benign = 120;
+  o.num_spam_clusters = 1;
+  o.spam_cluster_size_min = 360;
+  o.spam_cluster_size_max = 360;
+  o.num_ht_clusters = 6;
+  o.ht_cluster_size_min = 6;
+  o.ht_cluster_size_max = 14;
+  return TraffickingGenerator(o).Generate(/*seed=*/97);
+}
+
 std::string RunToJson(const Corpus& corpus, size_t num_threads,
-                      bool naive_costing = false, size_t scan_threads = 1,
+                      size_t scan_threads = 1,
                       CoarseBackend backend = CoarseBackend::kTfidfGraph) {
   InfoShieldOptions options;
   options.num_threads = num_threads;
-  options.fine.use_naive_costing = naive_costing;
   options.fine.scan_threads = scan_threads;
   options.coarse.backend = backend;
   InfoShield shield(options);
@@ -61,17 +76,25 @@ TEST(DeterminismTest, ThreadCountDoesNotChangeOutput) {
   EXPECT_EQ(sequential, parallel8);
 }
 
-TEST(DeterminismTest, NaiveCostingIsByteIdenticalToOptimized) {
+TEST(DeterminismTest, PipelineTemplatesMatchNaiveOracle) {
   // The fine-stage optimizations (consensus-identity caching, alignment
-  // reuse, incremental slot costing) are required to be exact: the
-  // escape hatch re-derives everything the slow way and must render to
-  // the same bytes, at every thread count.
-  LabeledAds data = MakeCorpus(/*seed=*/42);
-  const std::string optimized = RunToJson(data.corpus, /*num_threads=*/1);
-  for (size_t threads : {1u, 4u, 8u}) {
-    EXPECT_EQ(optimized,
-              RunToJson(data.corpus, threads, /*naive_costing=*/true))
-        << "naive costing diverged at num_threads=" << threads;
+  // reuse, incremental slot costing) are required to be exact: for every
+  // template the pipeline accepts, the consensus search over its
+  // candidate set must equal the test-only re-align / re-encode
+  // reference bit for bit and reproduce the emitted template and
+  // encodings.
+  const LabeledAds corpora[] = {MakeCorpus(/*seed=*/42),
+                                MakeCorpus(/*seed=*/7), MakeSkewedCorpus()};
+  for (const LabeledAds& data : corpora) {
+    const InfoShieldOptions options;
+    const InfoShieldResult result = InfoShield(options).Run(data.corpus);
+    ASSERT_FALSE(result.templates.empty());
+    EXPECT_EQ(oracle::DiffTemplatesAgainstReference(
+                  result.templates, data.corpus,
+                  CostModel::ForVocabulary(data.corpus.vocab()),
+                  options.fine),
+              "")
+        << data.corpus.size() << "-document corpus";
   }
 }
 
@@ -104,8 +127,7 @@ TEST(DeterminismTest, ScanThreadsDoNotChangeOutput) {
   LabeledAds data = MakeCorpus(/*seed=*/7);
   const std::string sequential = RunToJson(data.corpus, 1);
   for (size_t scan : {2u, 4u, 8u}) {
-    EXPECT_EQ(sequential, RunToJson(data.corpus, 1, /*naive_costing=*/false,
-                                    /*scan_threads=*/scan))
+    EXPECT_EQ(sequential, RunToJson(data.corpus, 1, /*scan_threads=*/scan))
         << "scan_threads=" << scan << " changed the output";
   }
 }
@@ -117,13 +139,11 @@ TEST(DeterminismTest, MinhashLshBackendIsByteIdenticalAcrossThreads) {
   // worker count renders to the same bytes as one worker.
   LabeledAds data = MakeCorpus(/*seed=*/42);
   const std::string serial = RunToJson(data.corpus, /*num_threads=*/1,
-                                       /*naive_costing=*/false,
                                        /*scan_threads=*/1,
                                        CoarseBackend::kMinhashLsh);
   ASSERT_FALSE(serial.empty());
   for (size_t threads : {4u, 8u}) {
-    EXPECT_EQ(serial, RunToJson(data.corpus, threads,
-                                /*naive_costing=*/false, /*scan_threads=*/1,
+    EXPECT_EQ(serial, RunToJson(data.corpus, threads, /*scan_threads=*/1,
                                 CoarseBackend::kMinhashLsh))
         << "LSH coarse backend diverged at num_threads=" << threads;
   }

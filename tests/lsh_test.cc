@@ -229,14 +229,27 @@ TEST(LshCoarseTest, EmptyAndSingleDocCorpora) {
 }
 
 TEST(LshCoarseTest, StatsReportBucketsAndPairs) {
-  const CoarseResult result = RunLsh(DuplicateFamilyCorpus(), 1);
-  EXPECT_GT(result.stats.lsh_buckets, 0u);
-  // The triple-duplicate family co-buckets in every band.
-  EXPECT_EQ(result.stats.lsh_max_bucket, 3u);
-  EXPECT_GT(result.stats.lsh_candidate_pairs, 0u);
+  // The coarse path replays band keys and builds no index; the bucket
+  // diagnostics come from an LshIndex over the same signatures.
+  const Corpus corpus = DuplicateFamilyCorpus();
+  const CoarseResult result = RunLsh(corpus, 1);
   EXPECT_GT(result.num_edges, 0u);
   EXPECT_EQ(result.stats.index_seconds, 0.0);
   EXPECT_EQ(result.stats.top_phrase_seconds, 0.0);
+
+  const CoarseOptions options;
+  const MinHashFamily family(options.minhash);
+  std::vector<MinHashSignature> signatures;
+  for (const Document& doc : corpus.docs()) {
+    signatures.push_back(family.Signature(doc.tokens));
+  }
+  LshIndex index(options.minhash, options.lsh);
+  index.Build(signatures, /*num_threads=*/1);
+  const LshIndex::Stats stats = index.ComputeStats();
+  EXPECT_GT(stats.num_buckets, 0u);
+  // The triple-duplicate family co-buckets in every band.
+  EXPECT_EQ(stats.max_bucket, 3u);
+  EXPECT_GT(stats.candidate_pairs, 0u);
 }
 
 }  // namespace

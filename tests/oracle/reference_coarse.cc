@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/union_find.h"
+#include "oracle/reference_ngram.h"
 #include "tfidf/tfidf_index.h"
 #include "util/logging.h"
 

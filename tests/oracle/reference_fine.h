@@ -1,0 +1,74 @@
+// Test-only reference implementation of the fine stage's costing
+// (InfoShield-Fine, Algorithms 2 and 3): the plain re-align and
+// re-encode procedure that FineClustering's consensus-identity cache
+// and GapCostProfile slot algebra (DESIGN.md §10) must reproduce bit
+// for bit. It lives outside src/ so production keeps one code path per
+// stage; the unit tests and the diff_fine fuzzer link it as their
+// oracle.
+
+#ifndef INFOSHIELD_TESTS_ORACLE_REFERENCE_FINE_H_
+#define INFOSHIELD_TESTS_ORACLE_REFERENCE_FINE_H_
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/fine_clustering.h"
+#include "core/template.h"
+#include "mdl/cost_model.h"
+#include "msa/aligner.h"
+#include "msa/pairwise.h"
+#include "text/corpus.h"
+
+namespace infoshield::oracle {
+
+// Algorithm 3 by full re-encoding: for each candidate gap (ascending),
+// enable a slot, re-encode every document against the mutated template
+// and keep the slot iff the total strictly drops. The total sums the
+// documents' base costs from zero in document order and adds the model
+// cost last.
+void ReferenceDetectSlots(Template& tmpl,
+                          const std::vector<Alignment>& alignments,
+                          const CostModel& cost_model,
+                          FineStageStats* stats = nullptr);
+
+// Algorithm 2 with no consensus cache: every threshold probe (memoized
+// per threshold only, in the production probe order) re-aligns every
+// candidate against Sel(A, h), runs ReferenceDetectSlots and scores
+// TemplateCost first, then each document's base cost in order. The
+// winner is rebuilt from scratch: re-aligned, slots re-detected, cost
+// taken from its probe. Reads options.scoring and
+// options.exhaustive_consensus_search.
+FineClustering::ConsensusChoice ReferenceSearchConsensus(
+    const MsaAligner& alignment,
+    const std::vector<std::vector<TokenId>>& candidate_docs,
+    const CostModel& cost_model, const FineOptions& options,
+    FineStageStats* stats = nullptr);
+
+// Empty when `actual` equals `expected` field for field: consensus,
+// template tokens and slot gaps, every alignment's ops, and the cost's
+// bit pattern. Otherwise describes the first field that differs.
+std::string DiffConsensusChoice(
+    const FineClustering::ConsensusChoice& actual,
+    const FineClustering::ConsensusChoice& expected);
+
+// The candidate alignment RunOnCluster builds for a seed and its
+// admitted candidates: docs[0] seeds options.msa_backend's aligner and
+// the rest are added in order.
+std::unique_ptr<MsaAligner> BuildCandidateAlignment(
+    const std::vector<std::vector<TokenId>>& docs, const FineOptions& options);
+
+// Checks accepted templates against the oracle. A template's member
+// list is exactly the candidate set SearchConsensus saw (seed first, in
+// admission order), so the candidate alignment is rebuilt from it;
+// SearchConsensus must then equal ReferenceSearchConsensus field for
+// field, and reproduce the template and every member encoding.
+// `cost_model` and `options` must be the ones the templates were found
+// with. Empty on agreement, else the first mismatch.
+std::string DiffTemplatesAgainstReference(
+    const std::vector<TemplateCluster>& templates, const Corpus& corpus,
+    const CostModel& cost_model, const FineOptions& options);
+
+}  // namespace infoshield::oracle
+
+#endif  // INFOSHIELD_TESTS_ORACLE_REFERENCE_FINE_H_

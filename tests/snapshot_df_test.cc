@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/reference_ngram.h"
 #include "text/corpus.h"
 #include "text/ngram.h"
 #include "tfidf/df_count.h"
@@ -82,7 +83,8 @@ TEST(SnapshotDfTableTest, FoldInMatchesBatchBuildExactly) {
   EXPECT_EQ(snap.num_phrases(), reference.num_phrases());
   EXPECT_EQ(snap.generation(), 2u);
   for (const Document& doc : corpus.docs()) {
-    for (const NgramSpan& g : ExtractNgrams(doc, options.max_ngram)) {
+    for (const oracle::NgramSpan& g :
+         oracle::ExtractNgrams(doc, options.max_ngram)) {
       EXPECT_EQ(snap.DocumentFrequency(g.hash),
                 reference.DocumentFrequency(g.hash))
           << "df diverged for a phrase of doc " << doc.id;
@@ -108,7 +110,8 @@ TEST(SnapshotDfTableTest, SnapshotIsFrozenAcrossApplyBatch) {
 
   DfSnapshot frozen = table.Snapshot();
   std::vector<std::pair<PhraseHash, size_t>> before;
-  for (const NgramSpan& g : ExtractNgrams(corpus.docs()[0], 5)) {
+  for (const oracle::NgramSpan& g :
+       oracle::ExtractNgrams(corpus.docs()[0], 5)) {
     before.emplace_back(g.hash, frozen.DocumentFrequency(g.hash));
   }
 
@@ -169,7 +172,8 @@ TEST(SnapshotDfTableTest, ReadersSeeFrozenScoresUnderConcurrentWrites) {
 
   const DfSnapshot frozen = table.Snapshot();
   std::vector<std::pair<PhraseHash, size_t>> expected;
-  for (const NgramSpan& g : ExtractNgrams(corpus.docs()[0], 5)) {
+  for (const oracle::NgramSpan& g :
+       oracle::ExtractNgrams(corpus.docs()[0], 5)) {
     expected.emplace_back(g.hash, frozen.DocumentFrequency(g.hash));
   }
 

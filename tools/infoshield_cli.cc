@@ -71,16 +71,29 @@ int Main(int argc, char** argv) {
     return flags.GetBool("help") ? 0 : 2;
   }
 
-  const char separator =
-      flags.GetString("separator") == "tab" ? '\t' : ',';
-  Result<Corpus> corpus = LoadCorpusFromCsv(
-      flags.GetString("input"), flags.GetString("text-column"), separator);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "error: %s\n", corpus.status().ToString().c_str());
-    return 1;
+  // Every setting is checked before the CSV is read: a negative count
+  // would wrap to a huge size_t, and an unknown name would otherwise
+  // fall back to a default without a word.
+  for (const char* name :
+       {"max-ngram", "lsh-hashes", "lsh-bands", "lsh-rows", "shingle-k",
+        "min-cluster-size", "max-docs-per-template", "threads"}) {
+    if (flags.GetInt(name) < 0) {
+      std::fprintf(stderr, "error: --%s must be non-negative, got %lld\n",
+                   name, static_cast<long long>(flags.GetInt(name)));
+      return 2;
+    }
   }
-  std::printf("loaded %zu documents (%zu distinct tokens)\n",
-              corpus->size(), corpus->vocab().size());
+  if (flags.GetInt("max-ngram") == 0) {
+    std::fprintf(stderr, "error: --max-ngram must be at least 1\n");
+    return 2;
+  }
+  const std::string separator_name = flags.GetString("separator");
+  if (separator_name != "comma" && separator_name != "tab") {
+    std::fprintf(stderr, "error: unknown --separator '%s' (comma | tab)\n",
+                 separator_name.c_str());
+    return 2;
+  }
+  const char separator = separator_name == "tab" ? '\t' : ',';
 
   InfoShieldOptions options;
   options.coarse.tfidf.max_ngram =
@@ -113,6 +126,15 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
+
+  Result<Corpus> corpus = LoadCorpusFromCsv(
+      flags.GetString("input"), flags.GetString("text-column"), separator);
+  if (!corpus.ok()) {
+    std::fprintf(stderr, "error: %s\n", corpus.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("loaded %zu documents (%zu distinct tokens)\n",
+              corpus->size(), corpus->vocab().size());
 
   WallTimer timer;
   InfoShield shield(options);
