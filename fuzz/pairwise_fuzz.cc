@@ -4,6 +4,9 @@
 // Properties:
 //  * NeedlemanWunsch never crashes and its alignment replays back to
 //    both input sequences exactly (AlignmentIsConsistent);
+//  * its ops equal the full-table reference DP's
+//    (oracle::ReferenceNeedlemanWunsch, tests/oracle/) under every
+//    scoring, including tie-heavy {1, 0, -1};
 //  * alignment length obeys max(|a|,|b|) <= l̂ <= |a|+|b| and the op
 //    counts are column-consistent;
 //  * the workspace-reusing path is byte-identical to the allocating one,
@@ -22,6 +25,7 @@
 #include "fuzz_util.h"
 #include "mdl/cost_model.h"
 #include "msa/pairwise.h"
+#include "oracle/reference_msa.h"
 #include "text/vocabulary.h"
 #include "util/logging.h"
 #include "util/status.h"
@@ -63,14 +67,10 @@ bool SameOps(const Alignment& x, const Alignment& y) {
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   infoshield::fuzz::FuzzInput in(data, size);
 
-  static const AlignmentScoring kScorings[] = {
-      {1, -1, -1},  // default
-      {2, -1, -2},
-      {1, 0, -1},
-      {3, -2, -1},
-  };
+  // Index 0 is the default scoring.
   const size_t scoring_index = in.TakeBounded(3);
-  const AlignmentScoring scoring = kScorings[scoring_index];
+  const AlignmentScoring scoring =
+      infoshield::oracle::kDifferentialScorings[scoring_index];
 
   const std::vector<TokenId> a = TakeTokens(in, 48);
   const std::vector<TokenId> b = TakeTokens(in, 48);
@@ -79,6 +79,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   CHECK(AlignmentIsConsistent(alignment, a, b))
       << "alignment does not replay to its inputs (|a|=" << a.size()
       << ", |b|=" << b.size() << ")";
+  CHECK(SameOps(alignment,
+                infoshield::oracle::ReferenceNeedlemanWunsch(a, b, scoring)))
+      << "alignment differs from the full-table reference (scoring "
+      << scoring_index << ")";
 
   const size_t longer = a.size() > b.size() ? a.size() : b.size();
   CHECK(alignment.length() >= longer);

@@ -1,5 +1,8 @@
 // Harness (d2): POA / profile MSA validity.
 //
+// Input: the sequences, then a scoring index (exhausted input selects
+// the default scoring).
+//
 // Properties, after fusing each fuzzed sequence:
 //  * PoaGraph::ValidateInvariants holds (DAG, consistent topological
 //    order, mirrored edge lists, supports in [1, num_sequences]);
@@ -8,7 +11,10 @@
 //    selects nothing;
 //  * max_support never exceeds the number of fused sequences;
 //  * ProfileMsa (the alternative MsaAligner) obeys the same Sel(A, h)
-//    monotonicity on the same input — the fine stage may use either.
+//    monotonicity on the same input — the fine stage may use either;
+//  * both equal their full-table references (tests/oracle/): the same
+//    node count, supports and Sel(A, h) for every h for POA, the same
+//    column count and Sel(A, h) for every h for the profile.
 
 #include <cstdint>
 #include <vector>
@@ -16,12 +22,14 @@
 #include "fuzz_util.h"
 #include "msa/poa.h"
 #include "msa/profile_msa.h"
+#include "oracle/reference_msa.h"
 #include "text/vocabulary.h"
 #include "util/logging.h"
 #include "util/status.h"
 
 namespace {
 
+using infoshield::AlignmentScoring;
 using infoshield::PoaGraph;
 using infoshield::ProfileMsa;
 using infoshield::Status;
@@ -55,13 +63,25 @@ void CheckConsensusMonotone(const Aligner& aligner) {
       << "threshold >= num_sequences must select nothing";
 }
 
+template <typename Aligner, typename Reference>
+void CheckSameConsensus(const Aligner& aligner, const Reference& reference) {
+  CHECK(aligner.num_sequences() == reference.num_sequences());
+  for (size_t h = 0; h <= aligner.num_sequences(); ++h) {
+    CHECK(aligner.ConsensusAtThreshold(h) ==
+          reference.ConsensusAtThreshold(h))
+        << "Sel(A, " << h << ") differs from the full-table reference";
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   infoshield::fuzz::FuzzInput in(data, size);
   const std::vector<std::vector<TokenId>> seqs = TakeSequences(in);
+  const AlignmentScoring scoring =
+      infoshield::oracle::kDifferentialScorings[in.TakeBounded(3)];
 
-  PoaGraph graph(seqs[0]);
+  PoaGraph graph(seqs[0], scoring);
   Status st = graph.ValidateInvariants();
   CHECK(st.ok()) << st.ToString();
   for (size_t i = 1; i < seqs.size(); ++i) {
@@ -76,9 +96,23 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       << "h = 0 must select every node";
   CheckConsensusMonotone(graph);
 
-  ProfileMsa profile(seqs[0]);
-  for (size_t i = 1; i < seqs.size(); ++i) profile.AddSequence(seqs[i]);
+  infoshield::oracle::ReferencePoaGraph reference_graph(seqs[0], scoring);
+  for (size_t i = 1; i < seqs.size(); ++i) {
+    reference_graph.AddSequence(seqs[i]);
+  }
+  CHECK(graph.node_count() == reference_graph.node_count());
+  CHECK(graph.SupportByTopoOrder() == reference_graph.SupportByTopoOrder());
+  CheckSameConsensus(graph, reference_graph);
+
+  ProfileMsa profile(seqs[0], scoring);
+  infoshield::oracle::ReferenceProfileMsa reference_profile(seqs[0], scoring);
+  for (size_t i = 1; i < seqs.size(); ++i) {
+    profile.AddSequence(seqs[i]);
+    reference_profile.AddSequence(seqs[i]);
+  }
   CHECK(profile.num_sequences() == seqs.size());
   CheckConsensusMonotone(profile);
+  CHECK(profile.column_count() == reference_profile.column_count());
+  CheckSameConsensus(profile, reference_profile);
   return 0;
 }

@@ -324,12 +324,16 @@ FineResult FineClustering::RunOnCluster(
     // can be computed across scan_threads workers; each probe writes its
     // own pre-sized slot and the membership decisions (and POA fusion)
     // happen sequentially afterward in pool order, so the result is
-    // byte-identical for any thread count.
+    // byte-identical for any thread count. The probes align with the
+    // configured scoring, as the MSA and the consensus search do.
     Template seed_template(seed_tokens);
     std::vector<double> conditional(pool.size(), 0.0);
     ThreadPool::ParallelFor(options_.scan_threads, pool.size(), [&](size_t i) {
       const std::vector<TokenId>& tokens = corpus.doc(pool[i]).tokens;
-      DocEncoding enc = EncodeDocument(seed_template, tokens, cm);
+      const Alignment alignment =
+          NeedlemanWunsch(seed_tokens, tokens, options_.scoring);
+      DocEncoding enc = EncodeDocumentWithAlignment(seed_template, alignment,
+                                                    cm);
       conditional[i] = cm.EncodedDocCost(1, enc.summary);
     });
     result.stats.alignments_computed += pool.size();

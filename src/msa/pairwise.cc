@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
+#include "msa/nw_kernel.h"
 
 namespace infoshield {
 
@@ -13,12 +13,6 @@ size_t Alignment::CountType(AlignOpType t) const {
   }
   return n;
 }
-
-namespace {
-
-enum Move : uint8_t { kFromDiag = 0, kFromUp = 1, kFromLeft = 2, kFromNone = 3 };
-
-}  // namespace
 
 // analyzer: hot
 Alignment NeedlemanWunsch(const std::vector<TokenId>& a,
@@ -34,7 +28,7 @@ Alignment NeedlemanWunsch(const std::vector<TokenId>& a,
   // scoring <= match) plus gap columns (each scoring <= 0), so the
   // all-match path is optimal, and the DP's tie-breaking (diagonal
   // first) reconstructs exactly it. Exact duplicates dominate real spam
-  // campaigns, so this skips the O(n^2) table entirely for them.
+  // campaigns, so this skips the O(n^2) DP entirely for them.
   if (a == b && scoring.match >= scoring.mismatch && scoring.match >= 0 &&
       scoring.gap <= 0) {
     Alignment out;
@@ -49,85 +43,42 @@ Alignment NeedlemanWunsch(const std::vector<TokenId>& a,
     return out;
   }
 
-  // Row-major (n+1) x (m+1) score and move tables.
+  // Two rolling score rows and 2-bit packed moves (msa/nw_kernel.h).
   AlignmentWorkspace local;
   AlignmentWorkspace& ws = workspace != nullptr ? *workspace : local;
-  ws.score.assign((n + 1) * (m + 1), 0);
-  ws.move.assign((n + 1) * (m + 1), kFromNone);
-  std::vector<int>& score = ws.score;
-  std::vector<uint8_t>& move = ws.move;
-  auto at = [m](size_t i, size_t j) { return i * (m + 1) + j; };
-
-  for (size_t i = 1; i <= n; ++i) {
-    score[at(i, 0)] = static_cast<int>(i) * scoring.gap;
-    move[at(i, 0)] = kFromUp;
-  }
-  for (size_t j = 1; j <= m; ++j) {
-    score[at(0, j)] = static_cast<int>(j) * scoring.gap;
-    move[at(0, j)] = kFromLeft;
-  }
-
-  for (size_t i = 1; i <= n; ++i) {
-    for (size_t j = 1; j <= m; ++j) {
-      const int diag =
-          score[at(i - 1, j - 1)] +
-          (a[i - 1] == b[j - 1] ? scoring.match : scoring.mismatch);
-      const int up = score[at(i - 1, j)] + scoring.gap;     // delete a[i-1]
-      const int left = score[at(i, j - 1)] + scoring.gap;   // insert b[j-1]
-      // Tie order: diagonal first (prefer aligning tokens), then delete,
-      // then insert — fully deterministic.
-      int best = diag;
-      uint8_t mv = kFromDiag;
-      if (up > best) {
-        best = up;
-        mv = kFromUp;
-      }
-      if (left > best) {
-        best = left;
-        mv = kFromLeft;
-      }
-      score[at(i, j)] = best;
-      move[at(i, j)] = mv;
-    }
-  }
+  const TokenId* pa = a.data();
+  const TokenId* pb = b.data();
+  const int match = scoring.match;
+  const int mismatch = scoring.mismatch;
+  internal::NwFill(
+      n, m, scoring.gap,
+      [pa, pb, match, mismatch](size_t i, size_t j) {
+        return pa[i - 1] == pb[j - 1] ? match : mismatch;
+      },
+      &ws.score, &ws.move);
 
   Alignment out;
   out.ops.reserve(n + m);
-  size_t i = n;
-  size_t j = m;
-  while (i > 0 || j > 0) {
-    switch (move[at(i, j)]) {
-      case kFromDiag: {
-        AlignOp op;
+  internal::NwTraceback(n, m, ws.move, [&](uint8_t move, size_t i, size_t j) {
+    AlignOp op;
+    switch (move) {
+      case internal::kNwDiag:
         op.a_token = a[i - 1];
         op.b_token = b[j - 1];
         op.type = (a[i - 1] == b[j - 1]) ? AlignOpType::kMatch
                                          : AlignOpType::kSubstitute;
-        out.ops.push_back(op);
-        --i;
-        --j;
         break;
-      }
-      case kFromUp: {
-        AlignOp op;
+      case internal::kNwUp:
         op.type = AlignOpType::kDelete;
         op.a_token = a[i - 1];
-        out.ops.push_back(op);
-        --i;
         break;
-      }
-      case kFromLeft: {
-        AlignOp op;
+      default:
         op.type = AlignOpType::kInsert;
         op.b_token = b[j - 1];
-        out.ops.push_back(op);
-        --j;
         break;
-      }
-      case kFromNone:
-        LOG(FATAL) << "corrupt traceback at (" << i << "," << j << ")";
     }
-  }
+    out.ops.push_back(op);
+  });
   std::reverse(out.ops.begin(), out.ops.end());
   return out;
 }

@@ -62,20 +62,24 @@ struct AlignmentScoring {
   int gap = -1;
 };
 
-// Reusable DP buffers for NeedlemanWunsch. The fine stage aligns every
-// cluster member against every probed consensus; without reuse each call
-// allocates (and faults in) two (|a|+1)·(|b|+1) tables. One workspace per
-// calling loop amortizes that to high-water-mark allocations. A
-// workspace must not be shared across threads.
+// Reusable DP buffers for NeedlemanWunsch. `score` holds the two rolling
+// score rows, 2·(|b|+1) ints; `move` holds a 2-bit move per cell, packed
+// four to a byte per row, |a|·ceil((|b|+1)/4) bytes. With |b|+1 bytes
+// of per-call row scratch, an alignment needs 9·(|b|+1) +
+// |a|·ceil((|b|+1)/4) bytes, ~0.25 B per cell: 4 MB for 4,000 x 4,000
+// tokens. The fine stage aligns every cluster member against every
+// probed consensus; one workspace per calling loop amortizes the buffers
+// to high-water-mark allocations. A workspace must not be shared across
+// threads.
 struct AlignmentWorkspace {
   std::vector<int> score;
   std::vector<uint8_t> move;
 };
 
 // Global alignment of b against a. Deterministic tie-breaking
-// (diagonal > delete > insert). O(|a|·|b|) time and space. `workspace`,
-// when given, supplies the DP tables (contents are scratch); the result
-// is identical with or without it.
+// (diagonal > delete > insert). O(|a|·|b|) time; memory as stated for
+// AlignmentWorkspace. `workspace`, when given, supplies the DP buffers
+// (contents are scratch); the result is identical with or without it.
 Alignment NeedlemanWunsch(const std::vector<TokenId>& a,
                           const std::vector<TokenId>& b,
                           const AlignmentScoring& scoring = {},

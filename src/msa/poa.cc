@@ -92,67 +92,70 @@ void PoaGraph::AddSequence(const std::vector<TokenId>& seq) {
 
   // DP over rows = {virtual start} + nodes in topological order, columns =
   // sequence prefix length. Row r >= 1 corresponds to topo_order_[r - 1].
+  // Only the score table is stored (4 B/cell): the traceback re-derives
+  // each move from the scores with the same cell rule (DESIGN.md §18).
   const size_t num_rows = topo_order_.size() + 1;
   const size_t m = seq.size();
-  std::vector<int> score(num_rows * (m + 1), kNegInf);
-  std::vector<uint8_t> move(num_rows * (m + 1), kStart);
-  std::vector<uint32_t> from_row(num_rows * (m + 1), 0);
+  const int match = scoring_.match;
+  const int mismatch = scoring_.mismatch;
+  const int gap = scoring_.gap;
+  std::vector<int> score(num_rows * (m + 1));
   auto at = [m](size_t r, size_t j) { return r * (m + 1) + j; };
 
   // Virtual start row: only sequence insertions can precede the graph.
   score[at(0, 0)] = 0;
-  for (size_t j = 1; j <= m; ++j) {
-    score[at(0, j)] = static_cast<int>(j) * scoring_.gap;
-    move[at(0, j)] = kInsertSeq;
-    from_row[at(0, j)] = 0;
-  }
+  for (size_t j = 1; j <= m; ++j) score[at(0, j)] = static_cast<int>(j) * gap;
 
-  // Predecessor-row scratch, hoisted out of the row loop and reused.
+  // Predecessor rows of row r >= 1 (the virtual start if the node is a
+  // source); the scratch is hoisted out of the row loop and reused.
   std::vector<uint32_t> preds;
-  for (size_t r = 1; r < num_rows; ++r) {
+  auto load_preds = [&](size_t r) {
     const Node& v = nodes_[topo_order_[r - 1]];
-    // Predecessor rows (virtual start if the node is a source).
     preds.clear();
     if (v.in.empty()) {
       preds.push_back(0);
-    } else {
-      preds.reserve(v.in.size());
-      for (uint32_t p : v.in) preds.push_back(topo_rank_[p] + 1);
+      return;
     }
-    for (size_t j = 0; j <= m; ++j) {
-      int best = kNegInf;
-      uint8_t best_move = kStart;
-      uint32_t best_from = 0;
-      for (uint32_t p : preds) {
-        // Skip this node (graph gap).
-        int skip = score[at(p, j)] + scoring_.gap;
-        if (skip > best) {
-          best = skip;
-          best_move = kSkipNode;
-          best_from = p;
-        }
-        if (j >= 1) {
-          int diag = score[at(p, j - 1)] +
-                     (v.token == seq[j - 1] ? scoring_.match
-                                            : scoring_.mismatch);
-          if (diag > best) {
-            best = diag;
-            best_move = kDiag;
-            best_from = p;
-          }
-        }
-      }
+    preds.reserve(v.in.size());
+    for (uint32_t p : v.in) preds.push_back(topo_rank_[p] + 1);
+  };
+
+  // The recurrence for cell (r, j), r >= 1, with `preds` loaded for r.
+  // Tie order: per predecessor (in-edge order) skip, then diagonal, then
+  // the sequence insertion; each replaces the best only if strictly
+  // greater. The forward pass keeps only the score; the traceback runs
+  // the same rule on the finished table to recover move and source row.
+  struct Cell {
+    int score;
+    uint8_t move;
+    uint32_t from;  // row the move comes from
+  };
+  auto best_cell = [&](size_t r, size_t j, TokenId token) {
+    Cell best{kNegInf, kStart, 0};
+    for (uint32_t p : preds) {
+      // Skip this node (graph gap).
+      const int skip = score[at(p, j)] + gap;
+      if (skip > best.score) best = Cell{skip, kSkipNode, p};
       if (j >= 1) {
-        int ins = score[at(r, j - 1)] + scoring_.gap;
-        if (ins > best) {
-          best = ins;
-          best_move = kInsertSeq;
-          best_from = static_cast<uint32_t>(r);
-        }
+        const int diag = score[at(p, j - 1)] +
+                         (token == seq[j - 1] ? match : mismatch);
+        if (diag > best.score) best = Cell{diag, kDiag, p};
       }
-      score[at(r, j)] = best;
-      move[at(r, j)] = best_move;
-      from_row[at(r, j)] = best_from;
+    }
+    if (j >= 1) {
+      const int ins = score[at(r, j - 1)] + gap;
+      if (ins > best.score) {
+        best = Cell{ins, kInsertSeq, static_cast<uint32_t>(r)};
+      }
+    }
+    return best;
+  };
+
+  for (size_t r = 1; r < num_rows; ++r) {
+    load_preds(r);
+    const TokenId token = nodes_[topo_order_[r - 1]].token;
+    for (size_t j = 0; j <= m; ++j) {
+      score[at(r, j)] = best_cell(r, j, token).score;
     }
   }
 
@@ -179,17 +182,22 @@ void PoaGraph::AddSequence(const std::vector<TokenId>& seq) {
   size_t r = best_row;
   size_t j = m;
   while (r != 0 || j != 0) {
-    uint8_t mv = move[at(r, j)];
-    CHECK_NE(mv, kStart);  // corrupt traceback otherwise
-    steps.push_back(Step{mv, static_cast<uint32_t>(r), j});
-    uint32_t pr = from_row[at(r, j)];
-    switch (mv) {
+    Cell step{0, kInsertSeq, 0};  // row 0: insertions only
+    if (r != 0) {
+      load_preds(r);
+      step = best_cell(r, j, nodes_[topo_order_[r - 1]].token);
+      // The re-derived best must be the stored score; otherwise the
+      // table is corrupt.
+      CHECK_EQ(step.score, score[at(r, j)]);
+    }
+    steps.push_back(Step{step.move, static_cast<uint32_t>(r), j});
+    switch (step.move) {
       case kDiag:
-        r = pr;
+        r = step.from;
         --j;
         break;
       case kSkipNode:
-        r = pr;
+        r = step.from;
         break;
       case kInsertSeq:
         --j;

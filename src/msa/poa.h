@@ -5,7 +5,9 @@
 // dynamic program over (graph node in topological order) x (sequence
 // position); matched tokens fuse into existing nodes (raising their
 // support count), everything else becomes fresh nodes, so the graph
-// remains a lossless multiple sequence alignment.
+// remains a lossless multiple sequence alignment. The DP stores only its
+// int score table, 4·(nodes+1)·(|seq|+1) bytes; the traceback re-derives
+// each move from the scores (DESIGN.md §18).
 //
 // InfoShield-Fine uses the graph's per-node support counts to generate
 // candidate consensus sequences: Sel(A, h) keeps the nodes visited by more

@@ -1,9 +1,8 @@
 #include "msa/profile_msa.h"
 
 #include <algorithm>
-#include <limits>
 
-#include "util/logging.h"
+#include "msa/nw_kernel.h"
 
 namespace infoshield {
 
@@ -74,88 +73,46 @@ void ProfileMsa::AddSequence(const std::vector<TokenId>& seq) {
     return;
   }
 
-  // NW over (profile columns) x (sequence positions).
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  enum Move : uint8_t { kDiag = 0, kUp = 1, kLeft = 2, kNone = 3 };
-  std::vector<double> score((n + 1) * (m + 1), kNegInf);
-  std::vector<uint8_t> move((n + 1) * (m + 1), kNone);
-  auto at = [m](size_t i, size_t j) { return i * (m + 1) + j; };
-
-  score[at(0, 0)] = 0.0;
-  for (size_t i = 1; i <= n; ++i) {
-    score[at(i, 0)] = score[at(i - 1, 0)] + scoring_.gap;
-    move[at(i, 0)] = kUp;
-  }
-  for (size_t j = 1; j <= m; ++j) {
-    score[at(0, j)] = score[at(0, j - 1)] + scoring_.gap;
-    move[at(0, j)] = kLeft;
-  }
-  for (size_t i = 1; i <= n; ++i) {
-    for (size_t j = 1; j <= m; ++j) {
-      const double diag =
-          score[at(i - 1, j - 1)] + ColumnScore(columns_[i - 1], seq[j - 1]);
-      const double up = score[at(i - 1, j)] + scoring_.gap;
-      const double left = score[at(i, j - 1)] + scoring_.gap;
-      double best = diag;
-      uint8_t mv = kDiag;
-      if (up > best) {
-        best = up;
-        mv = kUp;
-      }
-      if (left > best) {
-        best = left;
-        mv = kLeft;
-      }
-      score[at(i, j)] = best;
-      move[at(i, j)] = mv;
-    }
-  }
+  // NW over (profile columns) x (sequence positions) on the shared
+  // kernel (msa/nw_kernel.h): two score rows and 2-bit moves. Its border
+  // is the cumulative sum of gaps, exact in double for integer gaps.
+  std::vector<double> rows;
+  std::vector<uint8_t> moves;
+  internal::NwFill(
+      n, m, static_cast<double>(scoring_.gap),
+      [&](size_t i, size_t j) {
+        return ColumnScore(columns_[i - 1], seq[j - 1]);
+      },
+      &rows, &moves);
 
   // Backtrace into per-column actions, then rebuild the profile.
   struct Action {
     uint8_t move;
-    size_t col;  // profile column consumed (kDiag / kUp)
-    size_t pos;  // sequence position consumed (kDiag / kLeft)
+    size_t col;  // profile column consumed (diag / up)
+    size_t pos;  // sequence position consumed (diag / left)
   };
   std::vector<Action> actions;
-  size_t i = n;
-  size_t j = m;
-  while (i > 0 || j > 0) {
-    const uint8_t mv = move[at(i, j)];
-    CHECK_NE(mv, kNone);
-    switch (mv) {
-      case kDiag:
-        actions.push_back({mv, i - 1, j - 1});
-        --i;
-        --j;
-        break;
-      case kUp:
-        actions.push_back({mv, i - 1, 0});
-        --i;
-        break;
-      case kLeft:
-        actions.push_back({mv, 0, j - 1});
-        --j;
-        break;
-    }
-  }
+  actions.reserve(n + m);
+  internal::NwTraceback(n, m, moves, [&](uint8_t move, size_t i, size_t j) {
+    actions.push_back({move, i - 1, j - 1});
+  });
   std::reverse(actions.begin(), actions.end());
 
   std::vector<Column> next;
   next.reserve(n + m);
   for (const Action& a : actions) {
     switch (a.move) {
-      case kDiag: {
+      case internal::kNwDiag: {
         Column col = std::move(columns_[a.col]);
         ++col.counts[seq[a.pos]];
         next.push_back(std::move(col));
         break;
       }
-      case kUp:
+      case internal::kNwUp:
         // Sequence skips this column (gap for the new sequence).
         next.push_back(std::move(columns_[a.col]));
         break;
-      case kLeft: {
+      default: {
         // New column occupied only by the new sequence.
         Column col;
         col.counts.emplace(seq[a.pos], 1);

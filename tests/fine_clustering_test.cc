@@ -62,6 +62,38 @@ TEST(FineClusteringTest, DissimilarDocsBecomeNoise) {
   EXPECT_DOUBLE_EQ(r.cost_after, r.cost_before);
 }
 
+// The candidate scan must decide C(d | d1) < C(d) with the configured
+// scoring, as the MSA and the consensus search do. Under {1, 0, -1} the
+// second document costs 80 bits against the seed, over its 70 unencoded
+// bits, so it must stay out of the seed's candidate set; an alignment
+// under the default scoring would price it at 57 bits and admit it.
+TEST(FineClusteringTest, CandidateScanAlignsWithConfiguredScoring) {
+  Corpus c;
+  c.Add("four one four two four one two four");
+  c.Add("zero four one four two three four");
+  const CostModel cm(10.0);
+  FineOptions options;
+  options.scoring = AlignmentScoring{1, 0, -1};
+  const Template seed(c.doc(0).tokens);
+  auto conditional = [&](const AlignmentScoring& scoring) {
+    const Alignment a =
+        NeedlemanWunsch(seed.tokens, c.doc(1).tokens, scoring);
+    return cm.EncodedDocCost(
+        1, EncodeDocumentWithAlignment(seed, a, cm).summary);
+  };
+  const double unencoded = cm.UnencodedDocCost(c.doc(1).length());
+  ASSERT_DOUBLE_EQ(unencoded, 70.0);
+  ASSERT_LT(conditional(AlignmentScoring{}), unencoded);
+  ASSERT_GT(conditional(options.scoring), unencoded);
+
+  FineClustering fine(options);
+  const FineResult r = fine.RunOnCluster(c, AllDocs(c), cm);
+  EXPECT_TRUE(r.templates.empty());
+  EXPECT_EQ(r.noise.size(), 2u);
+  // Neither seed gathered a candidate, so no consensus was searched.
+  EXPECT_EQ(r.stats.consensus_probes, 0u);
+}
+
 TEST(FineClusteringTest, TwoTemplatesInOneCluster) {
   Corpus c;
   // Group A (4 docs) and group B (4 docs), unrelated to each other.

@@ -106,13 +106,23 @@ payload = bounded(0, 3) + token_seq([]) + token_seq([5, 5, 5])
 payload += bytes([1]) + bounded(0, 12)
 write("pairwise", "empty_reference", payload)
 
-# --- poa: sequence count + sequences ---------------------------------
-def poa_seqs(seqs):
+# {1, 0, -1}: substitutions tie with gap pairs, so the tie order decides.
+payload = bounded(2, 3)
+payload += token_seq([3, 2, 1, 3, 3, 1, 0, 2, 0])
+payload += token_seq([3, 0, 3, 2, 3, 0, 3, 0, 1, 1])
+payload += bytes([0] * 10)
+payload += bounded(6, 12)
+write("pairwise", "tie_heavy_scoring", payload)
+
+# --- poa: sequence count + sequences [+ scoring index] ---------------
+def poa_seqs(seqs, scoring=None):
     out = bounded(len(seqs) - 1, 7)
     for seq in seqs:
         out += bounded(len(seq), 24)
         for t in seq:
             out += bounded(t, 11)
+    if scoring is not None:
+        out += bounded(scoring, 3)
     return out
 
 write("poa", "three_variants",
@@ -121,6 +131,10 @@ write("poa", "disjoint_and_empty",
       poa_seqs([[1, 1, 2], [], [3, 4, 5, 6]]))
 write("poa", "single_long",
       poa_seqs([[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2]]))
+# {1, 0, -1}: substitutions tie with gap pairs, so the tie order decides.
+write("poa", "tie_heavy_scoring",
+      poa_seqs([[2, 2, 1, 1, 0, 2, 3, 0], [0, 3, 1, 3, 3, 1],
+                [1, 0, 0, 1, 0]], scoring=2))
 
 # --- diff_fine / diff_coarse: option byte + synthetic families -------
 def family(base, docs):

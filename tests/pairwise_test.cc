@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/reference_msa.h"
 #include "util/random.h"
 
 namespace infoshield {
 namespace {
 
 using Tokens = std::vector<TokenId>;
+
+Tokens RandomTokens(Rng& rng, size_t len, size_t alphabet) {
+  Tokens out;
+  out.reserve(len);
+  for (size_t i = 0; i < len; ++i) {
+    out.push_back(static_cast<TokenId>(rng.NextIndex(alphabet)));
+  }
+  return out;
+}
 
 TEST(NeedlemanWunschTest, IdenticalSequencesAllMatch) {
   Tokens a = {1, 2, 3, 4};
@@ -177,6 +187,57 @@ TEST(NeedlemanWunschTest, ReusedWorkspaceMatchesFreshCalls) {
       EXPECT_EQ(with_ws.ops[i].b_token, fresh.ops[i].b_token);
     }
   }
+}
+
+// Differential check against the full-table DP (tests/oracle/): the
+// two-row kernel must produce the same ops under every differential
+// scoring, on
+// near-duplicate pairs up to ~2k tokens, random pairs over tiny
+// alphabets (tie-heavy) and identical pairs (the fast path).
+TEST(NeedlemanWunschOracleTest, MatchesFullTableReference) {
+  Rng rng(2024);
+  AlignmentWorkspace ws;
+  for (const AlignmentScoring& scoring : oracle::kDifferentialScorings) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const size_t len = trial < 3 ? 1500 + rng.NextIndex(600)
+                                   : rng.NextIndex(120);
+      const size_t alphabet = trial % 2 == 0 ? 4 : 50;
+      const Tokens a = RandomTokens(rng, len, alphabet);
+      Tokens b;
+      switch (trial % 3) {
+        case 0:
+          b = oracle::NearDuplicate(rng, a, alphabet);
+          break;
+        case 1:
+          b = RandomTokens(rng, rng.NextIndex(120), alphabet);
+          break;
+        default:
+          b = a;
+          break;
+      }
+      const Alignment expected =
+          oracle::ReferenceNeedlemanWunsch(a, b, scoring);
+      EXPECT_EQ(NeedlemanWunsch(a, b, scoring, &ws).ops, expected.ops)
+          << "trial " << trial << " |a|=" << a.size() << " |b|=" << b.size();
+      EXPECT_EQ(NeedlemanWunsch(a, b, scoring).ops, expected.ops);
+    }
+  }
+}
+
+// The workspace holds two score rows and 2-bit moves, not (|a|+1)(|b|+1)
+// tables: 6,000 x 6,000 tokens keep 12k ints and ~9 MB of moves instead
+// of 36M-entry tables.
+TEST(NeedlemanWunschTest, WorkspaceHoldsTwoRowsAndTwoBitMoves) {
+  Rng rng(6000);
+  const Tokens a = RandomTokens(rng, 6000, 1000);
+  Tokens b = oracle::NearDuplicate(rng, a, 1000);
+  b.resize(6000, 7);
+  ASSERT_NE(a, b);
+  AlignmentWorkspace ws;
+  const Alignment al = NeedlemanWunsch(a, b, AlignmentScoring{}, &ws);
+  EXPECT_TRUE(AlignmentIsConsistent(al, a, b));
+  EXPECT_EQ(ws.score.size(), 2 * (b.size() + 1));
+  EXPECT_LE(ws.move.size(), (a.size() + 1) * ((b.size() + 1 + 3) / 4));
 }
 
 }  // namespace

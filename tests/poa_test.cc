@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/reference_msa.h"
 #include "util/random.h"
 
 namespace infoshield {
@@ -146,6 +147,55 @@ TEST_P(PoaPropertyTest, RandomNearDuplicatesKeepInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoaPropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+// A set of 2-8 sequences: a random base and near-duplicates of it, with
+// now and then an unrelated sequence or an empty one.
+std::vector<Tokens> NearDuplicateSet(Rng& rng, size_t len, size_t alphabet) {
+  Tokens base;
+  for (size_t i = 0; i < len; ++i) {
+    base.push_back(static_cast<TokenId>(rng.NextIndex(alphabet)));
+  }
+  std::vector<Tokens> seqs{base};
+  const size_t count = 2 + rng.NextIndex(7);
+  while (seqs.size() < count) {
+    const double kind = rng.NextDouble();
+    Tokens v;
+    if (kind < 0.1) {
+      v.resize(rng.NextIndex(len + 1));
+      for (TokenId& t : v) t = static_cast<TokenId>(rng.NextIndex(alphabet));
+    } else if (kind < 0.9) {
+      v = oracle::NearDuplicate(rng, base, alphabet);
+    }
+    seqs.push_back(std::move(v));
+  }
+  return seqs;
+}
+
+// Differential check against the full-table POA (tests/oracle/): the
+// score-only DP with a re-derived traceback must build the same graph
+// under every differential scoring, including tie-heavy {1, 0, -1}.
+TEST(PoaOracleTest, MatchesFullTableReference) {
+  Rng rng(515);
+  for (const AlignmentScoring& scoring : oracle::kDifferentialScorings) {
+    for (int trial = 0; trial < 25; ++trial) {
+      const size_t len = trial == 0 ? 2000 : 1 + rng.NextIndex(60);
+      const size_t alphabet = trial % 2 == 0 ? 5 : 40;
+      const std::vector<Tokens> seqs = NearDuplicateSet(rng, len, alphabet);
+      PoaGraph g(seqs[0], scoring);
+      oracle::ReferencePoaGraph ref(seqs[0], scoring);
+      for (size_t i = 1; i < seqs.size(); ++i) {
+        g.AddSequence(seqs[i]);
+        ref.AddSequence(seqs[i]);
+      }
+      ASSERT_EQ(g.node_count(), ref.node_count()) << "trial " << trial;
+      EXPECT_EQ(g.SupportByTopoOrder(), ref.SupportByTopoOrder());
+      for (size_t h = 0; h <= g.num_sequences(); ++h) {
+        EXPECT_EQ(g.ConsensusAtThreshold(h), ref.ConsensusAtThreshold(h))
+            << "trial " << trial << " h " << h;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace infoshield

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/reference_msa.h"
 #include "util/random.h"
 
 namespace infoshield {
@@ -92,6 +93,37 @@ TEST(ProfileMsaTest, WorksAsMsaAlignerInterface) {
   aligner->AddSequence({1, 2, 3});
   EXPECT_EQ(aligner->num_sequences(), 2u);
   EXPECT_EQ(aligner->ConsensusAtThreshold(1), (Tokens{1, 2, 3}));
+}
+
+// Differential check against the full-table profile DP (tests/oracle/):
+// the shared two-row kernel must build the same profile under every
+// differential scoring. Sets of 2-8 near-duplicates; the first trial of
+// each scoring is 1k tokens.
+TEST(ProfileMsaOracleTest, MatchesFullTableReference) {
+  Rng rng(616);
+  for (const AlignmentScoring& scoring : oracle::kDifferentialScorings) {
+    for (int trial = 0; trial < 25; ++trial) {
+      const size_t len = trial == 0 ? 1000 : 1 + rng.NextIndex(60);
+      const size_t alphabet = trial % 2 == 0 ? 5 : 40;
+      Tokens base;
+      for (size_t i = 0; i < len; ++i) {
+        base.push_back(static_cast<TokenId>(rng.NextIndex(alphabet)));
+      }
+      ProfileMsa msa(base, scoring);
+      oracle::ReferenceProfileMsa ref(base, scoring);
+      const size_t count = 2 + rng.NextIndex(7);
+      for (size_t s = 1; s < count; ++s) {
+        const Tokens v = oracle::NearDuplicate(rng, base, alphabet);
+        msa.AddSequence(v);
+        ref.AddSequence(v);
+      }
+      ASSERT_EQ(msa.column_count(), ref.column_count()) << "trial " << trial;
+      for (size_t h = 0; h <= msa.num_sequences(); ++h) {
+        EXPECT_EQ(msa.ConsensusAtThreshold(h), ref.ConsensusAtThreshold(h))
+            << "trial " << trial << " h " << h;
+      }
+    }
+  }
 }
 
 }  // namespace
