@@ -10,13 +10,18 @@
 // and then compares SearchConsensus against the reference field for
 // field (consensus, slot gaps, every alignment, cost bits) on every
 // accepted template's candidate set and on the whole corpus as one
-// candidate set, the latter reaching mixes no template accepts.
+// candidate set, the latter reaching mixes no template accepts. Last,
+// it compares every coarse cluster's RunOnClusters result, and the
+// whole corpus as one cluster without top phrases, against the serial
+// reference loop (oracle::ReferenceAcceptance): accepted templates,
+// noise, cost bits and work counters.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "coarse/coarse_clustering.h"
 #include "core/fine_clustering.h"
 #include "core/infoshield.h"
 #include "fuzz_util.h"
@@ -29,10 +34,13 @@
 
 namespace {
 
+using infoshield::CoarseClustering;
+using infoshield::CoarseResult;
 using infoshield::CostModel;
 using infoshield::Corpus;
 using infoshield::DocId;
 using infoshield::FineClustering;
+using infoshield::FineResult;
 using infoshield::InfoShield;
 using infoshield::InfoShieldOptions;
 using infoshield::InfoShieldResult;
@@ -84,5 +92,32 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   CHECK(corpus_diff.empty())
       << "consensus search over the whole " << texts.size()
       << "-doc corpus diverged from the reference costing: " << corpus_diff;
+
+  const FineClustering fine(options.fine);
+  const CoarseResult coarse = CoarseClustering(options.coarse).Run(corpus);
+  const std::vector<FineResult> fine_results =
+      fine.RunOnClusters(corpus, coarse.clusters, cost_model,
+                         &coarse.doc_top_phrases, /*num_threads=*/1);
+  for (size_t ci = 0; ci < coarse.clusters.size(); ++ci) {
+    const std::string diff = infoshield::oracle::DiffFineResults(
+        fine_results[ci],
+        infoshield::oracle::ReferenceAcceptance(corpus, coarse.clusters[ci],
+                                                cost_model, options.fine,
+                                                &coarse.doc_top_phrases));
+    CHECK(diff.empty()) << "coarse cluster " << ci
+                        << " diverged from the serial reference loop: "
+                        << diff;
+  }
+  std::vector<DocId> all_docs;
+  for (DocId d = 0; d < corpus.size(); ++d) all_docs.push_back(d);
+  const std::string full_scan_diff = infoshield::oracle::DiffFineResults(
+      fine.RunOnCluster(corpus, all_docs, cost_model),
+      infoshield::oracle::ReferenceAcceptance(corpus, all_docs, cost_model,
+                                              options.fine));
+  CHECK(full_scan_diff.empty())
+      << "the whole " << texts.size()
+      << "-doc corpus as one cluster diverged from the serial reference "
+         "loop: "
+      << full_scan_diff;
   return 0;
 }

@@ -112,9 +112,6 @@ struct CoarseResult {
   // the document's LSH band bucket keys instead — "shares a bucket"
   // replaces "shares a top phrase" and the fine stage's neighbor
   // seeding works unchanged.
-  // analyzer: allow(race-infer) -- coarse workers fill disjoint
-  // per-DocId slots fork-join; afterwards the fine stage only reads it
-  // (RunOnCluster takes const*, the flagged write is that &-arg)
   std::vector<std::vector<PhraseHash>> doc_top_phrases;
   // Bipartite edge count (for diagnostics / scaling studies).
   size_t num_edges = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <limits>
@@ -33,19 +34,21 @@ double FineStageStats::cache_hit_rate() const {
 
 namespace {
 
-// Total cluster cost (Definition 1) for a set of accepted templates.
-// shapes: (length, slots) per template; encoded_base: per template, the
-// sum of its members' AlignmentCostBase; num_encoded: total docs encoded.
-double TotalCost(const CostModel& cm, size_t num_docs,
-                 const std::vector<std::pair<size_t, size_t>>& shapes,
-                 const std::vector<double>& encoded_base, size_t num_encoded,
-                 double noise_token_cost) {
-  double cost = cm.ModelCost(shapes);
+// Total cluster cost (Definition 1) of a model of `num_templates`
+// accepted templates. Their TemplateCost values and their members'
+// summed base costs arrive as running sums, each a left fold from 0.0 in
+// acceptance order, so one acceptance test is O(1); the terms are added
+// in the order below (DESIGN.md §10), which the test-only reference
+// (tests/oracle/reference_fine.h) recomputes from the full accepted
+// list for every seed.
+double TotalCost(size_t num_docs, size_t num_templates,
+                 double template_cost_sum, double encoded_base_sum,
+                 size_t num_encoded, double unencoded_cost) {
+  double cost = UniversalCodeLength(num_templates) + template_cost_sum;
   cost += static_cast<double>(num_docs);  // 1-bit template flag per doc
-  cost += noise_token_cost;
-  const double lg_t = Log2Bits(shapes.size());
-  for (double base : encoded_base) cost += base;
-  cost += lg_t * static_cast<double>(num_encoded);
+  cost += unencoded_cost;
+  cost += encoded_base_sum;
+  cost += Log2Bits(num_templates) * static_cast<double>(num_encoded);
   return cost;
 }
 
@@ -234,191 +237,323 @@ void FineClustering::DetectSlots(Template& tmpl,
   }
 }
 
-FineResult FineClustering::RunOnCluster(
-    const Corpus& corpus, const std::vector<DocId>& doc_ids,
-    const CostModel& cm,
-    const std::vector<std::vector<PhraseHash>>* doc_top_phrases) const {
-  FineResult result;
-  const size_t num_docs = doc_ids.size();
-  if (num_docs == 0) return result;
+namespace {
 
-  // Phrase -> member documents (cluster order), for neighbor seeding.
-  std::unordered_map<PhraseHash, std::vector<DocId>> phrase_to_docs;
+// One seed of phase (a): the documents it claimed, the seed first and
+// then its admitted pool documents in pool order.
+struct ClaimedSeed {
+  std::vector<DocId> members;
+  // Σ UnencodedDocCost over members, folded from 0.0 in member order.
+  double unencoded = 0.0;
+};
+
+// Phase (b)'s template for one claim that reaches min_template_support.
+struct Candidate {
+  // False when the consensus search found no non-empty consensus.
+  bool found = false;
+  Template tmpl;
+  // Parallel to the claim's members.
+  std::vector<DocEncoding> encodings;
+  // Σ encodings' base_cost, folded from 0.0 in member order.
+  double encoded_base = 0.0;
+  FineStageStats stats;
+};
+
+// Everything one cluster carries from phase (a) to phase (c).
+struct ClusterClaims {
+  // In seed (cursor) order.
+  std::vector<ClaimedSeed> seeds;
+  // Σ UnencodedDocCost over the cluster, folded in cluster order.
+  double unencoded = 0.0;
+  // The candidate scans' alignments.
+  FineStageStats stats;
+};
+
+// Phase (a): Algorithm 4's cursor walk without the MSA. Each unclaimed
+// seed, in cluster order, gathers its scan pool, aligns the seed against
+// every pool document and claims itself plus each document that encodes
+// more cheaply against the seed than alone. Acceptance never un-claims
+// a document, so this fixes every seed's member list. Documents are
+// addressed by cluster position, so all state is flat and O(cluster).
+ClusterClaims ClaimSeeds(
+    const Corpus& corpus, const std::vector<DocId>& doc_ids,
+    const CostModel& cm, const AlignmentScoring& scoring,
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases) {
+  ClusterClaims claims;
+  const size_t n = doc_ids.size();
+  for (DocId id : doc_ids) {
+    claims.unencoded += cm.UnencodedDocCost(corpus.doc(id).length());
+  }
+
+  // Phrase -> cluster positions as CSR, built from sorted (phrase,
+  // position) pairs: positions[offsets[k], offsets[k+1]) hold phrases[k]'s
+  // documents in ascending cluster position.
+  std::vector<PhraseHash> phrases;
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> positions;
   if (doc_top_phrases != nullptr) {
-    for (DocId d : doc_ids) {
-      for (PhraseHash p : (*doc_top_phrases)[d]) {
-        phrase_to_docs[p].push_back(d);
+    std::vector<std::pair<PhraseHash, uint32_t>> postings;
+    for (size_t i = 0; i < n; ++i) {
+      for (PhraseHash p : (*doc_top_phrases)[doc_ids[i]]) {
+        postings.emplace_back(p, static_cast<uint32_t>(i));
       }
     }
+    std::sort(postings.begin(), postings.end());
+    positions.reserve(postings.size());
+    for (const auto& [phrase, position] : postings) {
+      if (phrases.empty() || phrases.back() != phrase) {
+        phrases.push_back(phrase);
+        offsets.push_back(static_cast<uint32_t>(positions.size()));
+      }
+      positions.push_back(position);
+    }
+    offsets.push_back(static_cast<uint32_t>(positions.size()));
   }
 
-  // Cost of the cluster with zero templates.
-  double all_unencoded = 0.0;
-  for (DocId id : doc_ids) {
-    all_unencoded += cm.UnencodedDocCost(corpus.doc(id).length());
-  }
-  result.cost_before =
-      TotalCost(cm, num_docs, {}, {}, 0, all_unencoded);
-
-  // Documents are processed in cluster order; claimed marks documents
-  // already owned by a template or rejected as noise (indexed by the
-  // document's position within the cluster, so memory stays O(cluster)).
-  std::unordered_map<DocId, uint32_t> local_index;
-  local_index.reserve(doc_ids.size());
-  for (size_t i = 0; i < doc_ids.size(); ++i) {
-    local_index.emplace(doc_ids[i], static_cast<uint32_t>(i));
-  }
-  std::vector<char> claimed(doc_ids.size(), 0);
-  auto is_claimed = [&](DocId d) { return claimed[local_index.at(d)] != 0; };
-  std::vector<std::pair<size_t, size_t>> shapes;   // accepted (len, slots)
-  std::vector<double> encoded_base;                // per-template Σ base
-  size_t num_encoded = 0;
-  // Undecided documents are carried as unencoded in every total so that
-  // successive totals stay comparable; as documents are claimed by a
-  // template or rejected as noise, their cost moves between the pool and
-  // the other terms.
-  double pending_token_cost = all_unencoded;
-  double noise_token_cost = 0.0;
-  double best_total = result.cost_before;
-
-  for (size_t cursor = 0; cursor < doc_ids.size(); ++cursor) {
-    const DocId seed = doc_ids[cursor];
+  std::vector<char> claimed(n, 0);
+  // stamp[i] == cursor + 1 once seed `cursor` has gathered position i.
+  std::vector<uint32_t> stamp(n, 0);
+  std::vector<uint32_t> pool;
+  AlignmentWorkspace workspace;
+  for (size_t cursor = 0; cursor < n; ++cursor) {
     if (claimed[cursor]) continue;
+    const DocId seed = doc_ids[cursor];
     const std::vector<TokenId>& seed_tokens = corpus.doc(seed).tokens;
 
     // --- Candidate Alignment (§IV-B1) ---
     // The scan pool is either every unclaimed document after the seed,
     // or — when the coarse stage's top phrases are available — only the
-    // seed's phrase-sharing neighbors (see RunOnCluster's doc comment).
-    std::vector<DocId> pool;
+    // seed's phrase-sharing neighbors (see RunOnCluster's doc comment),
+    // in ascending DocId order.
+    pool.clear();
     if (doc_top_phrases != nullptr) {
-      std::unordered_set<DocId> neighbor_set;
+      const uint32_t mark = static_cast<uint32_t>(cursor) + 1;
       for (PhraseHash p : (*doc_top_phrases)[seed]) {
-        auto it = phrase_to_docs.find(p);
-        if (it == phrase_to_docs.end()) continue;
-        for (DocId d : it->second) {
-          if (d != seed && !is_claimed(d)) neighbor_set.insert(d);
+        const size_t k = static_cast<size_t>(
+            std::lower_bound(phrases.begin(), phrases.end(), p) -
+            phrases.begin());
+        for (uint32_t j = offsets[k]; j < offsets[k + 1]; ++j) {
+          const uint32_t i = positions[j];
+          if (i == cursor || claimed[i] || stamp[i] == mark) continue;
+          stamp[i] = mark;
+          pool.push_back(i);
         }
       }
-      // determinism: unordered gather, sorted before use on the next line.
-      pool.assign(neighbor_set.begin(), neighbor_set.end());
-      std::sort(pool.begin(), pool.end());
+      std::sort(pool.begin(), pool.end(), [&doc_ids](uint32_t a, uint32_t b) {
+        return doc_ids[a] < doc_ids[b];
+      });
     } else {
-      for (size_t i = cursor + 1; i < doc_ids.size(); ++i) {
-        if (!claimed[i]) pool.push_back(doc_ids[i]);
+      for (size_t i = cursor + 1; i < n; ++i) {
+        if (!claimed[i]) pool.push_back(static_cast<uint32_t>(i));
       }
     }
 
-    std::vector<DocId> member_ids{seed};
-    std::vector<std::vector<TokenId>> member_docs{seed_tokens};
-    std::unique_ptr<MsaAligner> graph;
-    switch (options_.msa_backend) {
-      case MsaBackend::kPoa:
-        graph = std::make_unique<PoaGraph>(seed_tokens, options_.scoring);
-        break;
-      case MsaBackend::kProfile:
-        graph = std::make_unique<ProfileMsa>(seed_tokens, options_.scoring);
-        break;
-    }
-    // The seed-vs-pool probes are independent, so the conditional costs
-    // can be computed across scan_threads workers; each probe writes its
-    // own pre-sized slot and the membership decisions (and POA fusion)
-    // happen sequentially afterward in pool order, so the result is
-    // byte-identical for any thread count. The probes align with the
-    // configured scoring, as the MSA and the consensus search do.
-    Template seed_template(seed_tokens);
-    std::vector<double> conditional(pool.size(), 0.0);
-    ThreadPool::ParallelFor(options_.scan_threads, pool.size(), [&](size_t i) {
-      const std::vector<TokenId>& tokens = corpus.doc(pool[i]).tokens;
+    // Each probe costs the document against the slot-free seed template:
+    // the empty-mask summary holds the integers a full DocEncoding would
+    // count (DESIGN.md §10), so the cost bits are the same. Probes align
+    // with the configured scoring, as the MSA and the consensus search do.
+    ClaimedSeed claim;
+    claim.members.push_back(seed);
+    claimed[cursor] = 1;
+    for (uint32_t i : pool) {
+      const std::vector<TokenId>& tokens = corpus.doc(doc_ids[i]).tokens;
       const Alignment alignment =
-          NeedlemanWunsch(seed_tokens, tokens, options_.scoring);
-      DocEncoding enc = EncodeDocumentWithAlignment(seed_template, alignment,
-                                                    cm);
-      conditional[i] = cm.EncodedDocCost(1, enc.summary);
-    });
-    result.stats.alignments_computed += pool.size();
-    for (size_t i = 0; i < pool.size(); ++i) {
-      const DocId d = pool[i];
-      const std::vector<TokenId>& tokens = corpus.doc(d).tokens;
-      if (conditional[i] < cm.UnencodedDocCost(tokens.size())) {
-        member_ids.push_back(d);
-        member_docs.push_back(tokens);
-        graph->AddSequence(tokens);
+          NeedlemanWunsch(seed_tokens, tokens, scoring, &workspace);
+      const double conditional = cm.EncodedDocCost(
+          1, SummaryForSlotMask(BuildGapCostProfile(alignment), {}));
+      if (conditional < cm.UnencodedDocCost(tokens.size())) {
+        claim.members.push_back(doc_ids[i]);
+        claimed[i] = 1;
       }
     }
-
-    // Claim the candidate set and move its cost out of the pending pool.
-    double member_unencoded = 0.0;
-    for (DocId d : member_ids) {
-      member_unencoded += cm.UnencodedDocCost(corpus.doc(d).length());
-      claimed[local_index.at(d)] = 1;
+    claims.stats.alignments_computed += pool.size();
+    for (DocId d : claim.members) {
+      claim.unencoded += cm.UnencodedDocCost(corpus.doc(d).length());
     }
-    pending_token_cost -= member_unencoded;
+    claims.seeds.push_back(std::move(claim));
+  }
+  return claims;
+}
 
+// Phase (b) for one claim: steps 1 (the MSA), 2 and 3 of the header
+// comment. The MSA fuses the members in claim order, exactly as the
+// scan admitted them.
+Candidate ProposeTemplate(const FineClustering& fine, const Corpus& corpus,
+                          const std::vector<DocId>& members,
+                          const CostModel& cm) {
+  const FineOptions& options = fine.options();
+  Candidate candidate;
+  std::vector<std::vector<TokenId>> member_docs;
+  member_docs.reserve(members.size());
+  for (DocId d : members) member_docs.push_back(corpus.doc(d).tokens);
+  std::unique_ptr<MsaAligner> graph;
+  switch (options.msa_backend) {
+    case MsaBackend::kPoa:
+      graph = std::make_unique<PoaGraph>(member_docs[0], options.scoring);
+      break;
+    case MsaBackend::kProfile:
+      graph = std::make_unique<ProfileMsa>(member_docs[0], options.scoring);
+      break;
+  }
+  for (size_t m = 1; m < member_docs.size(); ++m) {
+    graph->AddSequence(member_docs[m]);
+  }
+  // The winning probe already aligned every member and detected slots;
+  // SearchConsensus hands all of it back, so nothing is recomputed.
+  FineClustering::ConsensusChoice choice =
+      fine.SearchConsensus(*graph, member_docs, cm, &candidate.stats);
+  if (choice.consensus.empty()) return candidate;
+  candidate.found = true;
+  candidate.tmpl = std::move(choice.tmpl);
+  candidate.encodings.reserve(choice.alignments.size());
+  for (const Alignment& a : choice.alignments) {
+    candidate.encodings.push_back(
+        EncodeDocumentWithAlignment(candidate.tmpl, a, cm));
+    candidate.encoded_base += candidate.encodings.back().base_cost;
+  }
+  return candidate;
+}
+
+// Phase (c): Algorithm 4's acceptance test, replayed in seed order.
+// `candidates` holds phase (b)'s result for each seed with at least
+// `min_support` members, in seed order. Undecided documents are carried
+// as unencoded in every total so that successive totals stay
+// comparable; as each seed's members are claimed by a template or
+// rejected as noise, their cost moves out of the pending pool. Takes its
+// inputs by value, so a cluster's claim and candidate state is freed as
+// soon as its result exists.
+FineResult AcceptTemplates(ClusterClaims claims,
+                           std::vector<Candidate> candidates,
+                           size_t min_support, size_t num_docs,
+                           const CostModel& cm) {
+  FineResult result;
+  if (num_docs == 0) return result;
+  result.stats = claims.stats;
+  result.cost_before = TotalCost(num_docs, 0, 0.0, 0.0, 0, claims.unencoded);
+  double best_total = result.cost_before;
+  double pending_token_cost = claims.unencoded;
+  double noise_token_cost = 0.0;
+  double template_cost_sum = 0.0;
+  double encoded_base_sum = 0.0;
+  size_t num_encoded = 0;
+  size_t next = 0;
+  for (ClaimedSeed& seed : claims.seeds) {
+    pending_token_cost -= seed.unencoded;
+    if (seed.members.size() >= min_support) {
+      Candidate& candidate = candidates[next++];
+      result.stats.MergeFrom(candidate.stats);
+      if (candidate.found) {
+        const double new_template_cost_sum =
+            template_cost_sum + cm.TemplateCost(candidate.tmpl.length(),
+                                                candidate.tmpl.num_slots());
+        const double new_encoded_base_sum =
+            encoded_base_sum + candidate.encoded_base;
+        const size_t new_num_encoded = num_encoded + seed.members.size();
+        const double candidate_total =
+            TotalCost(num_docs, result.templates.size() + 1,
+                      new_template_cost_sum, new_encoded_base_sum,
+                      new_num_encoded, noise_token_cost + pending_token_cost);
+        if (candidate_total < best_total) {
+          best_total = candidate_total;
+          template_cost_sum = new_template_cost_sum;
+          encoded_base_sum = new_encoded_base_sum;
+          num_encoded = new_num_encoded;
+          result.templates.push_back({std::move(candidate.tmpl),
+                                      std::move(seed.members),
+                                      std::move(candidate.encodings)});
+          continue;
+        }
+      }
+    }
     // Rejection keeps the total unchanged: the members' unencoded cost
     // simply moves from the pending pool to the noise term.
-    auto reject_as_noise = [&]() {
-      for (DocId d : member_ids) result.noise.push_back(d);
-      noise_token_cost += member_unencoded;
-    };
-
-    if (member_ids.size() < options_.min_template_support) {
-      reject_as_noise();
-      continue;
-    }
-
-    // --- Consensus Search (Algorithm 2) + Slot Detection (Algorithm 3) ---
-    // The winning probe already aligned every member and detected slots;
-    // SearchConsensus hands all of it back, so nothing is recomputed.
-    ConsensusChoice choice =
-        SearchConsensus(*graph, member_docs, cm, &result.stats);
-    if (choice.consensus.empty()) {
-      reject_as_noise();
-      continue;
-    }
-    Template tmpl = std::move(choice.tmpl);
-
-    std::vector<DocEncoding> encodings;
-    double base_sum = 0.0;
-    encodings.reserve(member_docs.size());
-    for (const Alignment& a : choice.alignments) {
-      encodings.push_back(EncodeDocumentWithAlignment(tmpl, a, cm));
-      base_sum += encodings.back().base_cost;
-    }
-
-    // --- MDL acceptance (Algorithm 4) ---
-    std::vector<std::pair<size_t, size_t>> new_shapes = shapes;
-    new_shapes.emplace_back(tmpl.length(), tmpl.num_slots());
-    std::vector<double> new_encoded = encoded_base;
-    new_encoded.push_back(base_sum);
-    const double candidate_total =
-        TotalCost(cm, num_docs, new_shapes, new_encoded,
-                  num_encoded + member_ids.size(),
-                  noise_token_cost + pending_token_cost);
-
-    if (candidate_total < best_total) {
-      best_total = candidate_total;
-      shapes = std::move(new_shapes);
-      encoded_base = std::move(new_encoded);
-      num_encoded += member_ids.size();
-      TemplateCluster cluster;
-      cluster.tmpl = std::move(tmpl);
-      cluster.members = std::move(member_ids);
-      cluster.encodings = std::move(encodings);
-      result.templates.push_back(std::move(cluster));
-    } else {
-      reject_as_noise();
-    }
+    result.noise.insert(result.noise.end(), seed.members.begin(),
+                        seed.members.end());
+    noise_token_cost += seed.unencoded;
   }
-
+  CHECK_EQ(next, candidates.size());
   result.cost_after = best_total;
   // Canonical emission order: rejected documents accumulate in seed-scan
   // order, which depends on how earlier templates carved up the cluster;
   // sorting makes the noise list (and anything downstream that prints
   // it) independent of that history.
   std::sort(result.noise.begin(), result.noise.end());
-  INFOSHIELD_AUDIT_INVARIANTS(ValidateFineResult(result, corpus, doc_ids, &cm));
   return result;
+}
+
+}  // namespace
+
+FineResult FineClustering::RunOnCluster(
+    const Corpus& corpus, const std::vector<DocId>& doc_ids,
+    const CostModel& cm,
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases) const {
+  return std::move(
+      RunOnClusters(corpus, {doc_ids}, cm, doc_top_phrases, 1).front());
+}
+
+std::vector<FineResult> FineClustering::RunOnClusters(
+    const Corpus& corpus, const std::vector<std::vector<DocId>>& clusters,
+    const CostModel& cm,
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases,
+    size_t num_threads) const {
+  const size_t k = clusters.size();
+
+  // (a) Claims, largest cluster first: its serial walk is the longest.
+  std::vector<size_t> by_size(k);
+  for (size_t ci = 0; ci < k; ++ci) by_size[ci] = ci;
+  std::stable_sort(by_size.begin(), by_size.end(), [&](size_t a, size_t b) {
+    return clusters[a].size() > clusters[b].size();
+  });
+  std::vector<ClusterClaims> claims(k);
+  ThreadPool::ParallelFor(num_threads, k, [&](size_t i) {
+    const size_t ci = by_size[i];
+    claims[ci] = ClaimSeeds(corpus, clusters[ci], cm, options_.scoring,
+                            doc_top_phrases);
+  });
+
+  // (b) Candidates: one task per claim that reaches min_template_support,
+  // each depending only on its member list, so all clusters' candidates
+  // form one fan-out. candidates[ci] lists cluster ci's in seed order;
+  // tasks run heaviest first (member tokens x members) so the longest
+  // start earliest, and each writes only its own element.
+  struct Task {
+    size_t cluster;
+    size_t seed;
+    size_t candidate;
+    size_t weight;
+  };
+  std::vector<Task> tasks;
+  std::vector<std::vector<Candidate>> candidates(k);
+  for (size_t ci = 0; ci < k; ++ci) {
+    for (size_t s = 0; s < claims[ci].seeds.size(); ++s) {
+      const std::vector<DocId>& members = claims[ci].seeds[s].members;
+      if (members.size() < options_.min_template_support) continue;
+      size_t tokens = 0;
+      for (DocId d : members) tokens += corpus.doc(d).length();
+      tasks.push_back({ci, s, candidates[ci].size(), tokens * members.size()});
+      candidates[ci].emplace_back();
+    }
+  }
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const Task& a, const Task& b) {
+                     return a.weight > b.weight;
+                   });
+  ThreadPool::ParallelFor(num_threads, tasks.size(), [&](size_t i) {
+    const auto [ci, seed, slot, weight] = tasks[i];
+    candidates[ci][slot] =
+        ProposeTemplate(*this, corpus, claims[ci].seeds[seed].members, cm);
+  });
+
+  // (c) Acceptance per cluster; each consumes its claims and candidates.
+  std::vector<FineResult> results(k);
+  ThreadPool::ParallelFor(num_threads, k, [&](size_t ci) {
+    results[ci] = AcceptTemplates(
+        std::move(claims[ci]), std::move(candidates[ci]),
+        options_.min_template_support, clusters[ci].size(), cm);
+    INFOSHIELD_AUDIT_INVARIANTS(
+        ValidateFineResult(results[ci], corpus, clusters[ci], &cm));
+  });
+  return results;
 }
 
 Status ValidateTemplateCluster(const TemplateCluster& cluster,

@@ -16,6 +16,14 @@
 //      total cost C(M) + C(D|M) decreases (Algorithm 4); otherwise its
 //      candidate set is noise.
 //
+// Acceptance never changes which documents a seed claims (a rejected
+// candidate set is still claimed, as noise), so the loop runs as three
+// exact phases (DESIGN.md §10): (a) claims — step 1's serial seed walk
+// without the POA, fixing every seed's member list; (b) candidates —
+// step 1's POA and steps 2 and 3 per member list, independent of each
+// other and fanned out across all clusters; (c) acceptance — step 4
+// replayed in seed order on running sums, O(1) per seed.
+//
 // Parameter-free: every choice above is made by cost comparison.
 
 #ifndef INFOSHIELD_CORE_FINE_CLUSTERING_H_
@@ -52,16 +60,10 @@ struct FineOptions {
   // search of Algorithm 2.
   bool exhaustive_consensus_search = false;
   MsaBackend msa_backend = MsaBackend::kPoa;
-  // Worker threads for the intra-cluster candidate-alignment scan (the
-  // seed-vs-pool encoding probes are independent). 1 = sequential,
-  // 0 = hardware concurrency. Results are byte-identical for any value;
-  // leave at 1 when clusters are already fanned out across a pool
-  // (InfoShieldOptions::num_threads) to avoid oversubscription.
-  size_t scan_threads = 1;
 };
 
-// Hot-path counters for one fine-stage run (summed over seeds for
-// RunOnCluster, over clusters by the pipeline). Deliberately not part of
+// Hot-path counters for one fine-stage run (summed over seeds for one
+// cluster, over clusters by the pipeline). Deliberately not part of
 // the canonical JSON output: they measure work, not results, so the
 // test-only reference costing (tests/oracle/) reports very different
 // values for the same output.
@@ -113,7 +115,8 @@ class FineClustering {
 
   // Runs Algorithm 4 on the given documents (typically one coarse
   // cluster). The cost model must be built from the corpus vocabulary so
-  // lg V is consistent across clusters.
+  // lg V is consistent across clusters. Equivalent to RunOnClusters on
+  // this one cluster at one thread.
   //
   // doc_top_phrases (optional, indexed by global DocId — the coarse
   // stage's CoarseResult::doc_top_phrases) restricts each seed's
@@ -128,6 +131,20 @@ class FineClustering {
       const CostModel& cost_model,
       const std::vector<std::vector<PhraseHash>>* doc_top_phrases =
           nullptr) const;
+
+  // Runs Algorithm 4 on every cluster across `num_threads` workers (0 =
+  // hardware concurrency): (a) each cluster's claims, largest cluster
+  // first; (b) one fan-out over the candidate sets of all clusters,
+  // heaviest first (member tokens x members), so a giant cluster's
+  // consensus searches spread over every worker; (c) each cluster's
+  // acceptance. Element i equals RunOnCluster(corpus, clusters[i], ...)
+  // field for field, cost bits and FineStageStats included, at any
+  // thread count.
+  std::vector<FineResult> RunOnClusters(
+      const Corpus& corpus, const std::vector<std::vector<DocId>>& clusters,
+      const CostModel& cost_model,
+      const std::vector<std::vector<PhraseHash>>* doc_top_phrases,
+      size_t num_threads) const;
 
   const FineOptions& options() const { return options_; }
 

@@ -6,11 +6,8 @@
 
 #include "util/audit.h"
 #include "util/logging.h"
-#include "util/mutex.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace infoshield {
@@ -72,38 +69,15 @@ InfoShieldResult InfoShield::Run(const Corpus& corpus) const {
   timer.Restart();
   const CostModel cost_model = CostModel::ForVocabulary(corpus.vocab());
   FineClustering fine(options_.fine);
-  // Clusters are independent; fan them out, then merge in cluster order
-  // so the result is identical for any thread count. Workers write only
-  // their own fine_results[ci] slot; everything they share goes through
-  // `progress`, whose fields carry the GUARDED_BY contract.
-  struct FineProgress {
-    Mutex mu;
-    size_t clusters_done GUARDED_BY(mu) = 0;
-    size_t templates_found GUARDED_BY(mu) = 0;
-  };
-  FineProgress progress;
-  std::vector<FineResult> fine_results(coarse_result.clusters.size());
-  ThreadPool::ParallelFor(
-      options_.num_threads, coarse_result.clusters.size(), [&](size_t ci) {
-        fine_results[ci] =
-            fine.RunOnCluster(corpus, coarse_result.clusters[ci],
-                              cost_model, &coarse_result.doc_top_phrases);
-        MutexLock lock(&progress.mu);
-        ++progress.clusters_done;
-        progress.templates_found += fine_results[ci].templates.size();
-      });
-  InfoShieldResult result =
-      AssembleResult(corpus.size(), coarse_result, std::move(fine_results),
-                     cost_model.lg_vocab());
+  // RunOnClusters' results are identical for any thread count; merging
+  // them in cluster order keeps the whole result so.
+  InfoShieldResult result = AssembleResult(
+      corpus.size(), coarse_result,
+      fine.RunOnClusters(corpus, coarse_result.clusters, cost_model,
+                         &coarse_result.doc_top_phrases, options_.num_threads),
+      cost_model.lg_vocab());
   result.coarse_seconds = coarse_seconds;
   result.fine_seconds = timer.ElapsedSeconds();
-  {
-    // The guarded tallies and the deterministic merge must agree; a
-    // mismatch means a worker raced or a cluster was dropped.
-    MutexLock lock(&progress.mu);
-    CHECK_EQ(progress.clusters_done, coarse_result.clusters.size());
-    CHECK_EQ(progress.templates_found, result.templates.size());
-  }
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInfoShieldResult(result, corpus));
   return result;
 }

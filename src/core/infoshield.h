@@ -24,10 +24,11 @@ struct InfoShieldOptions {
   FineOptions fine;
   // Worker threads for both stages: the coarse pipeline (partitioned df
   // counting, per-document top-phrase selection)
-  // and the fine stage (coarse clusters are independent). Overrides
-  // coarse.num_threads. 1 = sequential; 0 = hardware concurrency.
-  // Results are bit-identical for any thread count: coarse edges replay
-  // in canonical order and fine clusters merge in deterministic order.
+  // and the fine stage (each cluster's claims, then the candidate sets
+  // of all clusters). Overrides coarse.num_threads. 1 = sequential;
+  // 0 = hardware concurrency. Results are bit-identical for any thread
+  // count: coarse edges replay in canonical order and every fine
+  // candidate set is fixed before it is fanned out.
   size_t num_threads = 1;
 };
 

@@ -218,14 +218,16 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
       stats.dirty_cluster_docs += members.size();
     }
   }
-  FineClustering fine(options_.fine);
-  ThreadPool::ParallelFor(
-      options_.num_threads, dirty.size(), [&](size_t i) {
-        const size_t ci = dirty[i];
-        fine_results[ci] =
-            fine.RunOnCluster(corpus_, components.clusters[ci], cost_model,
-                              &doc_top_phrases_);
-      });
+  std::vector<std::vector<DocId>> dirty_clusters;
+  dirty_clusters.reserve(dirty.size());
+  for (size_t ci : dirty) dirty_clusters.push_back(components.clusters[ci]);
+  std::vector<FineResult> dirty_results =
+      FineClustering(options_.fine)
+          .RunOnClusters(corpus_, dirty_clusters, cost_model,
+                         &doc_top_phrases_, options_.num_threads);
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    fine_results[dirty[i]] = std::move(dirty_results[i]);
+  }
 
   // Refresh the cache: every current cluster is stored with the
   // generation its result was computed at (carried over for reused

@@ -31,9 +31,10 @@
 //                 member's top phrases changed since the cached result,
 //                 and an unchanged lg V (a vocabulary-size step shifts
 //                 every cost comparison, so it clears the whole cache).
-//                 FineClustering::RunOnCluster reads nothing but its
-//                 members' tokens, its members' top-phrase lists, and
-//                 the cost model, so the cached FineResult is exact.
+//                 FineClustering::RunOnClusters' result for a cluster
+//                 reads nothing but its members' tokens, their
+//                 top-phrase lists, and the cost model, so the cached
+//                 FineResult is exact.
 //
 // Per-batch cost therefore scales with the size of the components the
 // batch touches, not with the corpus (the acceptance criterion
@@ -144,9 +145,6 @@ class IncrementalInfoShield {
   SnapshotDfTable df_table_;
 
   // Per-document state, indexed by DocId.
-  // analyzer: allow(race-infer) -- fine workers only read it
-  // (RunOnCluster takes const*, the flagged write is that &-arg);
-  // mutation happens serially between ingest phases
   std::vector<std::vector<PhraseHash>> doc_top_phrases_;
   std::vector<uint64_t> doc_changed_gen_;
 

@@ -6,11 +6,15 @@
 // order or scheduling leaked into the output (tools/lint.py rule
 // unordered-determinism guards the code side; this guards the result).
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "coarse/coarse_clustering.h"
+#include "core/fine_clustering.h"
 #include "core/infoshield.h"
 #include "datagen/trafficking_gen.h"
 #include "io/json_writer.h"
@@ -47,12 +51,75 @@ LabeledAds MakeSkewedCorpus() {
   return TraffickingGenerator(o).Generate(/*seed=*/97);
 }
 
+// Coarse clusters plus the top phrases the fine stage seeds from.
+struct FineInput {
+  Corpus corpus;
+  std::vector<std::vector<DocId>> clusters;
+  std::vector<std::vector<PhraseHash>> top_phrases;
+};
+
+FineInput CoarseClustersOf(Corpus corpus) {
+  CoarseResult coarse = CoarseClustering(CoarseOptions{}).Run(corpus);
+  return {std::move(corpus), std::move(coarse.clusters),
+          std::move(coarse.doc_top_phrases)};
+}
+
+// A chain-shaped giant coarse component: near-duplicate campaigns laid
+// out in runs of six consecutive documents, the way one account's bot
+// posts sit next to each other, with every fourth run unrelated posts.
+// Document i's top phrases are {i, i+1, i+2}, so it shares a phrase only
+// with its neighbours i±1 and i±2, yet the chain is one component.
+// clusters[0] is that 300-document chain; six clusters of ten follow.
+FineInput MakeChainClusters() {
+  const size_t length = 360;
+  const size_t chain_length = 300;
+  FineInput in;
+  std::vector<DocId> docs;
+  for (size_t i = 0; i < length; ++i) {
+    const size_t run = i / 6;
+    const size_t campaign = run % 5;
+    // Two campaigns vary at one position (a slot); the rest anywhere.
+    const size_t edit_at = campaign < 2 ? 7 : i % 14;
+    std::string text;
+    for (size_t w = 0; w < 14; ++w) {
+      if (run % 4 == 3) {
+        text += "post" + std::to_string(i) + "word" + std::to_string(w);
+      } else if (w == edit_at) {
+        text += "edit" + std::to_string(i);
+      } else {
+        text += "campaign" + std::to_string(campaign) + "word" +
+                std::to_string(w);
+      }
+      text += ' ';
+    }
+    docs.push_back(in.corpus.Add(text));
+  }
+  // Filler documents outside every cluster bring lg V to a realistic
+  // size.
+  for (size_t f = 0; f < 40; ++f) {
+    std::string text;
+    for (size_t w = 0; w < 10; ++w) {
+      text += "filler" + std::to_string(f * 10 + w) + ' ';
+    }
+    in.corpus.Add(text);
+  }
+  in.top_phrases.resize(in.corpus.size());
+  for (size_t i = 0; i < length; ++i) {
+    const PhraseHash link = 0x5eed0000ULL + i;
+    in.top_phrases[docs[i]] = {link, link + 1, link + 2};
+  }
+  in.clusters.emplace_back(docs.begin(), docs.begin() + chain_length);
+  for (size_t begin = chain_length; begin < length; begin += 10) {
+    in.clusters.emplace_back(docs.begin() + begin,
+                             docs.begin() + std::min(begin + 10, length));
+  }
+  return in;
+}
+
 std::string RunToJson(const Corpus& corpus, size_t num_threads,
-                      size_t scan_threads = 1,
                       CoarseBackend backend = CoarseBackend::kTfidfGraph) {
   InfoShieldOptions options;
   options.num_threads = num_threads;
-  options.fine.scan_threads = scan_threads;
   options.coarse.backend = backend;
   InfoShield shield(options);
   InfoShieldResult result = shield.Run(corpus);
@@ -120,16 +187,78 @@ TEST(DeterminismTest, CoarseMatchesSerialOracleAtEveryThreadCount) {
   }
 }
 
-TEST(DeterminismTest, ScanThreadsDoNotChangeOutput) {
-  // The intra-cluster candidate-alignment scan fans the seed-vs-pool
-  // probes across scan_threads; membership decisions stay sequential in
-  // pool order, so any worker count must render to the same bytes.
-  LabeledAds data = MakeCorpus(/*seed=*/7);
-  const std::string sequential = RunToJson(data.corpus, 1);
-  for (size_t scan : {2u, 4u, 8u}) {
-    EXPECT_EQ(sequential, RunToJson(data.corpus, 1, /*scan_threads=*/scan))
-        << "scan_threads=" << scan << " changed the output";
+TEST(DeterminismTest, FineFanOutMatchesSerialRunOnCluster) {
+  // RunOnClusters splits every cluster into claims, one candidate fan-out
+  // across all clusters, and acceptance. At any thread count each
+  // cluster's result must equal a serial RunOnCluster field for field:
+  // templates, members, noise, encoding and cost bits, and work counters.
+  const FineInput inputs[] = {CoarseClustersOf(MakeCorpus(/*seed=*/7).corpus),
+                              MakeChainClusters()};
+  const FineClustering fine;
+  for (const FineInput& in : inputs) {
+    const CostModel cm = CostModel::ForVocabulary(in.corpus.vocab());
+    std::vector<FineResult> serial;
+    size_t templates = 0;
+    for (const std::vector<DocId>& cluster : in.clusters) {
+      serial.push_back(
+          fine.RunOnCluster(in.corpus, cluster, cm, &in.top_phrases));
+      templates += serial.back().templates.size();
+    }
+    ASSERT_GT(in.clusters.size(), 1u);
+    ASSERT_GE(templates, in.clusters.size());
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      const std::vector<FineResult> fanned = fine.RunOnClusters(
+          in.corpus, in.clusters, cm, &in.top_phrases, threads);
+      ASSERT_EQ(fanned.size(), serial.size());
+      for (size_t ci = 0; ci < serial.size(); ++ci) {
+        EXPECT_EQ(oracle::DiffFineResults(fanned[ci], serial[ci]), "")
+            << "threads=" << threads << ", cluster " << ci << " of "
+            << in.corpus.size() << "-document corpus";
+      }
+    }
   }
+}
+
+TEST(DeterminismTest, FineAcceptanceMatchesReference) {
+  // Production claims through a flat phrase index, costs scan probes from
+  // gap profiles and tests acceptance on running sums; the reference
+  // claims through ordered maps and full encodings and recomputes every
+  // acceptance total from the whole accepted list. Accepted templates,
+  // noise and cost bits must agree, with neighbor seeding and without.
+  const FineInput inputs[] = {CoarseClustersOf(MakeCorpus(/*seed=*/7).corpus),
+                              CoarseClustersOf(MakeSkewedCorpus().corpus),
+                              MakeChainClusters()};
+  FineOptions profile_exhaustive;
+  profile_exhaustive.msa_backend = MsaBackend::kProfile;
+  profile_exhaustive.exhaustive_consensus_search = true;
+  for (const FineOptions& options : {FineOptions{}, profile_exhaustive}) {
+    const FineClustering fine(options);
+    for (const FineInput& in : inputs) {
+      const CostModel cm = CostModel::ForVocabulary(in.corpus.vocab());
+      for (size_t ci = 0; ci < in.clusters.size(); ++ci) {
+        EXPECT_EQ(oracle::DiffFineResults(
+                      fine.RunOnCluster(in.corpus, in.clusters[ci], cm,
+                                        &in.top_phrases),
+                      oracle::ReferenceAcceptance(in.corpus, in.clusters[ci],
+                                                  cm, options,
+                                                  &in.top_phrases)),
+                  "")
+            << "cluster " << ci << " of " << in.corpus.size()
+            << "-document corpus";
+      }
+    }
+  }
+  // The full scan (no top phrases) over the whole chain.
+  const FineInput& chain = inputs[2];
+  const CostModel cm = CostModel::ForVocabulary(chain.corpus.vocab());
+  const FineResult full =
+      FineClustering().RunOnCluster(chain.corpus, chain.clusters[0], cm);
+  EXPECT_GT(full.templates.size(), 2u);
+  EXPECT_EQ(oracle::DiffFineResults(
+                full, oracle::ReferenceAcceptance(chain.corpus,
+                                                  chain.clusters[0], cm,
+                                                  FineOptions{})),
+            "");
 }
 
 TEST(DeterminismTest, MinhashLshBackendIsByteIdenticalAcrossThreads) {
@@ -138,13 +267,12 @@ TEST(DeterminismTest, MinhashLshBackendIsByteIdenticalAcrossThreads) {
   // keys replay doc-major through the shared edge accumulator, so any
   // worker count renders to the same bytes as one worker.
   LabeledAds data = MakeCorpus(/*seed=*/42);
-  const std::string serial = RunToJson(data.corpus, /*num_threads=*/1,
-                                       /*scan_threads=*/1,
-                                       CoarseBackend::kMinhashLsh);
+  const std::string serial =
+      RunToJson(data.corpus, /*num_threads=*/1, CoarseBackend::kMinhashLsh);
   ASSERT_FALSE(serial.empty());
   for (size_t threads : {4u, 8u}) {
-    EXPECT_EQ(serial, RunToJson(data.corpus, threads, /*scan_threads=*/1,
-                                CoarseBackend::kMinhashLsh))
+    EXPECT_EQ(serial,
+              RunToJson(data.corpus, threads, CoarseBackend::kMinhashLsh))
         << "LSH coarse backend diverged at num_threads=" << threads;
   }
 }

@@ -418,28 +418,6 @@ TEST(FineClusteringTest, ExhaustiveMatchesDichotomousOnVariedCluster) {
   }
 }
 
-TEST(FineClusteringTest, ScanThreadsDoNotChangeResult) {
-  std::vector<DocId> ids;
-  Corpus c = MixedCluster(&ids);
-  CostModel cm = CostModel::ForVocabulary(c.vocab());
-  FineResult sequential =
-      FineClustering(FineOptions{}).RunOnCluster(c, ids, cm);
-  for (size_t scan : {2u, 8u}) {
-    FineOptions opts;
-    opts.scan_threads = scan;
-    FineResult parallel = FineClustering(opts).RunOnCluster(c, ids, cm);
-    EXPECT_EQ(sequential.cost_after, parallel.cost_after);
-    EXPECT_EQ(sequential.noise, parallel.noise);
-    ASSERT_EQ(sequential.templates.size(), parallel.templates.size());
-    for (size_t t = 0; t < sequential.templates.size(); ++t) {
-      EXPECT_EQ(sequential.templates[t].tmpl.tokens,
-                parallel.templates[t].tmpl.tokens);
-      EXPECT_EQ(sequential.templates[t].members,
-                parallel.templates[t].members);
-    }
-  }
-}
-
 TEST(FineClusteringTest, DetectSlotsPublicApi) {
   Corpus c;
   c.Add("one two soap four five");

@@ -187,6 +187,23 @@ write("diff_fine", "two_families", synthetic(0x00, two_families, noise))
 write("diff_fine", "profile_backend", synthetic(0x02, two_families, []))
 write("diff_fine", "exhaustive_search",
       synthetic(0x01, [([2, 4, 6, 8, 10], [[0] * 5, [0] * 5])], noise))
+# Three families with deletions over the shared 16-word vocabulary. As
+# one cluster (the harness's full-scan check) its MDL totals round
+# differently if production reorders a term of its acceptance total, so
+# the serial reference loop's cost_after bits catch that.
+three_families = [
+    ([15, 10, 2, 6, 5, 11, 2, 11, 4, 11, 6],
+     [[0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0],
+      [0] * 11]),
+    ([4, 7, 9, 8, 15, 12, 3, 3, 11, 14, 15],
+     [[0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+      [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0], [0] * 11]),
+    ([12, 0, 12, 4, 12, 11, 12, 4],
+     [[0, 1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 1, 1, 0, 0, 0],
+      [1, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0]]),
+]
+write("diff_fine", "three_families_acceptance",
+      synthetic(0x00, three_families, []))
 
 write("diff_coarse", "two_families", synthetic(0x00, two_families, noise))
 write("diff_coarse", "unigrams_and_degree_cap",

@@ -5,7 +5,10 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
+#include <utility>
 
+#include "mdl/universal_code.h"
 #include "msa/poa.h"
 #include "msa/profile_msa.h"
 #include "util/logging.h"
@@ -226,6 +229,182 @@ std::string DiffTemplatesAgainstReference(
                "'s encoding differs from the pipeline's";
       }
     }
+  }
+  return "";
+}
+
+FineResult ReferenceAcceptance(
+    const Corpus& corpus, const std::vector<DocId>& doc_ids,
+    const CostModel& cost_model, const FineOptions& options,
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases) {
+  FineResult result;
+  const size_t num_docs = doc_ids.size();
+  if (num_docs == 0) return result;
+
+  std::map<PhraseHash, std::vector<DocId>> phrase_to_docs;
+  if (doc_top_phrases != nullptr) {
+    for (DocId d : doc_ids) {
+      for (PhraseHash p : (*doc_top_phrases)[d]) {
+        phrase_to_docs[p].push_back(d);
+      }
+    }
+  }
+  std::map<DocId, bool> claimed;
+  for (DocId d : doc_ids) claimed[d] = false;
+
+  // An accepted template as the total sees it.
+  struct Accepted {
+    double template_cost;
+    double encoded_base;
+    size_t members;
+  };
+  auto total_cost = [&](const std::vector<Accepted>& model,
+                        double unencoded) {
+    double template_cost_sum = 0.0;
+    double encoded_base_sum = 0.0;
+    size_t num_encoded = 0;
+    for (const Accepted& t : model) {
+      template_cost_sum += t.template_cost;
+      encoded_base_sum += t.encoded_base;
+      num_encoded += t.members;
+    }
+    double cost = UniversalCodeLength(model.size()) + template_cost_sum;
+    cost += static_cast<double>(num_docs);
+    cost += unencoded;
+    cost += encoded_base_sum;
+    cost += Log2Bits(model.size()) * static_cast<double>(num_encoded);
+    return cost;
+  };
+
+  double all_unencoded = 0.0;
+  for (DocId d : doc_ids) {
+    all_unencoded += cost_model.UnencodedDocCost(corpus.doc(d).length());
+  }
+  result.cost_before = total_cost({}, all_unencoded);
+  double best_total = result.cost_before;
+  double pending_token_cost = all_unencoded;
+  double noise_token_cost = 0.0;
+  std::vector<Accepted> accepted;
+  const FineClustering fine(options);
+
+  for (size_t cursor = 0; cursor < num_docs; ++cursor) {
+    const DocId seed = doc_ids[cursor];
+    if (claimed[seed]) continue;
+    std::vector<DocId> pool;
+    if (doc_top_phrases != nullptr) {
+      std::set<DocId> neighbors;
+      for (PhraseHash p : (*doc_top_phrases)[seed]) {
+        for (DocId d : phrase_to_docs[p]) {
+          if (d != seed && !claimed[d]) neighbors.insert(d);
+        }
+      }
+      pool.assign(neighbors.begin(), neighbors.end());
+    } else {
+      for (size_t i = cursor + 1; i < num_docs; ++i) {
+        if (!claimed[doc_ids[i]]) pool.push_back(doc_ids[i]);
+      }
+    }
+
+    const Template seed_template(corpus.doc(seed).tokens);
+    std::vector<DocId> members{seed};
+    for (DocId d : pool) {
+      const std::vector<TokenId>& tokens = corpus.doc(d).tokens;
+      const DocEncoding encoding = EncodeDocumentWithAlignment(
+          seed_template,
+          NeedlemanWunsch(seed_template.tokens, tokens, options.scoring),
+          cost_model);
+      if (cost_model.EncodedDocCost(1, encoding.summary) <
+          cost_model.UnencodedDocCost(tokens.size())) {
+        members.push_back(d);
+      }
+    }
+    result.stats.alignments_computed += pool.size();
+    double members_unencoded = 0.0;
+    for (DocId d : members) {
+      members_unencoded += cost_model.UnencodedDocCost(corpus.doc(d).length());
+      claimed[d] = true;
+    }
+    pending_token_cost -= members_unencoded;
+
+    if (members.size() >= options.min_template_support) {
+      std::vector<std::vector<TokenId>> docs;
+      for (DocId d : members) docs.push_back(corpus.doc(d).tokens);
+      const std::unique_ptr<MsaAligner> graph =
+          BuildCandidateAlignment(docs, options);
+      const FineClustering::ConsensusChoice choice =
+          fine.SearchConsensus(*graph, docs, cost_model, &result.stats);
+      if (!choice.consensus.empty()) {
+        TemplateCluster cluster;
+        cluster.tmpl = choice.tmpl;
+        double encoded_base = 0.0;
+        for (const Alignment& a : choice.alignments) {
+          cluster.encodings.push_back(
+              EncodeDocumentWithAlignment(cluster.tmpl, a, cost_model));
+          encoded_base += cluster.encodings.back().base_cost;
+        }
+        std::vector<Accepted> model = accepted;
+        model.push_back({cost_model.TemplateCost(cluster.tmpl.length(),
+                                                 cluster.tmpl.num_slots()),
+                         encoded_base, members.size()});
+        const double candidate_total =
+            total_cost(model, noise_token_cost + pending_token_cost);
+        if (candidate_total < best_total) {
+          best_total = candidate_total;
+          accepted = std::move(model);
+          cluster.members = std::move(members);
+          result.templates.push_back(std::move(cluster));
+          continue;
+        }
+      }
+    }
+    result.noise.insert(result.noise.end(), members.begin(), members.end());
+    noise_token_cost += members_unencoded;
+  }
+  result.cost_after = best_total;
+  std::sort(result.noise.begin(), result.noise.end());
+  return result;
+}
+
+std::string DiffFineResults(const FineResult& actual,
+                            const FineResult& expected) {
+  if (actual.templates.size() != expected.templates.size()) {
+    return "template counts differ: " +
+           std::to_string(actual.templates.size()) + " vs " +
+           std::to_string(expected.templates.size());
+  }
+  for (size_t t = 0; t < actual.templates.size(); ++t) {
+    const TemplateCluster& a = actual.templates[t];
+    const TemplateCluster& e = expected.templates[t];
+    const std::string where = "template " + std::to_string(t) + ": ";
+    if (a.tmpl.tokens != e.tmpl.tokens) return where + "tokens differ";
+    if (a.tmpl.SlotGaps() != e.tmpl.SlotGaps()) {
+      return where + "slot gaps differ";
+    }
+    if (a.members != e.members) return where + "members differ";
+    if (a.encodings.size() != e.encodings.size()) {
+      return where + "encoding counts differ";
+    }
+    for (size_t m = 0; m < a.encodings.size(); ++m) {
+      if (!SameBits(a.encodings[m].base_cost, e.encodings[m].base_cost) ||
+          a.encodings[m].slot_words != e.encodings[m].slot_words) {
+        return where + "member " + std::to_string(m) + "'s encoding differs";
+      }
+    }
+  }
+  if (actual.noise != expected.noise) return "noise differs";
+  if (!SameBits(actual.cost_before, expected.cost_before)) {
+    return "cost_before bits differ";
+  }
+  if (!SameBits(actual.cost_after, expected.cost_after)) {
+    return "cost_after bits differ";
+  }
+  const FineStageStats& a = actual.stats;
+  const FineStageStats& e = expected.stats;
+  if (a.alignments_computed != e.alignments_computed ||
+      a.consensus_probes != e.consensus_probes ||
+      a.consensus_cache_hits != e.consensus_cache_hits ||
+      a.slot_candidates_evaluated != e.slot_candidates_evaluated) {
+    return "stats differ";
   }
   return "";
 }

@@ -1,10 +1,11 @@
-// Test-only reference implementation of the fine stage's costing
-// (InfoShield-Fine, Algorithms 2 and 3): the plain re-align and
-// re-encode procedure that FineClustering's consensus-identity cache
-// and GapCostProfile slot algebra (DESIGN.md §10) must reproduce bit
-// for bit. It lives outside src/ so production keeps one code path per
-// stage; the unit tests and the diff_fine fuzzer link it as their
-// oracle.
+// Test-only reference implementation of the fine stage (InfoShield-Fine,
+// Algorithms 2–4): the plain re-align and re-encode costing that
+// FineClustering's consensus-identity cache and GapCostProfile slot
+// algebra must reproduce bit for bit, and the serial claim-and-accept
+// loop that its claims / candidates / acceptance split must reproduce
+// field for field (DESIGN.md §10). It lives outside src/ so production
+// keeps one code path per stage; the unit tests and the diff_fine
+// fuzzer link it as their oracle.
 
 #ifndef INFOSHIELD_TESTS_ORACLE_REFERENCE_FINE_H_
 #define INFOSHIELD_TESTS_ORACLE_REFERENCE_FINE_H_
@@ -19,6 +20,7 @@
 #include "msa/aligner.h"
 #include "msa/pairwise.h"
 #include "text/corpus.h"
+#include "text/ngram.h"
 
 namespace infoshield::oracle {
 
@@ -68,6 +70,35 @@ std::unique_ptr<MsaAligner> BuildCandidateAlignment(
 std::string DiffTemplatesAgainstReference(
     const std::vector<TemplateCluster>& templates, const Corpus& corpus,
     const CostModel& cost_model, const FineOptions& options);
+
+// Algorithm 4 as one serial loop, as the fine stage ran before its
+// phases split. For each unclaimed seed in cluster order: gather the
+// scan pool through an ordered phrase -> documents map (or take every
+// later unclaimed document), admit each pool document whose full
+// DocEncoding against the seed costs less than the document alone,
+// claim the members, fuse them into options.msa_backend's aligner, run
+// FineClustering::SearchConsensus (checked against
+// ReferenceSearchConsensus separately) and encode the members. The
+// acceptance test recomputes the cluster total from the full accepted
+// list for every seed, O(T) per seed, adding in this order:
+// UniversalCodeLength(T) + (the TemplateCost values summed from 0.0 in
+// acceptance order); one flag bit per document; the noise plus pending
+// unencoded cost; the accepted templates' member base costs summed from
+// 0.0 in acceptance order (each template's own sum folded in member
+// order); lg T bits per encoded document. Stats count the work the
+// production fine stage counts.
+FineResult ReferenceAcceptance(
+    const Corpus& corpus, const std::vector<DocId>& doc_ids,
+    const CostModel& cost_model, const FineOptions& options,
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases = nullptr);
+
+// Empty when `actual` equals `expected` field for field: every
+// template's tokens, slot gaps and members, every encoding's base_cost
+// bits and slot words, the noise list, cost_before and cost_after bits,
+// and every FineStageStats counter. Otherwise describes the first field
+// that differs.
+std::string DiffFineResults(const FineResult& actual,
+                            const FineResult& expected);
 
 }  // namespace infoshield::oracle
 

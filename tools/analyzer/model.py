@@ -151,9 +151,9 @@ class ExprStmt(Stmt):
 
 
 class LocalClass(Stmt):
-    """A class/struct defined inside a function body (e.g. FineProgress
-    in core/infoshield.cc). Its fields can carry GUARDED_BY like any
-    other class."""
+    """A class/struct defined inside a function body (e.g. Task in
+    FineClustering::RunOnClusters). Its fields can carry GUARDED_BY like
+    any other class."""
 
     def __init__(self, line, decl):
         super().__init__(line)
