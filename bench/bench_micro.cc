@@ -12,8 +12,8 @@
 //   Prints the usual google-benchmark console table, then writes every
 //   run (including the BigO/RMS complexity rows) into the shared
 //   BENCH_*.json envelope (schema "infoshield-bench-micro/1", default
-//   ./BENCH_micro.json) so the microbenchmark trends ride the same
-//   artifact pipeline as bench_{fine,coarse,incremental,lsh,fig2}.
+//   ./BENCH_micro.json), the same envelope bench_fig2_scalability
+//   writes.
 
 #include <string>
 #include <vector>

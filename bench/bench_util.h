@@ -20,15 +20,13 @@ namespace bench {
 // the build tree, which lives inside the checkout.
 std::string GitDescribe();
 
-// The canonical BENCH_*.json envelope shared by every harness
-// (bench_coarse, bench_fig2_scalability, bench_incremental, bench_lsh,
-// bench_micro): one
-// top-level object opened with a "schema" name (e.g.
-// "infoshield-bench-lsh/1") and a "git_describe" provenance field, an
-// arbitrary harness-driven body via writer(), and a uniform
-// write-with-trailing-newline + error-report tail via Finish. Keeps the
-// emission idiom (and its failure handling) in one place instead of
-// hand-rolled per bench.
+// The canonical BENCH_*.json envelope shared by the harnesses that
+// write one (bench_fig2_scalability, bench_micro): one top-level object
+// opened with a "schema" name (e.g. "infoshield-bench-fig2/1") and a
+// "git_describe" provenance field, an arbitrary harness-driven body via
+// writer(), and a uniform write-with-trailing-newline + error-report
+// tail via Finish. Keeps the emission idiom (and its failure handling)
+// in one place instead of hand-rolled per bench.
 class BenchJson {
  public:
   explicit BenchJson(const std::string& schema);

@@ -75,9 +75,7 @@ CoarseResult CoarseClustering::Run(const Corpus& corpus) const {
   }
   result.stats.graph_seconds = timer.ElapsedSeconds();
 
-  timer.Restart();
   EmitCoarseComponents(uf, options_, &result);
-  result.stats.components_seconds = timer.ElapsedSeconds();
   return result;
 }
 

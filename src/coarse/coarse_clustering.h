@@ -71,31 +71,17 @@ struct CoarseOptions {
   size_t num_threads = 1;
 };
 
-// Per-phase wall-clock breakdown for one coarse run. Deliberately not
-// part of the canonical JSON output: runs at different thread counts
-// emit byte-identical results while reporting very different timings.
+// Per-phase wall-clock breakdown for one tf-idf coarse run; the LSH
+// backend leaves it zero. Deliberately not part of the canonical JSON
+// output: runs at different thread counts emit byte-identical results
+// while reporting very different timings.
 struct CoarseStageStats {
-  // tokenize_seconds is filled by callers that build the corpus from raw
-  // text (e.g. via Corpus::AddBatch) — tokenization has already happened
-  // by the time CoarseClustering::Run sees the documents. The remaining
-  // phases are timed by Run itself.
-  double tokenize_seconds = 0.0;
   // Document-frequency accumulation (TfidfIndex::Build).
   double index_seconds = 0.0;
   // Per-document top-phrase selection + bipartite-edge generation.
   double top_phrase_seconds = 0.0;
   // Canonical-order edge replay into the UnionFind.
   double graph_seconds = 0.0;
-  // Component extraction and cluster/singleton emission.
-  double components_seconds = 0.0;
-  // MinHash signature + band-key computation (0 on the tf-idf backend;
-  // index/top_phrase are 0 on the LSH backend).
-  double signature_seconds = 0.0;
-
-  double total_seconds() const {
-    return index_seconds + top_phrase_seconds + signature_seconds +
-           graph_seconds + components_seconds;
-  }
 };
 
 struct CoarseResult {
@@ -155,9 +141,11 @@ class CoarseEdgeAccumulator {
 
  private:
   const size_t max_phrase_degree_;
-  // analyzer: borrows(uf_) -- rebound per shard via Reset(); the
-  // UnionFind lives in CoarseClustering::Run's frame, which strictly
-  // encloses every accumulator that points at it.
+  // analyzer: borrows(uf_) -- the UnionFind outlives the accumulator:
+  // a local declared just before it (CoarseClustering::Run,
+  // RunLshCoarse), or IncrementalInfoShield::uf_, the sibling member
+  // declared before edges_ (so destroyed after it) and re-passed to
+  // Reset() on every graph rebuild.
   UnionFind* uf_;
   std::unordered_map<PhraseHash, DocId> anchor_;
   std::unordered_map<PhraseHash, uint32_t> degree_;
@@ -182,7 +170,7 @@ class CoarseClustering {
   // code path per backend at every thread count; the results are
   // byte-identical across thread counts and, for tf-idf, to the serial
   // reference in tests/oracle (determinism_test, coarse_clustering_test,
-  // the diff_coarse fuzzers, bench_coarse).
+  // the diff_coarse fuzzers).
   CoarseResult Run(const Corpus& corpus) const;
 
   const CoarseOptions& options() const { return options_; }

@@ -1,6 +1,6 @@
 // Near-duplicate family generator with controllable Jaccard similarity.
 //
-// The LSH recall benches and tests need ground-truth clusters whose
+// The LSH recall tests need ground-truth clusters whose
 // pairwise similarity is a dial, not an accident of edit probabilities:
 // each family draws a base template of `template_tokens` words, then
 // every member independently substitutes each token with probability p,
@@ -37,16 +37,15 @@ struct NearDupGenOptions {
   // Expected k-shingle Jaccard between two members of one family.
   double target_jaccard = 0.85;
   // The shingle length the similarity targets (match the MinHash
-  // backend's shingle_k when generating for LSH benches).
+  // backend's shingle_k when generating for the LSH backend).
   size_t shingle_k = 3;
   // Independent noise documents (no family).
   size_t num_noise = 200;
   size_t noise_tokens_min = 12;
   size_t noise_tokens_max = 32;
   // Effective vocabulary for template/noise/substitution draws. Keep it
-  // large relative to the corpus (the benches scale it with document
-  // count) so unrelated documents rarely share shingles — the regime
-  // real 100k+-vocabulary corpora are in.
+  // large relative to the corpus so unrelated documents rarely share
+  // shingles — the regime real 100k+-vocabulary corpora are in.
   size_t vocab_size = 20000;
 };
 

@@ -4,11 +4,10 @@
 //
 // The batch pipeline is the oracle: after ANY sequence of IngestBatch
 // calls, ResultToJson(result(), corpus()) must byte-match a fresh
-// InfoShield::Run over the concatenated corpus (incremental_test, the
-// diff_incremental fuzz harness, and bench_incremental all enforce
-// this). Both assemble their result through AssembleResult. That
-// contract is achievable because every stage is either additive or
-// cheap to replay:
+// InfoShield::Run over the concatenated corpus (incremental_test and
+// the diff_incremental fuzz harness enforce this). Both assemble their
+// result through AssembleResult. That contract is achievable because
+// every stage is either additive or cheap to replay:
 //
 //   df table    — document frequency is a commutative integer sum, so a
 //                 batch's partitioned count folds in exactly
@@ -37,8 +36,8 @@
 //                 FineResult is exact.
 //
 // Per-batch cost therefore scales with the size of the components the
-// batch touches, not with the corpus (the acceptance criterion
-// bench_incremental measures).
+// batch touches, not with the corpus (perfbench's incremental.* metrics
+// report it).
 
 #ifndef INFOSHIELD_INCREMENTAL_INCREMENTAL_INFOSHIELD_H_
 #define INFOSHIELD_INCREMENTAL_INCREMENTAL_INFOSHIELD_H_

@@ -8,7 +8,6 @@
 #include "lsh/minhash.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace infoshield {
 
@@ -28,7 +27,6 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
   // hash family), so workers own contiguous chunks and write only their
   // chunk's slots — no shared mutable state, no df-style barrier, and
   // the result is independent of the thread count by construction.
-  WallTimer timer;
   const MinHashFamily family(options.minhash);
   result.doc_top_phrases.resize(n);
   const size_t num_chunks = std::min(n, threads * 4);
@@ -43,7 +41,6 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
           BandKeys(family.Signature(corpus.docs()[d].tokens), options.lsh);
     }
   });
-  result.stats.signature_seconds = timer.ElapsedSeconds();
 
   // Canonical (doc, band-key) replay in ascending document order — the
   // band-key analogue of the tf-idf backend's (doc, phrase-rank) order.
@@ -51,7 +48,6 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
   // Documents sharing a bucket key union through the key's anchor
   // document; max_phrase_degree caps bucket degree identically on every
   // path because the edge sequence is identical on every path.
-  timer.Restart();
   UnionFind uf(n);
   CoarseEdgeAccumulator edges(options.max_phrase_degree, &uf);
   for (DocId d = 0; d < n; ++d) {
@@ -60,11 +56,7 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
       edges.Add(d, key);
     }
   }
-  result.stats.graph_seconds = timer.ElapsedSeconds();
-
-  timer.Restart();
   EmitCoarseComponents(uf, options, &result);
-  result.stats.components_seconds = timer.ElapsedSeconds();
   return result;
 }
 

@@ -48,7 +48,9 @@ std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
   // hashes, then each run of equal hashes is one phrase and its tf.
   const size_t min_n = std::min(options_.min_ngram, options_.max_ngram);
   std::vector<PhraseHash> grams;
-  grams.reserve(doc.tokens.size() * options_.max_ngram);
+  // No n-gram is longer than the document, however large max_ngram is.
+  grams.reserve(doc.tokens.size() *
+                std::min(options_.max_ngram, doc.tokens.size()));
   AppendNgramHashes(doc, min_n, options_.max_ngram, &grams);
   std::sort(grams.begin(), grams.end());
 

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/logging.h"
@@ -64,11 +65,17 @@ Status FlagParser::SetFromString(const std::string& name,
       f.string_value = value;
       return Status::Ok();
     case FlagType::kInt: {
+      errno = 0;
       const int64_t v = std::strtoll(value.c_str(), &end, 10);
       if (end == value.c_str() || *end != '\0') {
         return Status::InvalidArgument("--" + name +
                                        " expects an integer, got '" + value +
                                        "'");
+      }
+      if (errno == ERANGE) {
+        return Status::InvalidArgument(
+            "--" + name + " is out of range for a 64-bit integer, got '" +
+            value + "'");
       }
       f.int_value = v;
       return Status::Ok();

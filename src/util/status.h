@@ -30,10 +30,9 @@ enum class StatusCode {
 const char* StatusCodeToString(StatusCode code);
 
 // [[nodiscard]] at class level: any call that returns a Status (or a
-// Result) and ignores it is a compile-time warning everywhere, an error
-// under -Werror builds (tools/check.sh). Deliberate discards must be
-// spelled `(void)expr` — which tools/lint.py's discarded-status rule
-// also surfaces for review.
+// Result) and ignores it fails to compile, because the build promotes
+// -Wunused-result to an error (CMakeLists.txt). Deliberate discards
+// must be spelled `(void)expr`.
 class [[nodiscard]] Status {
  public:
   // Default-constructed Status is OK.

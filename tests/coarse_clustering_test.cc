@@ -154,10 +154,6 @@ TEST(CoarseTest, StatsCarryPerPhaseTimings) {
   EXPECT_GE(r.stats.index_seconds, 0.0);
   EXPECT_GE(r.stats.top_phrase_seconds, 0.0);
   EXPECT_GE(r.stats.graph_seconds, 0.0);
-  EXPECT_GE(r.stats.components_seconds, 0.0);
-  EXPECT_GE(r.stats.total_seconds(), r.stats.index_seconds);
-  // The LSH-only phase stays empty on the tf-idf backend.
-  EXPECT_EQ(r.stats.signature_seconds, 0.0);
 }
 
 TEST(CoarseTest, EdgeCountPositiveWhenClustered) {

@@ -3,8 +3,9 @@
 // that the same corpus and seed always produce the same clusters, in
 // the same order, rendered to the same JSON — across repeated runs AND
 // across thread counts. Anything less means unordered-container hash
-// order or scheduling leaked into the output (tools/lint.py rule
-// unordered-determinism guards the code side; this guards the result).
+// order or scheduling leaked into the output (the analyzer's
+// unordered-iter and unordered-output-flow checks guard the code side;
+// this guards the result).
 
 #include <algorithm>
 #include <string>
@@ -170,20 +171,35 @@ TEST(DeterminismTest, CoarseMatchesSerialOracleAtEveryThreadCount) {
   // fan-out, canonical edge replay) is required to be exact: at every
   // thread count it must reproduce the test-only serial reference
   // field for field. The fine stage reads nothing else of it, so equal
-  // coarse results render to the same bytes.
-  LabeledAds data = MakeCorpus(/*seed=*/42);
-  const CoarseResult reference =
-      oracle::ReferenceCoarse(data.corpus, CoarseOptions{});
-  ASSERT_FALSE(reference.clusters.empty());
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    CoarseOptions options;
-    options.num_threads = threads;
-    const CoarseResult run = CoarseClustering(options).Run(data.corpus);
-    EXPECT_EQ(run.clusters, reference.clusters) << "threads=" << threads;
-    EXPECT_EQ(run.singletons, reference.singletons) << "threads=" << threads;
-    EXPECT_EQ(run.doc_top_phrases, reference.doc_top_phrases)
-        << "threads=" << threads;
-    EXPECT_EQ(run.num_edges, reference.num_edges) << "threads=" << threads;
+  // coarse results render to the same bytes. The second corpus is wide:
+  // 3,798 documents in many mid-sized campaigns and a large benign tail,
+  // so every df partition and top-phrase chunk holds real work.
+  TraffickingGenOptions wide;
+  wide.num_benign = 2500;
+  wide.num_spam_clusters = 12;
+  wide.spam_cluster_size_min = 40;
+  wide.spam_cluster_size_max = 80;
+  wide.num_ht_clusters = 60;
+  wide.ht_cluster_size_min = 5;
+  wide.ht_cluster_size_max = 15;
+  const Corpus corpora[] = {
+      MakeCorpus(/*seed=*/42).corpus,
+      TraffickingGenerator(wide).Generate(/*seed=*/211).corpus};
+  for (const Corpus& corpus : corpora) {
+    const CoarseResult reference =
+        oracle::ReferenceCoarse(corpus, CoarseOptions{});
+    ASSERT_FALSE(reference.clusters.empty());
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      CoarseOptions options;
+      options.num_threads = threads;
+      const CoarseResult run = CoarseClustering(options).Run(corpus);
+      SCOPED_TRACE(testing::Message() << "threads=" << threads << ", "
+                                      << corpus.size() << " documents");
+      EXPECT_EQ(run.clusters, reference.clusters);
+      EXPECT_EQ(run.singletons, reference.singletons);
+      EXPECT_EQ(run.doc_top_phrases, reference.doc_top_phrases);
+      EXPECT_EQ(run.num_edges, reference.num_edges);
+    }
   }
 }
 

@@ -72,6 +72,12 @@ TEST(FlagsTest, MalformedIntFails) {
   const char* argv2[] = {"prog", "--count=12x"};
   FlagParser p2 = MakeParser();
   EXPECT_FALSE(p2.Parse(2, argv2).ok());
+  // strtoll saturates out-of-range values; they must not pass silently.
+  const char* argv3[] = {"prog", "--count=99999999999999999999999"};
+  FlagParser p3 = MakeParser();
+  const Status out_of_range = p3.Parse(2, argv3);
+  EXPECT_FALSE(out_of_range.ok());
+  EXPECT_NE(out_of_range.message().find("--count"), std::string::npos);
 }
 
 TEST(FlagsTest, MalformedDoubleFails) {

@@ -21,7 +21,7 @@
 namespace infoshield {
 namespace {
 
-std::vector<std::string> GeneratedTexts(uint64_t seed) {
+TraffickingGenOptions SmallCorpus() {
   TraffickingGenOptions o;
   o.num_benign = 60;
   o.num_spam_clusters = 2;
@@ -30,6 +30,11 @@ std::vector<std::string> GeneratedTexts(uint64_t seed) {
   o.num_ht_clusters = 5;
   o.ht_cluster_size_min = 4;
   o.ht_cluster_size_max = 8;
+  return o;
+}
+
+std::vector<std::string> GeneratedTexts(
+    uint64_t seed, const TraffickingGenOptions& o = SmallCorpus()) {
   LabeledAds data = TraffickingGenerator(o).Generate(seed);
   std::vector<std::string> texts;
   texts.reserve(data.corpus.size());
@@ -139,6 +144,29 @@ TEST(IncrementalTest, DegreeCapForcesRebuildAndStillMatches) {
   InfoShieldOptions options;
   options.coarse.max_phrase_degree = 3;
   CheckSplits(texts, {10, 30, 60}, options);
+}
+
+TEST(IncrementalTest, SmallUpdatesToALargeBaseMatchBatchRun) {
+  // A 1,149-document base, then six batches of four copies of one base
+  // document each: every update touches about one coarse component of a
+  // full-size corpus and adds no new word, the regime in which the
+  // engine reuses cached fine results.
+  TraffickingGenOptions o;
+  o.num_benign = 800;
+  o.num_spam_clusters = 6;
+  o.spam_cluster_size_min = 20;
+  o.spam_cluster_size_max = 40;
+  o.num_ht_clusters = 20;
+  o.ht_cluster_size_min = 5;
+  o.ht_cluster_size_max = 12;
+  std::vector<std::string> texts = GeneratedTexts(/*seed=*/409, o);
+  std::vector<size_t> splits;
+  for (size_t round = 1; round <= 6; ++round) {
+    splits.push_back(texts.size());
+    const std::string repeated = texts[round * 37];
+    texts.insert(texts.end(), 4, repeated);
+  }
+  CheckSplits(texts, splits, InfoShieldOptions{});
 }
 
 TEST(IncrementalTest, ThreadedEngineMatchesSerialOracle) {

@@ -1,18 +1,22 @@
 // MinHash/LSH backend math and contract tests (DESIGN.md §16): the
 // Jaccard-estimate concentration the banding threshold rests on,
 // parameter validation, banding structure, thread-count determinism of
-// the full kMinhashLsh coarse path, and the empty/degenerate corpora
+// the full kMinhashLsh coarse path, its recall against the tf-idf
+// backend on near-duplicate corpora, and the empty/degenerate corpora
 // the backend must not trip over.
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "coarse/coarse_clustering.h"
+#include "datagen/neardup_gen.h"
 #include "lsh/lsh_index.h"
 #include "lsh/minhash.h"
 #include "text/corpus.h"
@@ -228,6 +232,60 @@ TEST(LshCoarseTest, EmptyAndSingleDocCorpora) {
   EXPECT_EQ(single.singletons, (std::vector<DocId>{0}));
 }
 
+// Each document's component: its cluster's index, or a label of its
+// own past the clusters for a singleton.
+std::vector<size_t> ComponentOf(const CoarseResult& r, size_t num_docs) {
+  std::vector<size_t> component(num_docs);
+  size_t next = 0;
+  for (const std::vector<DocId>& cluster : r.clusters) {
+    for (DocId d : cluster) component[d] = next;
+    ++next;
+  }
+  for (DocId d : r.singletons) component[d] = next++;
+  return component;
+}
+
+TEST(LshCoarseTest, RecoversTfidfNearDuplicatePairsAtScale) {
+  // Agreement regime: of the same-family pairs the tf-idf phrase graph
+  // groups, MinHash/LSH must group at least 95% too. The vocabulary stays
+  // fixed as the corpus grows, so chance phrase collisions grow with n;
+  // the pairs only those collisions join cross families and are not
+  // counted.
+  for (size_t target : {1000u, 5000u, 25000u}) {
+    NearDupGenOptions gen;
+    gen.num_families = target / 16;
+    gen.family_size_min = 4;
+    gen.family_size_max = 12;
+    gen.target_jaccard = 0.90;
+    gen.shingle_k = MinHashParams{}.shingle_k;
+    gen.num_noise = target / 2;
+    const NearDupCorpus data = GenerateNearDupFamilies(gen, 1000 + target);
+    const size_t n = data.corpus.size();
+    CoarseOptions options;
+    options.num_threads = 4;
+    const std::vector<size_t> tfidf =
+        ComponentOf(CoarseClustering(options).Run(data.corpus), n);
+    options.backend = CoarseBackend::kMinhashLsh;
+    const std::vector<size_t> lsh =
+        ComponentOf(CoarseClustering(options).Run(data.corpus), n);
+
+    // Same-family pairs grouped by tf-idf, and by both backends.
+    std::map<std::tuple<int64_t, size_t>, double> tfidf_groups;
+    std::map<std::tuple<int64_t, size_t, size_t>, double> both_groups;
+    for (size_t d = 0; d < n; ++d) {
+      if (data.family[d] < 0) continue;
+      ++tfidf_groups[{data.family[d], tfidf[d]}];
+      ++both_groups[{data.family[d], tfidf[d], lsh[d]}];
+    }
+    double tfidf_pairs = 0.0;
+    double both_pairs = 0.0;
+    for (const auto& [key, m] : tfidf_groups) tfidf_pairs += m * (m - 1) / 2;
+    for (const auto& [key, m] : both_groups) both_pairs += m * (m - 1) / 2;
+    ASSERT_GT(tfidf_pairs, 0.0) << "n=" << n;
+    EXPECT_GE(both_pairs / tfidf_pairs, 0.95) << "n=" << n;
+  }
+}
+
 TEST(LshCoarseTest, StatsReportBucketsAndPairs) {
   // The coarse path replays band keys and builds no index; the bucket
   // diagnostics come from an LshIndex over the same signatures.
@@ -236,6 +294,7 @@ TEST(LshCoarseTest, StatsReportBucketsAndPairs) {
   EXPECT_GT(result.num_edges, 0u);
   EXPECT_EQ(result.stats.index_seconds, 0.0);
   EXPECT_EQ(result.stats.top_phrase_seconds, 0.0);
+  EXPECT_EQ(result.stats.graph_seconds, 0.0);
 
   const CoarseOptions options;
   const MinHashFamily family(options.minhash);

@@ -2,8 +2,8 @@
 // plain serial algorithm that the production path (partitioned df count,
 // chunked top-phrase fan-out, DESIGN.md §11) must reproduce byte for
 // byte at every thread count. It lives outside src/ so production keeps
-// one code path per stage; the unit tests, the differential fuzzers and
-// bench_coarse link it as their oracle.
+// one code path per stage; the unit tests and the differential fuzzers
+// link it as their oracle.
 
 #ifndef INFOSHIELD_TESTS_ORACLE_REFERENCE_COARSE_H_
 #define INFOSHIELD_TESTS_ORACLE_REFERENCE_COARSE_H_

@@ -1,6 +1,8 @@
 #include "tfidf/tfidf_index.h"
 
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -176,6 +178,36 @@ TEST(TfidfTest, MaxNgramLimitsPhraseLength) {
   TfidfIndex index5;
   index5.Build(c, opts5);
   EXPECT_LT(index1.num_phrases(), index5.num_phrases());
+}
+
+TEST(TfidfTest, MaxNgramBeyondDocumentLengthChangesNothing) {
+  // No n-gram is longer than its document, so a max_ngram of 2^40 must
+  // select exactly what max_ngram = the document's length selects, and
+  // must size nothing by max_ngram alone.
+  const std::string text =
+      "new girl in town sweet and friendly call or text me any time day or "
+      "night outcalls only serious clients please no blocked numbers";
+  Corpus c;
+  c.Add(text);
+  c.Add(text + " thanks");
+  c.Add("friendly girl in town call me any time");
+  // Long enough that tokens x 2^40 hashes cannot be reserved.
+  const size_t length = c.doc(0).tokens.size();
+  ASSERT_GE(length, 20u);
+  std::vector<std::vector<ScoredPhrase>> tops;
+  for (size_t max_ngram : {length, size_t{1} << 40}) {
+    TfidfOptions opts;
+    opts.max_ngram = max_ngram;
+    TfidfIndex index;
+    index.Build(c, opts);
+    tops.push_back(index.TopPhrases(c.doc(0)));
+  }
+  ASSERT_FALSE(tops[0].empty());
+  ASSERT_EQ(tops[0].size(), tops[1].size());
+  for (size_t i = 0; i < tops[0].size(); ++i) {
+    EXPECT_EQ(tops[0][i].hash, tops[1][i].hash) << "phrase #" << i;
+    EXPECT_EQ(tops[0][i].score, tops[1][i].score) << "phrase #" << i;
+  }
 }
 
 TEST(TfidfTest, ParallelBuildMatchesSerial) {

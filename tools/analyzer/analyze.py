@@ -14,15 +14,16 @@ Usage (normally via `cmake --build build --target analyze` or
              [--cache-dir DIR] [--cache-cap N] [--quiet]
 
 Checks: guarded-ref-escape, lock-order-cycle, hot-loop-alloc,
-unordered-iter, discarded-status (DESIGN.md §13); race-infer,
-missing-guarded-by, blocking-under-lock, unordered-output-flow
-(interprocedural lockset inference, DESIGN.md §14); dangling-view,
-iter-invalidation, view-escape (lifetime pass, DESIGN.md §17).
+unordered-iter (DESIGN.md §13); race-infer, missing-guarded-by,
+blocking-under-lock, unordered-output-flow (interprocedural lockset
+inference, DESIGN.md §14); dangling-view, iter-invalidation,
+view-escape (lifetime pass, DESIGN.md §17). A discarded Status or
+Result is the compiler's to reject (-Werror=unused-result).
 
 Suppression: `// analyzer: allow(<check>[, ...]) -- <reason>` on the
 finding line or in the unbroken //-comment run directly above it — the
-same geometry lint.py uses for `determinism:` markers. The reason is
-mandatory; an allow without one is itself reported.
+same geometry unordered-iter uses for `determinism:` markers. The reason
+is mandatory; an allow without one is itself reported.
 
 Baseline: tools/analyzer/baseline.json maps "<path>:<check>" to a
 finding count. Counts may only shrink: a count above baseline fails

@@ -5,29 +5,25 @@ Checks implemented here (check name -> function):
   guarded-ref-escape  aliases to GUARDED_BY state escaping their lock
   hot-loop-alloc      allocation inside loops of `// analyzer: hot` fns
   unordered-iter      iteration order of unordered containers leaking
-  discarded-status    Status/Result values dropped on the floor
 
-The fifth check, lock-order-cycle, needs the whole-program acquisition
-graph and lives in tools/analyzer/lockgraph.py.
+The fourth check, lock-order-cycle, needs the whole-program acquisition
+graph and lives in tools/analyzer/lockgraph.py. A discarded Status or
+Result is not checked here: it fails to compile (-Werror=unused-result
+on the [[nodiscard]] classes in util/status.h).
 
 Every check consumes only the normalized model (model.py) plus the
 Scope type resolver (cpputil.py); nothing here looks at raw source
-except for comment-run suppression geometry, which intentionally shares
-model.comment_run_covers with lint.py's semantics.
+except for the comment-run suppression geometry of
+model.comment_run_covers.
 """
 
 import re
 
-from cpputil import (Scope, chain_root, extract_calls, find_balanced,
-                     is_heap_container, is_map_like, is_string,
-                     is_unordered, split_top_level, top_level_assign,
+from cpputil import (Scope, chain_root, extract_calls, is_heap_container,
+                     is_map_like, is_string, is_unordered, top_level_assign,
                      type_head)
 from model import (Block, ExprStmt, Finding, If, Loop, Return, VarDecl,
                    comment_run_covers, iter_stmts)
-
-STATUS_RETURN_RE = re.compile(
-    r"^(?:\[\[nodiscard\]\]\s*)?(?:static\s+)?(?:util::|infoshield::)?"
-    r"(?:Status|StatusOr|Result)\b")
 
 # Mutating container entry points that may reallocate per call.
 GROW_METHODS = {"push_back", "emplace_back", "push_front", "emplace_front",
@@ -46,15 +42,12 @@ class Context:
         self.tus = tus
         self._classes = {}     # name and qname -> ClassDecl
         self._functions = {}   # unqualified name -> [FunctionDecl]
-        self.status_names = set()
         for tu in tus:
             for cls in tu.all_classes():
                 self._classes.setdefault(cls.name, cls)
                 self._classes.setdefault(cls.qname, cls)
             for fn in tu.all_functions():
                 self._functions.setdefault(fn.name, []).append(fn)
-                if STATUS_RETURN_RE.match(fn.return_type):
-                    self.status_names.add(fn.name)
 
     def class_by_name(self, name):
         return self._classes.get(name)
@@ -306,64 +299,6 @@ def check_unordered_iter(tu, ctx):
     return findings
 
 
-CAST_HEAD_RE = re.compile(
-    r"^(static_cast|reinterpret_cast|const_cast)\s*<([^<>]*)>\s*\(")
-
-
-def check_discarded_status(tu, ctx):
-    findings = []
-    for fn in tu.all_functions():
-        if fn.body is None:
-            continue
-        for s in iter_stmts(fn.body):
-            if not isinstance(s, ExprStmt):
-                continue
-            text = s.text.strip()
-            if _top_level_assign(text) >= 0:
-                continue
-            if re.match(r"^\(\s*void\s*\)", text):
-                continue  # explicit discard, the sanctioned form
-            _scan_discard(text, s.line, tu, ctx, findings, fn)
-    return findings
-
-
-def _scan_discard(text, line, tu, ctx, findings, fn, via=""):
-    text = text.strip()
-    m = CAST_HEAD_RE.match(text)
-    if m:
-        if m.group(2).strip() == "void":
-            # static_cast<void>(...) is an explicit discard too.
-            return
-        close = find_balanced(text, m.end() - 1)
-        if close == len(text) - 1:
-            _scan_discard(text[m.end():close], line, tu, ctx, findings, fn,
-                          via=" (laundered through a cast)")
-            return
-    if text.startswith("(") and find_balanced(text, 0) == len(text) - 1:
-        parts = split_top_level(text[1:-1])
-        if len(parts) > 1:
-            # A comma expression discards every operand's value.
-            for p in parts:
-                _scan_discard(p, line, tu, ctx, findings, fn,
-                              via=" (inside a comma expression)")
-            return
-        _scan_discard(text[1:-1], line, tu, ctx, findings, fn, via)
-        return
-    call = re.match(r"^((?:[A-Za-z_]\w*(?:::|\.|->))*[A-Za-z_]\w*)\s*\(",
-                    text)
-    if not call:
-        return
-    close = find_balanced(text, call.end() - 1)
-    if close != len(text) - 1:
-        return  # the call's value feeds a larger expression
-    name = re.split(r"::|\.|->", call.group(1))[-1]
-    if name in ctx.status_names:
-        findings.append(Finding(
-            tu.path, line, "discarded-status",
-            f"{fn.qname} discards the Status/Result returned by "
-            f"{name}(){via} — check it or cast to (void) with a comment"))
-
-
 # check name -> per-TU implementation. lock-order-cycle, race-infer,
 # missing-guarded-by, and blocking-under-lock are whole-program and are
 # invoked separately by the driver (see lockgraph.py / raceinfer.py /
@@ -375,7 +310,6 @@ PER_TU_CHECKS = {
     "guarded-ref-escape": check_guarded_ref_escape,
     "hot-loop-alloc": check_hot_loop_alloc,
     "unordered-iter": check_unordered_iter,
-    "discarded-status": check_discarded_status,
     "unordered-output-flow": dataflow.check_unordered_output_flow,
     "view-escape": lifetimes.check_view_escape,
 }

@@ -22,11 +22,11 @@ taint propagates through locals (including the launder-through-a-vector
 pattern: push_back of a tainted binding taints the vector);
 std::sort/std::stable_sort over a tainted value clears it; sinks are
 Write*/Emit*/Print*/Serialize*/Dump*/*Json*/*Csv*/*Html* calls and <<
-into a file/console stream. Unlike the regex lint (tools/lint.py rule
-"unordered-determinism") this check deliberately ignores
-`// determinism:` comments: those justify *iterating*; this check
-verifies the justification's usual claim — "sorted before output" —
-actually holds on the path to the sink. Suppress with
+into a file/console stream. Unlike unordered-iter, this check
+deliberately ignores `// determinism:` comments: those justify
+*iterating*; this check verifies the justification's usual claim —
+"sorted before output" — actually holds on the path to the sink.
+Suppress with
 `// analyzer: allow(unordered-output-flow) -- <reason>` when order
 provably cannot reach bytes (e.g. the sink input is re-sorted by the
 callee)."""

@@ -260,8 +260,7 @@ def scan_annotation_comments(raw_text, tu):
       // analyzer: allow(<check>[, ...]) -- <reason>
       // analyzer: owns(<field>)            (field owns its storage)
       // analyzer: borrows(<member>) -- <why the owner outlives it>
-      // determinism: <why order cannot leak>   (unordered-iter only;
-                                                 carried over from lint.py)
+      // determinism: <why order cannot leak>   (unordered-iter only)
     """
     for i, line in enumerate(raw_text.splitlines(), start=1):
         comment = _comment_part(line)
@@ -335,8 +334,8 @@ def contract_names_for(line, line_map, raw_lines):
 
 def comment_run_covers(line, marker_lines, raw_lines):
     """True if `marker_lines` contains `line` itself or any line of the
-    unbroken //-comment run directly above it — the same suppression
-    geometry tools/lint.py uses for `determinism:` markers."""
+    unbroken //-comment run directly above it: the geometry of both
+    allow() suppressions and `determinism:` markers."""
     if line in marker_lines:
         return True
     j = line - 1

@@ -72,7 +72,6 @@ EXPECTED = {
     ("lock_cycle_bad.cc", "lock-order-cycle"): 1,
     ("hot_alloc_bad.cc", "hot-loop-alloc"): 5,
     ("unordered_bad.cc", "unordered-iter"): 2,
-    ("discarded_bad.cc", "discarded-status"): 3,
     ("allow_noreason_bad.cc", "allow-syntax"): 1,
     ("race_infer_bad.cc", "race-infer"): 4,
     ("missing_guard_bad.cc", "missing-guarded-by"): 1,

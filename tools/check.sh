@@ -17,10 +17,9 @@
 #                           the AST-grounded analyzer only
 #                           (tools/analyzer/analyze.py): guarded-ref
 #                           escapes, lock-order cycles, hot-loop
-#                           allocations, unordered-iteration and
-#                           discarded-Status checks, the interprocedural
-#                           race-inference and lifetime checks, the
-#                           lock-order dot graph,
+#                           allocations, unordered iteration, the
+#                           interprocedural race-inference and lifetime
+#                           checks, the lock-order dot graph,
 #                           build/race_report.json, and
 #                           build/lifetime_report.json. Also part of
 #                           every full and --fast run.
@@ -46,13 +45,6 @@
 #                           the seed corpora, then fuzzes each harness
 #                           for 60 seconds. Without clang++ the replay
 #                           runners still execute under gcc sanitizers.
-#   tools/check.sh --incremental
-#                           the incremental ingestion gate only: an
-#                           ASan+UBSan run of the incremental/snapshot
-#                           suites and the diff_incremental replay, then
-#                           bench_incremental's batch differential
-#                           oracle (exits non-zero on any divergence;
-#                           writes build-asan/BENCH_incremental.json).
 #
 # Build trees go to build-asan/, build-tsan/, build-clang-tsa/,
 # build-fuzz/, and build-cov/ next to build/ (all gitignored). Exits
@@ -68,7 +60,6 @@ FUZZ=0
 ANALYZE_ONLY=0
 RACES_ONLY=0
 LIFETIMES_ONLY=0
-INCREMENTAL_ONLY=0
 for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
@@ -76,9 +67,8 @@ for arg in "$@"; do
     --analyze) ANALYZE_ONLY=1 ;;
     --races) RACES_ONLY=1 ;;
     --lifetimes) LIFETIMES_ONLY=1 ;;
-    --incremental) INCREMENTAL_ONLY=1 ;;
     -h|--help)
-      sed -n '2,59p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *)
@@ -200,21 +190,6 @@ configure_and_build() {
     > /dev/null
   cmake --build "$dir" -j "$JOBS"
 }
-
-# --incremental: the incremental ingestion gate (DESIGN.md §15). The
-# unit/property suites prove the per-split oracle; bench_incremental
-# then drives a realistic base-plus-updates sequence and exits non-zero
-# if any round's JSON diverges from a fresh batch run.
-if [[ "$INCREMENTAL_ONLY" == "1" ]]; then
-  step "incremental suites (ASan+UBSan, audited, -Werror)"
-  configure_and_build build-asan "address,undefined"
-  ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-    -R 'IncrementalTest|SnapshotDfTableTest|fuzz_replay_diff_incremental'
-  step "bench_incremental batch differential oracle"
-  ./build-asan/bench/bench_incremental build-asan/BENCH_incremental.json
-  step "incremental gate passed"
-  exit 0
-fi
 
 step "lint (tools/lint.py + clang-tidy when available)"
 configure_and_build build-asan "address,undefined"

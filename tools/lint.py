@@ -29,38 +29,14 @@ Rules
                      banned outside an explicit allowlist. Mutex-typed
                      globals are always allowed — the lock itself is the
                      protection.
- 7. unordered-determinism  [fast-path; authoritative version in
-                     tools/analyzer]
-                     Iterating a std::unordered_map/std::unordered_set
-                     (range-for, or a NAME.begin(), NAME.end() copy) is
-                     flagged unless the line — or the line above it —
-                     carries a `determinism:` comment stating why the
-                     order cannot leak (e.g. "sorted below",
-                     "commutative integer sum"). Hash-order must never
-                     reach cluster ordering or emitted output; results
-                     are byte-reproducible across runs and thread counts.
-                     This regex version is the cheap first line; the
-                     AST-accurate checks in tools/analyzer/ are the ones
-                     the analyze gate enforces: `unordered-iter` resolves
-                     real container types (through references, aliases,
-                     and members), and `unordered-output-flow`
-                     (DESIGN.md §14) taint-tracks hash order to
-                     serialization sinks and ignores `determinism:`
-                     comments — the claim is checked, not trusted.
- 8. discarded-status [fast-path; authoritative version in tools/analyzer]
-                     Calling a Status/Result-returning free function as
-                     a bare statement silently drops the error. Assign
-                     it, return it, or spell the deliberate discard
-                     `(void) Fn(...)`. Backs up the [[nodiscard]]
-                     attributes (util/status.h) for call sites compiled
-                     out of the default build (ifdef'd, templates).
-                     The AST-accurate `discarded-status` check in
-                     tools/analyzer/ additionally catches discards
-                     laundered through casts and comma expressions.
- 9. fuzz-corpus      Every fuzz harness (fuzz/<name>_fuzz.cc) must have
+ 7. fuzz-corpus      Every fuzz harness (fuzz/<name>_fuzz.cc) must have
                      a non-empty seed corpus at tests/fuzz_corpus/<name>/
                      so the fuzz_replay_<name> ctest exercises the
                      harness body on every plain build (DESIGN.md §12).
+
+Hash-order iteration is the analyzer's to check (tools/analyzer:
+unordered-iter, unordered-output-flow), and a discarded Status or Result
+is a compile error (-Werror=unused-result, CMakeLists.txt).
 
 Exit status is 1 when there are violations, 0 when clean (the true count
 is printed — a raw count would wrap modulo 256 and a multiple of 256
@@ -132,23 +108,7 @@ GLOBAL_DECL_RE = re.compile(r"^[A-Za-z_][\w:<>,&*\s]*?\b(g_\w+)")
 STATIC_DECL_RE = re.compile(r"^static\s+(?!const\b|constexpr\b)")
 MUTEX_GLOBAL_RE = re.compile(r"^(?:static\s+)?(?:::infoshield::)?Mutex\s+\w+")
 
-# --- Rule 7: unordered-container iteration determinism. ---
-UNORDERED_DECL_RE = re.compile(
-    r"\bstd::unordered_(?:map|set)\s*<[^;()]*>\s+(\w+)\s*[;{(=]")
-DETERMINISM_MARKER = "determinism:"
-
-# --- Rule 8: discarded Status/Result. ---
-# Namespace-scope declarations of Status/Result-returning free functions
-# (column 0, same convention the symbol map relies on).
-STATUS_RETURN_DECL_RE = re.compile(
-    r"^(?:\[\[nodiscard\]\]\s*)?(?:Status|Result<[^;=\n]*>)\s+(\w+)\s*\(",
-    re.MULTILINE)
-# A statement whose previous line ends in one of these is a continuation
-# (the call's value is being consumed), not a bare discarding statement.
-CONSUMING_LINE_ENDINGS = ("=", "(", ",", "&&", "||", "?", ":", "return",
-                          "<<", "+")
-
-# --- Rule 9: fuzz harnesses and their seed corpora. ---
+# --- Rule 7: fuzz harnesses and their seed corpora. ---
 FUZZ_ROOT = os.path.join(REPO_ROOT, "fuzz")
 CORPUS_ROOT = os.path.join(REPO_ROOT, "tests", "fuzz_corpus")
 FUZZ_SUFFIX = "_fuzz.cc"
@@ -393,104 +353,8 @@ def check_mutable_globals(path, text, report):
                        "in tools/lint.py GLOBAL_ALLOWLIST")
 
 
-def collect_unordered_names(*texts):
-    names = set()
-    for text in texts:
-        for match in UNORDERED_DECL_RE.finditer(text):
-            names.add(match.group(1))
-    return names
-
-
-def check_unordered_determinism(path, raw, text, header_text, report):
-    """Rule 7: unordered-container iteration must justify its order.
-
-    Flags range-for over — and `NAME.begin(), NAME.end()` copies of —
-    variables declared as std::unordered_map/std::unordered_set in this
-    file or its paired header. A `determinism:` comment on the same line
-    or in the contiguous comment block directly above (stating why hash
-    order cannot reach the output: sorted below, commutative reduction,
-    per-entry validation, ...) suppresses the finding.
-
-    Fast path only. The authoritative versions live in tools/analyzer/:
-    `unordered-iter` type-resolves the container, and
-    `unordered-output-flow` (DESIGN.md §14) taint-tracks the iteration
-    order to serialization sinks without trusting the `determinism:`
-    comment this rule accepts.
-    """
-
-    def justified(raw_lines, i):
-        # i is the 1-based line of the iteration; accept the marker on
-        # that line or anywhere in the unbroken comment run above it.
-        if DETERMINISM_MARKER in raw_lines[i - 1]:
-            return True
-        j = i - 2
-        while j >= 0 and raw_lines[j].lstrip().startswith("//"):
-            if DETERMINISM_MARKER in raw_lines[j]:
-                return True
-            j -= 1
-        return False
-
-    names = collect_unordered_names(text, header_text)
-    if not names:
-        return
-    alt = "|".join(sorted(re.escape(n) for n in names))
-    iter_re = re.compile(
-        r"for\s*\([^;)]*:\s*(?:this->)?(" + alt + r")\s*\)"
-        r"|\b(" + alt + r")\.begin\(\)\s*,\s*(?:\2)\.end\(\)")
-    raw_lines = raw.splitlines()
-    for i, line in enumerate(text.splitlines(), start=1):
-        match = iter_re.search(line)
-        if not match:
-            continue
-        if justified(raw_lines, i):
-            continue
-        name = match.group(1) or match.group(2)
-        report(path, i, "unordered-determinism",
-               f"iteration over unordered container `{name}` — sort "
-               "before emission or add a `// determinism: <why order "
-               "cannot leak>` comment here or on the line above")
-
-
-def build_status_function_set(headers):
-    """Names of free functions returning Status/Result, from headers."""
-    names = set()
-    for path in headers:
-        with open(path, encoding="utf-8") as f:
-            text = strip_comments_and_strings(f.read())
-        for match in STATUS_RETURN_DECL_RE.finditer(text):
-            names.add(match.group(1))
-    return names
-
-
-def check_discarded_status(path, text, status_fns, report):
-    """Rule 8: no bare statement calls of Status/Result-returning fns.
-
-    Flags lines whose statement starts with a call to a known
-    Status-returning free function. A declaration/definition starts with
-    the return type, so it never matches; a consumed value has the
-    function name mid-line (`s = Fn(`, `return Fn(`) or follows a line
-    that ends mid-expression. `(void) Fn(...)` is the deliberate-discard
-    spelling.
-    """
-    if not status_fns:
-        return
-    call_re = re.compile(
-        r"^\s*(" + "|".join(sorted(re.escape(n) for n in status_fns)) +
-        r")\s*\(")
-    prev = ""
-    for i, line in enumerate(text.splitlines(), start=1):
-        match = call_re.match(line)
-        if match and not prev.rstrip().endswith(CONSUMING_LINE_ENDINGS):
-            report(path, i, "discarded-status",
-                   f"result of `{match.group(1)}` is discarded — assign "
-                   "it, return it, or write `(void) "
-                   f"{match.group(1)}(...)` for a deliberate discard")
-        if line.strip():
-            prev = line
-
-
 def check_fuzz_corpora(fuzz_root, corpus_root, report):
-    """Rule 9: every harness has a non-empty checked-in seed corpus."""
+    """Rule 7: every harness has a non-empty checked-in seed corpus."""
     if not os.path.isdir(fuzz_root):
         return
     for name in sorted(os.listdir(fuzz_root)):
@@ -513,14 +377,6 @@ def check_fuzz_corpora(fuzz_root, corpus_root, report):
             report(path, 1, "fuzz-corpus",
                    f"seed corpus {repo_relative(corpus)}/ is empty — the "
                    "replay ctest would only run the empty input")
-
-
-def paired_header_text(impl_path):
-    header = impl_path[:-len(".cc")] + ".h"
-    if not os.path.exists(header):
-        return ""
-    with open(header, encoding="utf-8") as f:
-        return strip_comments_and_strings(f.read())
 
 
 def run_clang_tidy(build_dir, impls):
@@ -571,7 +427,6 @@ def main():
 
     headers, impls = list_sources()
     symbols = build_symbol_map(headers)
-    status_fns = build_status_function_set(headers)
 
     violations = []
 
@@ -589,8 +444,6 @@ def main():
         check_status_contract(path, raw, text, report)
         check_raw_concurrency(path, text, report)
         check_mutable_globals(path, text, report)
-        check_unordered_determinism(path, raw, text, "", report)
-        check_discarded_status(path, text, status_fns, report)
     for path in impls:
         with open(path, encoding="utf-8") as f:
             raw = f.read()
@@ -599,9 +452,6 @@ def main():
         check_status_contract(path, raw, text, report)
         check_raw_concurrency(path, text, report)
         check_mutable_globals(path, text, report)
-        check_unordered_determinism(path, raw, text,
-                                    paired_header_text(path), report)
-        check_discarded_status(path, text, status_fns, report)
 
     check_fuzz_corpora(fuzz_root, corpus_root, report)
 

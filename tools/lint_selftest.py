@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
-"""Self-test for tools/lint.py's concurrency/determinism rules.
+"""Self-test for tools/lint.py's concurrency and fuzz-corpus rules.
 
 Runs the linter over the fixture trees in tools/lint_fixtures/ and
 asserts:
 
  * each bad fixture trips exactly the rule it was written for, the
-   expected number of times — including discarded-status (bare calls of
-   Status/Result-returning functions) and fuzz-corpus (harnesses with a
+   expected number of times — including fuzz-corpus (harnesses with a
    missing or empty seed corpus, exercised via fixture fuzz/corpus
    roots);
- * the util/ exemption (raw primitives are legal under src/util/), the
-   `determinism:` marker, Mutex-typed globals, constants, `(void)`
-   discards, and consuming call sites do NOT trip anything;
+ * the util/ exemption (raw primitives are legal under src/util/),
+   Mutex-typed globals, and constants do NOT trip anything;
  * a clean tree exits 0;
  * the exit status of a failing run is 1, not the violation count (a
    raw count would wrap modulo 256 on POSIX — 256 violations would
@@ -37,8 +35,6 @@ FINDING_RE = re.compile(r"^(?P<path>\S+?):(?P<line>\d+): \[(?P<rule>[\w-]+)\]")
 EXPECTED = {
     ("raw_concurrency_bad.cc", "raw-concurrency"): 4,
     ("mutable_global_bad.cc", "mutable-global"): 3,
-    ("unordered_iter_bad.cc", "unordered-determinism"): 2,
-    ("discarded_status_bad.cc", "discarded-status"): 3,
     ("orphan_fuzz.cc", "fuzz-corpus"): 1,
     ("empty_fuzz.cc", "fuzz-corpus"): 1,
 }
@@ -81,8 +77,8 @@ def main():
         expect(got == want, f"{key[0]}: expected {want} [{key[1]}], "
                             f"got {got}")
     expect(not findings,
-           f"unexpected findings: {dict(findings)} (util/ exemption, "
-           "determinism marker, or constant handling regressed)")
+           f"unexpected findings: {dict(findings)} (util/ exemption "
+           "or constant handling regressed)")
 
     proc, findings = run_lint("clean")
     expect(proc.returncode == 0,
