@@ -6,7 +6,9 @@
 //    both input sequences exactly (AlignmentIsConsistent);
 //  * its ops equal the full-table reference DP's
 //    (oracle::ReferenceNeedlemanWunsch, tests/oracle/) under every
-//    scoring, including tie-heavy {1, 0, -1};
+//    scoring, including tie-heavy {1, 0, -1}, on short sequences and, in
+//    the near-duplicate mode, on an edited copy of a base of up to 600
+//    tokens, which reaches the band doubling and its fallback;
 //  * alignment length obeys max(|a|,|b|) <= l̂ <= |a|+|b| and the op
 //    counts are column-consistent;
 //  * the workspace-reusing path is byte-identical to the allocating one,
@@ -25,9 +27,11 @@
 #include "fuzz_util.h"
 #include "mdl/cost_model.h"
 #include "msa/pairwise.h"
+#include "near_duplicate.h"
 #include "oracle/reference_msa.h"
 #include "text/vocabulary.h"
 #include "util/logging.h"
+#include "util/random.h"
 #include "util/status.h"
 
 namespace {
@@ -67,13 +71,25 @@ bool SameOps(const Alignment& x, const Alignment& y) {
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   infoshield::fuzz::FuzzInput in(data, size);
 
-  // Index 0 is the default scoring.
-  const size_t scoring_index = in.TakeBounded(3);
+  // The scoring index (0 is the default scoring) is the head word mod 4,
+  // i.e. TakeBounded(3); the next bit picks the near-duplicate mode, so
+  // heads 0-3 decode as they always have.
+  const uint64_t head = in.TakeUint64();
+  const size_t scoring_index = head % 4;
   const AlignmentScoring scoring =
       infoshield::oracle::kDifferentialScorings[scoring_index];
 
-  const std::vector<TokenId> a = TakeTokens(in, 48);
-  const std::vector<TokenId> b = TakeTokens(in, 48);
+  std::vector<TokenId> a;
+  std::vector<TokenId> b;
+  if ((head / 4) % 2 == 1) {
+    // b is an edit script over a random base a (fuzz/near_duplicate.h).
+    infoshield::Rng rng(in.TakeUint64());
+    a = infoshield::fuzz::TakeNearDuplicateBase(in, rng);
+    b = infoshield::fuzz::TakeEdited(in, rng, a);
+  } else {
+    a = TakeTokens(in, 48);
+    b = TakeTokens(in, 48);
+  }
 
   const Alignment alignment = NeedlemanWunsch(a, b, scoring);
   CHECK(AlignmentIsConsistent(alignment, a, b))

@@ -1,7 +1,9 @@
 // Harness (d2): POA / profile MSA validity.
 //
 // Input: the sequences, then a scoring index (exhausted input selects
-// the default scoring).
+// the default scoring). The sequences are either short fuzzed ones or,
+// in the near-duplicate mode, edited copies of a base of up to 600
+// tokens, which reach AddSequence's band doubling and its fallback.
 //
 // Properties, after fusing each fuzzed sequence:
 //  * PoaGraph::ValidateInvariants holds (DAG, consistent topological
@@ -22,9 +24,11 @@
 #include "fuzz_util.h"
 #include "msa/poa.h"
 #include "msa/profile_msa.h"
+#include "near_duplicate.h"
 #include "oracle/reference_msa.h"
 #include "text/vocabulary.h"
 #include "util/logging.h"
+#include "util/random.h"
 #include "util/status.h"
 
 namespace {
@@ -37,8 +41,22 @@ using infoshield::TokenId;
 
 std::vector<std::vector<TokenId>> TakeSequences(
     infoshield::fuzz::FuzzInput& in) {
-  const size_t count = 1 + in.TakeBounded(7);
+  // The count is 1 + the head word mod 8, i.e. 1 + TakeBounded(7); the
+  // next bit picks the near-duplicate mode, so heads 0-7 decode as they
+  // always have.
+  const uint64_t head = in.TakeUint64();
+  const size_t count = 1 + head % 8;
   std::vector<std::vector<TokenId>> seqs(count);
+  if ((head / 8) % 2 == 1) {
+    // A random base, then an edit script over it per further sequence
+    // (fuzz/near_duplicate.h).
+    infoshield::Rng rng(in.TakeUint64());
+    seqs[0] = infoshield::fuzz::TakeNearDuplicateBase(in, rng);
+    for (size_t i = 1; i < count; ++i) {
+      seqs[i] = infoshield::fuzz::TakeEdited(in, rng, seqs[0]);
+    }
+    return seqs;
+  }
   for (auto& seq : seqs) {
     const size_t len = in.TakeBounded(24);
     seq.reserve(len);

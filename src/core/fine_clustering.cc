@@ -24,6 +24,7 @@ void FineStageStats::MergeFrom(const FineStageStats& other) {
   consensus_probes += other.consensus_probes;
   consensus_cache_hits += other.consensus_cache_hits;
   slot_candidates_evaluated += other.slot_candidates_evaluated;
+  dp_cells += other.dp_cells;
 }
 
 double FineStageStats::cache_hit_rate() const {
@@ -67,7 +68,10 @@ FineClustering::ConsensusChoice FineClustering::EvaluateCandidate(
     choice.alignments.push_back(NeedlemanWunsch(choice.tmpl.tokens, doc,
                                                 options_.scoring, &workspace));
   }
-  if (stats != nullptr) stats->alignments_computed += docs.size();
+  if (stats != nullptr) {
+    stats->alignments_computed += docs.size();
+    stats->dp_cells += workspace.cells;
+  }
   std::vector<double> base_costs;
   DetectSlots(choice.tmpl, choice.alignments, cost_model, stats, &base_costs);
   // Template cost first, then per-document bases — floating-point
@@ -372,6 +376,7 @@ ClusterClaims ClaimSeeds(
     }
     claims.seeds.push_back(std::move(claim));
   }
+  claims.stats.dp_cells = workspace.cells;
   return claims;
 }
 
@@ -387,9 +392,11 @@ Candidate ProposeTemplate(const FineClustering& fine, const Corpus& corpus,
   member_docs.reserve(members.size());
   for (DocId d : members) member_docs.push_back(corpus.doc(d).tokens);
   std::unique_ptr<MsaAligner> graph;
+  const PoaGraph* poa = nullptr;
   switch (options.msa_backend) {
     case MsaBackend::kPoa:
       graph = std::make_unique<PoaGraph>(member_docs[0], options.scoring);
+      poa = static_cast<const PoaGraph*>(graph.get());
       break;
     case MsaBackend::kProfile:
       graph = std::make_unique<ProfileMsa>(member_docs[0], options.scoring);
@@ -398,6 +405,7 @@ Candidate ProposeTemplate(const FineClustering& fine, const Corpus& corpus,
   for (size_t m = 1; m < member_docs.size(); ++m) {
     graph->AddSequence(member_docs[m]);
   }
+  if (poa != nullptr) candidate.stats.dp_cells += poa->dp_cells();
   // The winning probe already aligned every member and detected slots;
   // SearchConsensus hands all of it back, so nothing is recomputed.
   FineClustering::ConsensusChoice choice =

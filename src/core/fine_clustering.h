@@ -79,6 +79,10 @@ struct FineStageStats {
   size_t consensus_cache_hits = 0;
   // Candidate slot positions evaluated by DetectSlots.
   size_t slot_candidates_evaluated = 0;
+  // DP cells the Needleman-Wunsch alignments and POA fusions filled,
+  // rejected bands included (AlignmentWorkspace::cells,
+  // PoaGraph::dp_cells). Thread-count invariant.
+  uint64_t dp_cells = 0;
 
   void MergeFrom(const FineStageStats& other);
   double cache_hit_rate() const;

@@ -62,22 +62,30 @@ struct AlignmentScoring {
   int gap = -1;
 };
 
-// Reusable DP buffers for NeedlemanWunsch. `score` holds the two rolling
-// score rows, 2·(|b|+1) ints; `move` holds a 2-bit move per cell, packed
-// four to a byte per row, |a|·ceil((|b|+1)/4) bytes. With |b|+1 bytes
-// of per-call row scratch, an alignment needs 9·(|b|+1) +
-// |a|·ceil((|b|+1)/4) bytes, ~0.25 B per cell: 4 MB for 4,000 x 4,000
-// tokens. The fine stage aligns every cluster member against every
-// probed consensus; one workspace per calling loop amortizes the buffers
-// to high-water-mark allocations. A workspace must not be shared across
-// threads.
+// Reusable DP buffers for NeedlemanWunsch, which fills only a diagonal
+// band of W diagonals around the pair's corners (msa/nw_kernel.h,
+// DESIGN.md §18). `score` holds the two rolling band rows,
+// 2·(min(W, |b|+1)+1) ints; `move` holds a 2-bit move per band cell,
+// packed four to a byte per row, |a|·ceil(min(W, |b|+1)/4) bytes;
+// `verdict` is min(W, |b|+1) bytes of row scratch. Near-duplicates
+// certify W = |Δ| + 129 (Δ = |b| - |a|): ~130 KB for 4,000 x 4,000
+// tokens, against 4 MB for the full band. The fine stage aligns every
+// cluster member against every probed consensus; one workspace per
+// calling loop amortizes the buffers to high-water-mark allocations. A
+// workspace must not be shared across threads.
 struct AlignmentWorkspace {
   std::vector<int> score;
   std::vector<uint8_t> move;
+  std::vector<uint8_t> verdict;
+  // DP cells (i, j >= 1) filled by every call so far, rejected bands
+  // included: a deterministic work count.
+  uint64_t cells = 0;
 };
 
 // Global alignment of b against a. Deterministic tie-breaking
-// (diagonal > delete > insert). O(|a|·|b|) time; memory as stated for
+// (diagonal > delete > insert). Identical to the full-table DP, but
+// fills only a band the score certifies: O(|a|·W) time for a band of W
+// diagonals, O(|a|·|b|) when no band certifies; memory as stated for
 // AlignmentWorkspace. `workspace`, when given, supplies the DP buffers
 // (contents are scratch); the result is identical with or without it.
 Alignment NeedlemanWunsch(const std::vector<TokenId>& a,

@@ -5,9 +5,15 @@
 // dynamic program over (graph node in topological order) x (sequence
 // position); matched tokens fuse into existing nodes (raising their
 // support count), everything else becomes fresh nodes, so the graph
-// remains a lossless multiple sequence alignment. The DP stores only its
-// int score table, 4·(nodes+1)·(|seq|+1) bytes; the traceback re-derives
-// each move from the scores (DESIGN.md §18).
+// remains a lossless multiple sequence alignment. The DP stores only
+// int scores, and only for a band of columns per node: the cells whose
+// unavoidable gap count, from the node's shortest and longest paths to
+// the source and to the sinks, stays within a slack G. G doubles until
+// the best score strictly beats every path that leaves the band, so the
+// graph equals the full-table DP's (DESIGN.md §18). Near-duplicates take
+// ~4·nodes·(G+1) bytes with G ≈ ||seq| - path length| + 128, against
+// 4·(nodes+1)·(|seq|+1) for the full table. The traceback re-derives
+// each move from the scores.
 //
 // InfoShield-Fine uses the graph's per-node support counts to generate
 // candidate consensus sequences: Sel(A, h) keeps the nodes visited by more
@@ -21,6 +27,7 @@
 #define INFOSHIELD_MSA_POA_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "msa/aligner.h"
@@ -47,6 +54,10 @@ class PoaGraph : public MsaAligner {
   size_t num_sequences() const override { return num_sequences_; }
   size_t node_count() const { return nodes_.size(); }
 
+  // DP cells (node row, column >= 1) filled by every AddSequence so far,
+  // rejected bands included: a deterministic work count.
+  uint64_t dp_cells() const { return dp_cells_; }
+
   // Highest support value of any node (0 for an empty graph).
   size_t max_support() const;
 
@@ -70,15 +81,53 @@ class PoaGraph : public MsaAligner {
     std::vector<uint32_t> in;   // edges from predecessor nodes
   };
 
+  // AddSequence's DP has rows = the virtual start (row 0), then the nodes
+  // in topological order, and columns 0..|seq|.
+  struct PathBounds {
+    // Node counts of the shortest / longest path from a source to the
+    // row's node (the node included) and from it to a sink (excluded).
+    uint32_t pre_min;
+    uint32_t pre_max;
+    uint32_t suf_min;
+    uint32_t suf_max;
+  };
+  // Row r's band: columns [lo, end) at score_[start + j - lo].
+  struct RowBand {
+    size_t start;
+    size_t lo;
+    size_t end;
+  };
+
   uint32_t NewNode(TokenId token);
   void AddEdge(uint32_t from, uint32_t to);
   void RecomputeTopoOrder();
+  // Fills path_ for the current graph and returns the node counts of the
+  // shortest and longest source-to-sink paths.
+  std::pair<size_t, size_t> ComputePathBounds();
+  // Lays out row_ and sizes score_ for an m-column DP: every row whole
+  // when `full`, else each node row's cells whose paths have at most
+  // `slack` gaps. Returns the node-row cells with column >= 1.
+  uint64_t LayOutRows(size_t m, bool full, size_t slack);
+  // Loads row r's predecessor rows into preds_, in in-edge order (the
+  // virtual start for a source).
+  void LoadPreds(size_t r);
+  // Fills score_ over row_ for `seq`.
+  void FillRows(const std::vector<TokenId>& seq);
+  // Score of cell (r, j); -inf outside row r's band.
+  int ScoreAt(size_t r, size_t j) const;
 
   AlignmentScoring scoring_;
   std::vector<Node> nodes_;
   std::vector<uint32_t> topo_order_;  // node ids, topologically sorted
   std::vector<uint32_t> topo_rank_;   // node id -> rank in topo_order_
   size_t num_sequences_ = 0;
+
+  // AddSequence's DP scratch, reused across calls.
+  std::vector<PathBounds> path_;
+  std::vector<RowBand> row_;
+  std::vector<int> score_;
+  std::vector<uint32_t> preds_;
+  uint64_t dp_cells_ = 0;
 };
 
 }  // namespace infoshield

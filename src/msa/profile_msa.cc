@@ -74,16 +74,20 @@ void ProfileMsa::AddSequence(const std::vector<TokenId>& seq) {
   }
 
   // NW over (profile columns) x (sequence positions) on the shared
-  // kernel (msa/nw_kernel.h): two score rows and 2-bit moves. Its border
-  // is the cumulative sum of gaps, exact in double for integer gaps.
+  // kernel (msa/nw_kernel.h): two score rows and 2-bit moves over the
+  // full band, since no certificate bounds its expected scores. Its
+  // border is the cumulative sum of gaps, exact in double for integer
+  // gaps.
+  const internal::NwBand band = internal::NwBand::Full(n, m);
   std::vector<double> rows;
   std::vector<uint8_t> moves;
+  std::vector<uint8_t> verdicts;
   internal::NwFill(
-      n, m, static_cast<double>(scoring_.gap),
+      band, static_cast<double>(scoring_.gap),
       [&](size_t i, size_t j) {
         return ColumnScore(columns_[i - 1], seq[j - 1]);
       },
-      &rows, &moves);
+      &rows, &moves, &verdicts);
 
   // Backtrace into per-column actions, then rebuild the profile.
   struct Action {
@@ -93,7 +97,7 @@ void ProfileMsa::AddSequence(const std::vector<TokenId>& seq) {
   };
   std::vector<Action> actions;
   actions.reserve(n + m);
-  internal::NwTraceback(n, m, moves, [&](uint8_t move, size_t i, size_t j) {
+  internal::NwTraceback(band, moves, [&](uint8_t move, size_t i, size_t j) {
     actions.push_back({move, i - 1, j - 1});
   });
   std::reverse(actions.begin(), actions.end());

@@ -53,6 +53,10 @@ class PoaGraphTestPeer {
   static void SetSupport(PoaGraph& g, size_t node, uint32_t support) {
     g.nodes_[node].support = support;
   }
+  // The DP score storage AddSequence keeps between calls.
+  static const std::vector<int>& Scores(const PoaGraph& g) {
+    return g.score_;
+  }
 };
 
 class UnionFindTestPeer {
@@ -146,6 +150,34 @@ TEST(PoaAuditTest, DetectsOutOfRangeSupport) {
   PoaGraphTestPeer::SetSupport(
       graph2, 0, static_cast<uint32_t>(graph2.num_sequences()) + 7);
   EXPECT_FALSE(graph2.ValidateInvariants().ok());
+}
+
+// AddSequence keeps one band of scores per node row, not the
+// (nodes+1)(|seq|+1) table. A 4,002-token near-duplicate (2%
+// substitutions, a 10-token deletion, a 12-token insertion) fused into
+// a 4,000-node graph certifies the first slack G = ||seq| - 4,000| + 128,
+// so each node row holds at most G + 1 cells; the virtual start row
+// stays whole.
+TEST(PoaMemoryTest, ScoreStorageHoldsOnlyTheBand) {
+  Rng rng(4000);
+  std::vector<TokenId> base;
+  for (size_t i = 0; i < 4000; ++i) {
+    base.push_back(static_cast<TokenId>(rng.NextIndex(5000)));
+  }
+  std::vector<TokenId> seq = base;
+  for (TokenId& t : seq) {
+    if (rng.NextDouble() < 0.02) t = static_cast<TokenId>(rng.NextIndex(5000));
+  }
+  seq.erase(seq.begin() + 1000, seq.begin() + 1010);
+  seq.insert(seq.begin() + 3000, 12, 4242);
+  PoaGraph graph(base);
+  graph.AddSequence(seq);
+  EXPECT_TRUE(graph.ValidateInvariants().ok());
+  const size_t nodes = base.size();
+  const size_t slack = seq.size() - nodes + 128;
+  const std::vector<int>& scores = PoaGraphTestPeer::Scores(graph);
+  EXPECT_LE(scores.capacity(), nodes * (slack + 1) + seq.size() + 1);
+  EXPECT_LE(graph.dp_cells(), nodes * (slack + 1));
 }
 
 // --- Union-find corruption -------------------------------------------

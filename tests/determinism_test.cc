@@ -207,7 +207,9 @@ TEST(DeterminismTest, FineFanOutMatchesSerialRunOnCluster) {
   // RunOnClusters splits every cluster into claims, one candidate fan-out
   // across all clusters, and acceptance. At any thread count each
   // cluster's result must equal a serial RunOnCluster field for field:
-  // templates, members, noise, encoding and cost bits, and work counters.
+  // templates, members, noise, encoding and cost bits, and work counters,
+  // the DP cell count included (DiffFineResults leaves it out, since the
+  // reference fine stage re-aligns what production caches).
   const FineInput inputs[] = {CoarseClustersOf(MakeCorpus(/*seed=*/7).corpus),
                               MakeChainClusters()};
   const FineClustering fine;
@@ -230,6 +232,9 @@ TEST(DeterminismTest, FineFanOutMatchesSerialRunOnCluster) {
         EXPECT_EQ(oracle::DiffFineResults(fanned[ci], serial[ci]), "")
             << "threads=" << threads << ", cluster " << ci << " of "
             << in.corpus.size() << "-document corpus";
+        EXPECT_GT(fanned[ci].stats.dp_cells, 0u);
+        EXPECT_EQ(fanned[ci].stats.dp_cells, serial[ci].stats.dp_cells)
+            << "threads=" << threads << ", cluster " << ci;
       }
     }
   }

@@ -114,6 +114,37 @@ payload += bytes([0] * 10)
 payload += bounded(6, 12)
 write("pairwise", "tie_heavy_scoring", payload)
 
+# --- near-duplicate mode (fuzz/near_duplicate.h) ---------------------
+# The pairwise and poa harnesses read a head word first; the bit above
+# its old range selects this mode. Then an Rng seed, a base length and
+# one edit script per edited sequence.
+def edit_script(rate, blocks, length):
+    """rate in 1024ths; blocks = [(insert, offset, count)] with offsets
+    bounded by the running length, which this tracks."""
+    out = bounded(rate, 1024) + bounded(len(blocks), 4)
+    for insert, offset, count in blocks:
+        out += byte(0 if insert else 1) + bounded(offset, length)
+        out += bounded(count, 200)
+        length = length + count if insert else length - min(count,
+                                                             length - offset)
+    return out
+
+def near_duplicates(head, seed, length, scripts):
+    out = u64(head) + u64(seed) + bounded(length, 600)
+    for rate, blocks in scripts:
+        out += edit_script(rate, blocks, length)
+    return out
+
+# One seed per NeedlemanWunsch band path: ~1% edits certify the first
+# band; a 150-token block shift needs two doublings; unrelated
+# sequences double until the band is the full table.
+write("pairwise", "near_dup_first_band",
+      near_duplicates(4, 11, 480, [(8, [(True, 100, 3), (False, 300, 2)])]))
+write("pairwise", "near_dup_block_shift",
+      near_duplicates(4, 12, 500, [(0, [(False, 0, 150), (True, 350, 150)])]))
+write("pairwise", "near_dup_unrelated",
+      near_duplicates(4, 13, 400, [(1024, [])]))
+
 # --- poa: sequence count + sequences [+ scoring index] ---------------
 def poa_seqs(seqs, scoring=None):
     out = bounded(len(seqs) - 1, 7)
@@ -135,6 +166,17 @@ write("poa", "single_long",
 write("poa", "tie_heavy_scoring",
       poa_seqs([[2, 2, 1, 1, 0, 2, 3, 0], [0, 3, 1, 3, 3, 1],
                 [1, 0, 0, 1, 0]], scoring=2))
+
+# One seed per AddSequence band path, as for pairwise. The first adds a
+# 20-token deletion, so the graph gets a bubble of unequal length.
+write("poa", "near_dup_first_band",
+      near_duplicates(8 + 2, 21, 450, [(8, [(False, 200, 20)]),
+                                       (8, [(True, 100, 15)])]))
+write("poa", "near_dup_block_shift",
+      near_duplicates(8 + 1, 22, 500, [(0, [(False, 0, 150),
+                                            (True, 350, 150)])]))
+write("poa", "near_dup_unrelated",
+      near_duplicates(8 + 1, 23, 400, [(1024, [])]))
 
 # --- diff_fine / diff_coarse: option byte + synthetic families -------
 def family(base, docs):

@@ -95,8 +95,10 @@ FineResult ReferenceAcceptance(
 // Empty when `actual` equals `expected` field for field: every
 // template's tokens, slot gaps and members, every encoding's base_cost
 // bits and slot words, the noise list, cost_before and cost_after bits,
-// and every FineStageStats counter. Otherwise describes the first field
-// that differs.
+// and every FineStageStats counter but dp_cells, which the reference
+// does not reproduce: it re-aligns every probe production serves from
+// its consensus cache. Otherwise describes the first field that
+// differs.
 std::string DiffFineResults(const FineResult& actual,
                             const FineResult& expected);
 

@@ -1,5 +1,7 @@
 #include "msa/pairwise.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "oracle/reference_msa.h"
@@ -224,9 +226,11 @@ TEST(NeedlemanWunschOracleTest, MatchesFullTableReference) {
   }
 }
 
-// The workspace holds two score rows and 2-bit moves, not (|a|+1)(|b|+1)
-// tables: 6,000 x 6,000 tokens keep 12k ints and ~9 MB of moves instead
-// of 36M-entry tables.
+// The workspace holds two band rows and 2-bit moves for the band the
+// score certifies, not (|a|+1)(|b|+1) tables nor full-width rows.
+// NearDuplicate edits ~15% of the tokens, so this pair certifies the
+// half-band 1,024 (after four doublings from 64): 2,049 diagonals, so
+// 4,100 ints and ~3.1 MB of moves instead of 12,002 ints and ~9 MB.
 TEST(NeedlemanWunschTest, WorkspaceHoldsTwoRowsAndTwoBitMoves) {
   Rng rng(6000);
   const Tokens a = RandomTokens(rng, 6000, 1000);
@@ -236,8 +240,144 @@ TEST(NeedlemanWunschTest, WorkspaceHoldsTwoRowsAndTwoBitMoves) {
   AlignmentWorkspace ws;
   const Alignment al = NeedlemanWunsch(a, b, AlignmentScoring{}, &ws);
   EXPECT_TRUE(AlignmentIsConsistent(al, a, b));
-  EXPECT_EQ(ws.score.size(), 2 * (b.size() + 1));
-  EXPECT_LE(ws.move.size(), (a.size() + 1) * ((b.size() + 1 + 3) / 4));
+  constexpr size_t kBand = 2 * 1024 + 1;
+  EXPECT_LE(ws.score.size(), 2 * (kBand + 1));
+  EXPECT_LE(ws.move.size(), a.size() * ((kBand + 3) / 4));
+}
+
+// The workspace counts the DP cells it fills. A long pair with 2%
+// substitutions certifies the first band, far below |a|·|b|; a pair
+// that fits the first band fills the full table, once.
+TEST(NeedlemanWunschTest, CountsFilledDpCells) {
+  Rng rng(7);
+  const Tokens a = RandomTokens(rng, 4000, 5000);
+  Tokens b = a;
+  for (TokenId& t : b) {
+    if (rng.NextDouble() < 0.02) t = static_cast<TokenId>(rng.NextIndex(5000));
+  }
+  AlignmentWorkspace ws;
+  EXPECT_EQ(NeedlemanWunsch(a, b, AlignmentScoring{}, &ws).ops,
+            oracle::ReferenceNeedlemanWunsch(a, b).ops);
+  EXPECT_GT(ws.cells, 0u);
+  EXPECT_LE(ws.cells, a.size() * b.size() / 8);
+
+  const Tokens c = RandomTokens(rng, 20, 5);
+  const Tokens d = RandomTokens(rng, 20, 5);
+  AlignmentWorkspace small;
+  NeedlemanWunsch(c, d, AlignmentScoring{}, &small);
+  EXPECT_EQ(small.cells, 400u);
+  // Identical sequences skip the DP.
+  NeedlemanWunsch(c, c, AlignmentScoring{}, &small);
+  EXPECT_EQ(small.cells, 400u);
+}
+
+Tokens Concat(Tokens a, const Tokens& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+// Path: two doublings. a = B + S and b = S + B' with |B| = |B'| = 150
+// and |S| = 1,000: the optimal path runs on diagonal -150 (or +150 with
+// the roles swapped), outside the half-bands 64 and 128, so only the
+// third band (256) certifies. Accepting an earlier band would align S
+// against itself shifted and change the ops.
+TEST(NeedlemanWunschOracleTest, BlockShiftDoublesTheBandTwice) {
+  Rng rng(8);
+  const Tokens block = RandomTokens(rng, 150, 5000);
+  const Tokens shared = RandomTokens(rng, 1000, 5000);
+  const Tokens other = RandomTokens(rng, 150, 5000);
+  const Tokens a = Concat(block, shared);
+  const Tokens b = Concat(shared, other);
+  for (const auto& [x, y] : {std::pair(a, b), std::pair(b, a)}) {
+    AlignmentWorkspace ws;
+    EXPECT_EQ(NeedlemanWunsch(x, y, AlignmentScoring{}, &ws).ops,
+              oracle::ReferenceNeedlemanWunsch(x, y).ops);
+    EXPECT_EQ(ws.verdict.size(), 2 * 256 + 1u);  // the band's width
+    EXPECT_LT(ws.cells, x.size() * y.size());
+  }
+}
+
+// Path: full table at once. With 2·gap >= max(match, mismatch) a path
+// loses nothing per extra gap pair, so no band can be certified; under
+// {0, -1, 0} gaps are free and ties abound.
+TEST(NeedlemanWunschOracleTest, ScoringWithoutABoundFillsTheFullTable) {
+  Rng rng(9);
+  const AlignmentScoring free_gaps{0, -1, 0};
+  for (int trial = 0; trial < 4; ++trial) {
+    const Tokens a = RandomTokens(rng, 300, trial < 2 ? 4 : 50);
+    const Tokens b = oracle::NearDuplicate(rng, a, trial < 2 ? 4 : 50);
+    AlignmentWorkspace ws;
+    EXPECT_EQ(NeedlemanWunsch(a, b, free_gaps, &ws).ops,
+              oracle::ReferenceNeedlemanWunsch(a, b, free_gaps).ops);
+    EXPECT_EQ(ws.cells, a.size() * b.size());
+  }
+}
+
+// Path: full table after every band fails. Unrelated sequences score
+// far below any band's bound, so the band doubles until it covers the
+// table; the failed passes count as filled cells.
+TEST(NeedlemanWunschOracleTest, UnrelatedPairDoublesToTheFullTable) {
+  Rng rng(12);
+  const Tokens a = RandomTokens(rng, 500, 1000);
+  const Tokens b = RandomTokens(rng, 500, 1000);
+  AlignmentWorkspace ws;
+  EXPECT_EQ(NeedlemanWunsch(a, b, AlignmentScoring{}, &ws).ops,
+            oracle::ReferenceNeedlemanWunsch(a, b).ops);
+  EXPECT_EQ(ws.verdict.size(), b.size() + 1);
+  EXPECT_GT(ws.cells, a.size() * b.size());
+}
+
+// Paths: |Δ| = ||b| - |a|| beyond the first band's half-width. A
+// 40-token side fits the first band whole (full table, one pass); a
+// 300-token side gets the band [min(0,Δ) - 64, max(0,Δ) + 64], which
+// holds every diagonal the short side can reach, and certifies at once.
+TEST(NeedlemanWunschOracleTest, LengthGapWiderThanTheFirstBand) {
+  Rng rng(10);
+  const Tokens a = RandomTokens(rng, 3000, 2000);
+  const Tokens short_side(a.begin() + 1000, a.begin() + 1040);
+  Tokens mid_side(a.begin() + 1000, a.begin() + 1300);
+  for (TokenId& t : mid_side) {
+    if (rng.NextDouble() < 0.02) t = static_cast<TokenId>(rng.NextIndex(2000));
+  }
+  for (const auto& [x, y] :
+       {std::pair(a, short_side), std::pair(short_side, a)}) {
+    AlignmentWorkspace ws;
+    EXPECT_EQ(NeedlemanWunsch(x, y, AlignmentScoring{}, &ws).ops,
+              oracle::ReferenceNeedlemanWunsch(x, y).ops);
+    EXPECT_EQ(ws.cells, x.size() * y.size());
+  }
+  for (const auto& [x, y] : {std::pair(a, mid_side), std::pair(mid_side, a)}) {
+    AlignmentWorkspace ws;
+    EXPECT_EQ(NeedlemanWunsch(x, y, AlignmentScoring{}, &ws).ops,
+              oracle::ReferenceNeedlemanWunsch(x, y).ops);
+    EXPECT_LT(ws.cells, x.size() * y.size());
+  }
+}
+
+// Path: the first band ties its bound exactly, so it is rejected and the
+// doubled band is the full table. a = V + U and b = W + V (|V| = 33,
+// |U| = |W| = 65, all tokens distinct but one planted match
+// a[97] = b[96]). Inside the half-band 64 the best path uses only the
+// planted match: 1 match, 96 mismatches, 2 gaps = -97. The path that
+// inserts W, matches V and deletes U touches diagonal 65 with 130 gaps:
+// 33 - 130 = -97, exactly the bound. The full traceback leaves (98, 98)
+// by `up` on that path; the band's path leaves it by `left`, so
+// accepting a tie would change the ops.
+TEST(NeedlemanWunschOracleTest, BandThatTiesItsBoundIsRejected) {
+  Tokens v(33);
+  Tokens u(65);
+  Tokens w(65);
+  TokenId next = 0;
+  for (Tokens* part : {&v, &u, &w}) {
+    for (TokenId& t : *part) t = next++;
+  }
+  u.back() = v[31];
+  const Tokens a = Concat(v, u);
+  const Tokens b = Concat(w, v);
+  AlignmentWorkspace ws;
+  EXPECT_EQ(NeedlemanWunsch(a, b, AlignmentScoring{}, &ws).ops,
+            oracle::ReferenceNeedlemanWunsch(a, b).ops);
+  EXPECT_EQ(ws.verdict.size(), b.size() + 1);
 }
 
 }  // namespace
