@@ -24,6 +24,10 @@ namespace infoshield {
 class ThreadPool {
  public:
   // num_threads == 0 picks the hardware concurrency (at least 1).
+  // Worker i starts on the i-th CPU the process may use (round-robin)
+  // and then keeps the creating thread's whole CPU mask, so a pool's
+  // workers begin spread out rather than wherever the kernel first puts
+  // new threads (thread_pool.cc).
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 

@@ -1,5 +1,9 @@
 #include "util/thread_pool.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <numeric>
 #include <thread>
@@ -104,6 +108,37 @@ TEST(ThreadPoolTest, WaitRacingSubmitNeverLosesTasks) {
   }
   EXPECT_EQ(counter.load(), kTasks);
 }
+
+#if defined(__linux__)
+// Workers start on spread-out CPUs, but each must end up with the
+// creating thread's whole CPU mask, never pinned to the one it began on.
+TEST(ThreadPoolTest, WorkersKeepTheCreatorsCpuMask) {
+  cpu_set_t creator{};
+  ASSERT_EQ(sched_getaffinity(0, sizeof(creator), &creator), 0);
+  // More workers than CPUs, so the round-robin placement wraps.
+  const size_t workers = 2 * static_cast<size_t>(CPU_COUNT(&creator)) + 1;
+  std::vector<cpu_set_t> masks(workers);
+  std::vector<char> read(workers, 0);
+  std::atomic<size_t> started{0};
+  {
+    ThreadPool pool(workers);
+    for (size_t t = 0; t < workers; ++t) {
+      pool.Submit([&, t] {
+        // Each task holds its worker until every task has started, so
+        // every worker reports its own mask.
+        started.fetch_add(1);
+        while (started.load() < workers) std::this_thread::yield();
+        read[t] = sched_getaffinity(0, sizeof(masks[t]), &masks[t]) == 0;
+      });
+    }
+    pool.Wait();
+  }
+  for (size_t t = 0; t < workers; ++t) {
+    ASSERT_TRUE(read[t]) << "task " << t;
+    EXPECT_TRUE(CPU_EQUAL(&masks[t], &creator)) << "task " << t;
+  }
+}
+#endif
 
 TEST(ParallelForTest, CoversEveryIndexOnce) {
   const size_t n = 1000;
