@@ -6,8 +6,8 @@
 // fuzz bytes into a synthetic corpus plus a random batch split of it,
 // drives the incremental engine batch by batch, and after every prefix
 // asserts byte equality against the batch oracle — so the fuzzer
-// explores the fast-path/rebuild dichotomy, cache reuse, vocabulary
-// growth, and degree-cap replays all at once.
+// explores cache reuse, dirty marking, vocabulary growth, and
+// degree-cap replays all at once.
 
 #include <cstdint>
 #include <string>

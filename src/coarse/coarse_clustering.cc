@@ -28,54 +28,39 @@ void EmitCoarseComponents(UnionFind& uf, const CoarseOptions& options,
 }
 
 // analyzer: hot
+void BuildCoarseComponents(const CoarseOptions& options,
+                           CoarseResult* result) {
+  const std::vector<std::vector<PhraseHash>>& keys = result->doc_top_phrases;
+  UnionFind uf(keys.size());
+  CoarseEdgeAccumulator edges(options.max_phrase_degree, &uf);
+  result->num_edges = 0;
+  for (DocId d = 0; d < keys.size(); ++d) {
+    result->num_edges += keys[d].size();
+    for (const PhraseHash key : keys[d]) edges.Add(d, key);
+  }
+  EmitCoarseComponents(uf, options, result);
+}
+
 CoarseResult CoarseClustering::Run(const Corpus& corpus) const {
   const size_t threads = ThreadPool::ResolveNumThreads(options_.num_threads);
   if (options_.backend == CoarseBackend::kMinhashLsh) {
     return RunLshCoarse(corpus, options_, threads);
   }
   CoarseResult result;
-  const size_t n = corpus.size();
-  if (n == 0) return result;
+  if (corpus.size() == 0) return result;
 
   WallTimer timer;
   TfidfIndex index;
   index.Build(corpus, options_.tfidf, threads);
   result.stats.index_seconds = timer.ElapsedSeconds();
 
-  // Top-phrase selection: against the frozen df table TopPhrases is a
-  // pure function of the document, so workers own contiguous chunks and
-  // write only their documents' doc_top_phrases slots.
   timer.Restart();
-  result.doc_top_phrases.resize(n);
-  const size_t num_chunks = std::min(n, threads * 4);
-  ThreadPool::ParallelFor(threads, num_chunks, [&](size_t chunk) {
-    const size_t end = (chunk + 1) * n / num_chunks;
-    for (size_t d = chunk * n / num_chunks; d < end; ++d) {
-      // analyzer: allow(hot-loop-alloc) -- TopPhrases returns its scored
-      // list by value (one move per document, the API contract).
-      const std::vector<ScoredPhrase> scored =
-          index.TopPhrases(corpus.docs()[d]);
-      std::vector<PhraseHash>& top = result.doc_top_phrases[d];
-      top.reserve(scored.size());
-      for (const ScoredPhrase& phrase : scored) top.push_back(phrase.hash);
-    }
-  });
+  result.doc_top_phrases = SelectTopPhrases(index, corpus, threads);
   result.stats.top_phrase_seconds = timer.ElapsedSeconds();
 
-  // The doc_top_phrases lists, read in document order, are the edges in
-  // canonical (document, phrase-rank) order.
   timer.Restart();
-  UnionFind uf(n);
-  CoarseEdgeAccumulator edges(options_.max_phrase_degree, &uf);
-  for (DocId d = 0; d < n; ++d) {
-    for (PhraseHash phrase : result.doc_top_phrases[d]) {
-      ++result.num_edges;
-      edges.Add(d, phrase);
-    }
-  }
+  BuildCoarseComponents(options_, &result);
   result.stats.graph_seconds = timer.ElapsedSeconds();
-
-  EmitCoarseComponents(uf, options_, &result);
   return result;
 }
 

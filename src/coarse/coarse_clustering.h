@@ -37,9 +37,9 @@ namespace infoshield {
 //    structure. Components are the connected components of the
 //    "shares a band bucket" relation.
 //
-// Both backends emit through the same CoarseEdgeAccumulator replay and
-// EmitCoarseComponents, so downstream fine-stage code is untouched and
-// both are byte-identical across thread counts.
+// Both backends emit through the same BuildCoarseComponents replay, so
+// downstream fine-stage code is untouched and both are byte-identical
+// across thread counts.
 enum class CoarseBackend : uint8_t {
   kTfidfGraph = 0,
   kMinhashLsh = 1,
@@ -80,7 +80,8 @@ struct CoarseStageStats {
   double index_seconds = 0.0;
   // Per-document top-phrase selection + bipartite-edge generation.
   double top_phrase_seconds = 0.0;
-  // Canonical-order edge replay into the UnionFind.
+  // Canonical-order edge replay and component emission
+  // (BuildCoarseComponents).
   double graph_seconds = 0.0;
 };
 
@@ -106,8 +107,8 @@ struct CoarseResult {
 };
 
 // The anchor/degree/union pass over bipartite edges in canonical
-// (document, phrase-rank) order, shared by both coarse backends and,
-// statefully, by the incremental ingest path, so none of them can
+// (document, phrase-rank) order, which BuildCoarseComponents runs for
+// both coarse backends and the incremental engine, so none of them can
 // drift. Instead of materializing phrase vertices,
 // documents sharing a top phrase are unioned directly: the first
 // document seen with each phrase acts as the phrase's anchor. This
@@ -128,36 +129,31 @@ class CoarseEdgeAccumulator {
     if (!inserted) uf_->Union(it->second, doc);
   }
 
-  // Drops all anchor/degree state and rebinds to `uf` (which the caller
-  // has reset to all-singletons). The incremental path uses this when a
-  // top-phrase set shrank and the graph must be replayed from scratch;
-  // between rebuilds it keeps one live accumulator and feeds it only the
-  // newly added edges.
-  void Reset(UnionFind* uf) {
-    uf_ = uf;
-    anchor_.clear();
-    degree_.clear();
-  }
-
  private:
   const size_t max_phrase_degree_;
-  // analyzer: borrows(uf_) -- the UnionFind outlives the accumulator:
-  // a local declared just before it (CoarseClustering::Run,
-  // RunLshCoarse), or IncrementalInfoShield::uf_, the sibling member
-  // declared before edges_ (so destroyed after it) and re-passed to
-  // Reset() on every graph rebuild.
+  // analyzer: borrows(uf_) -- the UnionFind outlives the accumulator: it
+  // is a local declared just before it (BuildCoarseComponents, the
+  // test oracle's ReferenceCoarse, perfbench's graph replay).
   UnionFind* uf_;
   std::unordered_map<PhraseHash, DocId> anchor_;
   std::unordered_map<PhraseHash, uint32_t> degree_;
 };
 
 // Component extraction + canonical cluster/singleton emission into
-// `result`, shared by both backends and the incremental assembly:
-// components below min_cluster_size spill into result->singletons
-// (sorted ascending), the rest append to result->clusters in
-// smallest-member order.
+// `result`: components below min_cluster_size spill into
+// result->singletons (sorted ascending), the rest append to
+// result->clusters in smallest-member order.
 void EmitCoarseComponents(UnionFind& uf, const CoarseOptions& options,
                           CoarseResult* result);
+
+// The graph half of the coarse stage, shared by both backends and the
+// incremental engine: replays result->doc_top_phrases (one key list per
+// document, indexed by DocId) in canonical (document, key-rank) order
+// through a CoarseEdgeAccumulator with options.max_phrase_degree, sets
+// result->num_edges to the number of keys replayed, and emits the
+// components (EmitCoarseComponents).
+void BuildCoarseComponents(const CoarseOptions& options,
+                           CoarseResult* result);
 
 class CoarseClustering {
  public:

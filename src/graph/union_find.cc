@@ -14,19 +14,6 @@ UnionFind::UnionFind(size_t n)
   std::iota(parent_.begin(), parent_.end(), 0u);
 }
 
-uint32_t UnionFind::AddElement() {
-  const uint32_t id = static_cast<uint32_t>(parent_.size());
-  parent_.push_back(id);
-  size_.push_back(1);
-  ++num_sets_;
-  return id;
-}
-
-void UnionFind::Reserve(size_t n) {
-  parent_.reserve(n);
-  size_.reserve(n);
-}
-
 uint32_t UnionFind::Find(uint32_t x) {
   CHECK_LT(x, parent_.size());
   while (parent_[x] != x) {

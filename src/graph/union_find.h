@@ -1,13 +1,8 @@
 // Disjoint-set (union-find) with path halving and union by size.
 // Backbone of the coarse stage's connected-component computation.
 //
-// Growable: AddElement appends a fresh singleton set, which is what lets
-// the incremental ingestion path (DESIGN.md §15) union new documents'
-// edges into the existing doc–phrase graph without rebuilding it. Growth
-// makes stale-id bugs far more likely (an id minted against a newer
-// generation handed to an older structure), so every entry point
-// bounds-checks its argument, and Find additionally validates each
-// parent-chain hop in audited builds — a corrupt in-range entry would
+// Every entry point bounds-checks its argument, and Find additionally
+// validates each parent-chain hop — a corrupt in-range entry would
 // otherwise walk off the array silently.
 
 #ifndef INFOSHIELD_GRAPH_UNION_FIND_H_
@@ -24,13 +19,6 @@ namespace infoshield {
 class UnionFind {
  public:
   explicit UnionFind(size_t n);
-
-  // Appends a new element as its own singleton set; returns its id
-  // (== the previous num_elements()).
-  uint32_t AddElement();
-
-  // Pre-grows internal storage for n total elements.
-  void Reserve(size_t n);
 
   // Representative of x's set. Pre-condition: x < num_elements(). Checked.
   uint32_t Find(uint32_t x);

@@ -6,25 +6,22 @@
 // calls, ResultToJson(result(), corpus()) must byte-match a fresh
 // InfoShield::Run over the concatenated corpus (incremental_test and
 // the diff_incremental fuzz harness enforce this). Both assemble their
-// result through AssembleResult. That contract is achievable because
-// every stage is either additive or cheap to replay:
+// result through AssembleResult, and the engine runs the batch
+// pipeline's own code for every stage before it:
 //
-//   df table    — document frequency is a commutative integer sum, so a
-//                 batch's partitioned count folds in exactly
-//                 (SnapshotDfTable::ApplyBatch, the same fold the batch
-//                 index makes); readers score against a frozen snapshot.
+//   df table    — document frequency is a commutative integer sum, so
+//                 the batch's count is added to the engine's TfidfIndex
+//                 in place (TfidfIndex::AddDocuments, the fold the batch
+//                 Build makes over the whole corpus).
 //   top phrases — idf = lg(N/df) moves for EVERY phrase when N grows,
-//                 so all documents are rescored each ingest. This is the
-//                 cheap, embarrassingly-parallel part of the pipeline;
-//                 the savings target is the fine stage below.
-//   graph       — union–find only ever merges, so new edges union in
-//                 place (growable UnionFind + the persistent
-//                 CoarseEdgeAccumulator). Only when an old document's
-//                 top-phrase set LOSES a phrase — or changes at all
-//                 under a max_phrase_degree cap, whose edge-drop choices
-//                 are replay-order-sensitive — is the graph replayed
-//                 from scratch; the replay is O(edges) and allocation-
-//                 cheap next to one fine cluster.
+//                 so all documents are rescored each ingest
+//                 (SelectTopPhrases). This is the cheap, embarrassingly
+//                 parallel part of the pipeline; the savings target is
+//                 the fine stage below.
+//   graph       — the whole doc–phrase graph is replayed each ingest by
+//                 BuildCoarseComponents, exactly as InfoShield::Run does;
+//                 the replay is O(edges) and cheap next to one fine
+//                 cluster.
 //   fine stage  — the expensive part (MDL + alignment) is skipped for
 //                 every CLEAN component: identical member list, no
 //                 member's top phrases changed since the cached result,
@@ -35,9 +32,12 @@
 //                 top-phrase lists, and the cost model, so the cached
 //                 FineResult is exact.
 //
-// Per-batch cost therefore scales with the size of the components the
-// batch touches, not with the corpus (perfbench's incremental.* metrics
-// report it).
+// Only the tf-idf coarse backend is supported: IngestBatch rejects
+// CoarseBackend::kMinhashLsh.
+//
+// Per-batch fine-stage cost therefore scales with the size of the
+// components the batch touches, not with the corpus (perfbench's
+// incremental.* metrics report it).
 
 #ifndef INFOSHIELD_INCREMENTAL_INCREMENTAL_INFOSHIELD_H_
 #define INFOSHIELD_INCREMENTAL_INCREMENTAL_INFOSHIELD_H_
@@ -48,14 +48,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "coarse/coarse_clustering.h"
 #include "core/fine_clustering.h"
 #include "core/infoshield.h"
-#include "graph/union_find.h"
 #include "text/corpus.h"
 #include "text/ngram.h"
 #include "text/tokenizer.h"
-#include "tfidf/snapshot_df_table.h"
+#include "tfidf/tfidf_index.h"
 #include "util/status.h"
 
 namespace infoshield {
@@ -67,11 +65,8 @@ struct IngestStats {
   // Documents in this batch / in the corpus after it.
   size_t batch_docs = 0;
   size_t total_docs = 0;
-  // Documents whose top-phrase list changed this ingest (new documents
-  // always count; old ones only when idf movement reordered them).
-  size_t changed_docs = 0;
-  // True when a lost phrase (or any change under a degree cap) forced a
-  // from-scratch edge replay instead of the fast append-only union.
+  // True for every non-empty batch: each ingest replays the whole
+  // doc–phrase graph (perfbench reports the share).
   bool graph_rebuilt = false;
   // True when vocabulary growth moved lg V and invalidated every cached
   // fine result.
@@ -84,17 +79,13 @@ struct IngestStats {
   // Documents inside the dirty clusters — the "touched-component size"
   // that per-batch cost is supposed to track.
   size_t dirty_cluster_docs = 0;
-  // df generation after this ingest.
+  // Non-empty ingests so far, this one included.
   uint64_t generation = 0;
   // Wall-clock breakdown in seconds.
   double df_seconds = 0.0;
   double rescore_seconds = 0.0;
   double graph_seconds = 0.0;
   double fine_seconds = 0.0;
-
-  double total_seconds() const {
-    return df_seconds + rescore_seconds + graph_seconds + fine_seconds;
-  }
 };
 
 class IncrementalInfoShield {
@@ -107,8 +98,10 @@ class IncrementalInfoShield {
 
   // Appends `texts` to the corpus and brings result() up to date, paying
   // the fine-stage cost only for components the batch touched. Returns
-  // ResourceExhausted (corpus unchanged) when the batch would overflow
-  // the DocId space. An empty batch is a no-op returning zeroed stats.
+  // InvalidArgument, for any batch, unless options().coarse.backend is
+  // kTfidfGraph, and ResourceExhausted when the batch would overflow the
+  // DocId space; the corpus is unchanged in both cases. Otherwise an
+  // empty batch is a no-op returning zeroed stats.
   Result<IngestStats> IngestBatch(const std::vector<std::string>& texts);
 
   // The model over everything ingested so far — byte-identical (via
@@ -116,18 +109,17 @@ class IncrementalInfoShield {
   const InfoShieldResult& result() const { return result_; }
   const Corpus& corpus() const { return corpus_; }
   const InfoShieldOptions& options() const { return options_; }
-  uint64_t generation() const { return df_table_.generation(); }
 
-  // Deep invariant audit (util/audit.h): the df table validates, the
-  // graph covers exactly the corpus, per-document state arrays line up,
-  // every cached fine entry's members exist, and the assembled result
+  // Deep invariant audit (util/audit.h): the df index validates and
+  // covers exactly the corpus, per-document state arrays line up, every
+  // cached fine entry's members exist, and the assembled result
   // validates against the corpus. Returns OK or an Internal status
   // listing every violation.
   Status ValidateInvariants() const;
 
  private:
-  // One cached fine-stage output. `generation` is the df generation the
-  // result was computed at; the entry is reusable while every member's
+  // One cached fine-stage output. `generation` is the ingest the result
+  // was computed at; the entry is reusable while every member's
   // doc_changed_gen_ stays <= it (and lg V holds still).
   struct CachedFine {
     std::vector<DocId> members;
@@ -135,21 +127,16 @@ class IncrementalInfoShield {
     uint64_t generation = 0;
   };
 
-  // Replays the whole doc–phrase graph from scratch in canonical
-  // (document, phrase-rank) order.
-  void RebuildGraph();
-
   InfoShieldOptions options_;
   Corpus corpus_;
-  SnapshotDfTable df_table_;
+  TfidfIndex index_;
+  // Non-empty ingests so far.
+  uint64_t generation_ = 0;
 
-  // Per-document state, indexed by DocId.
+  // Per-document state, indexed by DocId: the top phrases as of the last
+  // ingest, and the ingest at which they last changed.
   std::vector<std::vector<PhraseHash>> doc_top_phrases_;
   std::vector<uint64_t> doc_changed_gen_;
-
-  // Persistent doc–phrase graph (document vertices only).
-  UnionFind uf_;
-  CoarseEdgeAccumulator edges_;
 
   // Fine-result cache keyed by a cluster's smallest member (clusters
   // partition the documents, so within one generation the key is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "graph/union_find.h"
 #include "lsh/lsh_index.h"
 #include "lsh/minhash.h"
 #include "util/logging.h"
@@ -48,15 +47,7 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
   // Documents sharing a bucket key union through the key's anchor
   // document; max_phrase_degree caps bucket degree identically on every
   // path because the edge sequence is identical on every path.
-  UnionFind uf(n);
-  CoarseEdgeAccumulator edges(options.max_phrase_degree, &uf);
-  for (DocId d = 0; d < n; ++d) {
-    for (const PhraseHash key : result.doc_top_phrases[d]) {
-      ++result.num_edges;
-      edges.Add(d, key);
-    }
-  }
-  EmitCoarseComponents(uf, options, &result);
+  BuildCoarseComponents(options, &result);
   return result;
 }
 

@@ -2,9 +2,9 @@
 //
 // Pipeline: tokenized corpus -> per-document MinHash signatures (pure,
 // fanned across the thread pool) -> band bucket keys -> canonical
-// doc-major edge replay through CoarseEdgeAccumulator -> connected
-// components via EmitCoarseComponents. The replay consumes (doc, band
-// key) edges in ascending document order, so (as with the tf-idf
+// doc-major edge replay and connected components, both by
+// BuildCoarseComponents (coarse_clustering.h). The replay consumes
+// (doc, band key) edges in ascending document order, so (as with the tf-idf
 // backend's (doc, phrase-rank) replay) output is byte-identical at any
 // thread count and the max_phrase_degree hub cap drops the same edges
 // at every thread count.

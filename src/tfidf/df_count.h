@@ -14,10 +14,10 @@
 //
 // No worker writes another worker's data, so there are no locks and no
 // merge, and the counts are a pure function of the documents: identical
-// for any thread count. SnapshotDfTable::ApplyBatch folds them into its
-// per-partition FlatDfMaps; the batch index folds a whole-corpus count
-// into an empty table, the incremental engine one batch's count into the
-// live one.
+// for any thread count. TfidfIndex::AddDocuments folds them into its
+// per-partition FlatDfMaps in place: the batch build folds a
+// whole-corpus count into empty maps, the incremental engine one batch's
+// count into the live ones.
 
 #ifndef INFOSHIELD_TFIDF_DF_COUNT_H_
 #define INFOSHIELD_TFIDF_DF_COUNT_H_
@@ -63,9 +63,7 @@ DfCounts CountDocumentFrequencies(const Corpus& corpus, size_t begin,
 
 // One partition's df table: open addressing with linear probing over a
 // flat array of (hash, df) slots, df == 0 marking an empty slot (a stored
-// phrase occurs in at least one document). At most 3/4 full. Copying it
-// is one allocation and a memcpy, which is what makes the snapshot
-// table's copy-on-write partitions cheap.
+// phrase occurs in at least one document). At most 3/4 full.
 class FlatDfMap {
  public:
   // df of `hash`, 0 if absent.

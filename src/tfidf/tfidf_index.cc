@@ -2,40 +2,56 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "tfidf/df_count.h"
-#include "tfidf/snapshot_df_table.h"
 #include "util/audit.h"
 #include "util/status.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace infoshield {
 
 void TfidfIndex::Build(const Corpus& corpus, const TfidfOptions& options,
                        size_t num_threads) {
-  DfCounts counts = CountDocumentFrequencies(corpus, 0, corpus.size(),
-                                             options.max_ngram, num_threads);
-  SnapshotDfTable table;
-  table.ApplyBatch(&counts, corpus.size(), num_threads);
-  BuildFromSnapshot(table.Snapshot(), options);
+  options_ = options;
+  df_ = {};
+  num_documents_ = 0;
+  num_phrases_ = 0;
+  AddDocuments(corpus, 0, corpus.size(), num_threads);
 }
 
-void TfidfIndex::BuildFromSnapshot(const DfSnapshot& snapshot,
-                                   const TfidfOptions& options) {
-  options_ = options;
-  snapshot_ = snapshot;
+void TfidfIndex::AddDocuments(const Corpus& corpus, size_t begin, size_t end,
+                              size_t num_threads) {
+  DfCounts counts = CountDocumentFrequencies(corpus, begin, end,
+                                             options_.max_ngram, num_threads);
+  // One worker per partition adds that partition's counts. It moves the
+  // map into a local and back, which copies nothing and touches df_ only
+  // at the worker's own index: the disjoint-slot form the race analysis
+  // can see (DESIGN.md §11).
+  std::array<size_t, kDfPartitions> inserted{};
+  ThreadPool::ParallelFor(num_threads, kDfPartitions, [&](size_t p) {
+    std::vector<PhraseDf>& run = counts[p];
+    if (run.empty()) return;
+    FlatDfMap map = std::move(df_[p]);
+    map.Reserve(map.size() + run.size());
+    size_t added = 0;
+    for (const PhraseDf& entry : run) {
+      if (map.Add(entry.hash, entry.df)) ++added;
+    }
+    df_[p] = std::move(map);
+    inserted[p] = added;
+    std::vector<PhraseDf>().swap(run);
+  });
+  for (const size_t added : inserted) num_phrases_ += added;
+  num_documents_ += end - begin;
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
 }
 
-size_t TfidfIndex::DocumentFrequency(PhraseHash phrase) const {
-  return snapshot_.DocumentFrequency(phrase);
-}
-
 double TfidfIndex::ScoreWithDf(size_t df, size_t tf) const {
-  const size_t num_documents = snapshot_.num_documents();
-  if (df == 0 || num_documents == 0) return 0.0;
+  if (df == 0 || num_documents_ == 0) return 0.0;
   double idf =
-      std::log(static_cast<double>(num_documents) / static_cast<double>(df));
+      std::log(static_cast<double>(num_documents_) / static_cast<double>(df));
   return static_cast<double>(tf) * idf;
 }
 
@@ -94,7 +110,52 @@ Status TfidfIndex::ValidateInvariants() const {
            StrFormat("top_fraction %.3f outside [0, 1]",
                      options_.top_fraction));
   a.Expect(options_.max_ngram >= 1, "max_ngram is 0");
+  size_t total_phrases = 0;
+  for (size_t p = 0; p < kDfPartitions; ++p) {
+    total_phrases += df_[p].size();
+    df_[p].ForEach([&](const PhraseDf& entry) {
+      if (DfPartitionOf(entry.hash) != p) {
+        a.Expect(false,
+                 StrFormat("phrase %llu stored in partition %zu but hashes "
+                           "to partition %zu",
+                           static_cast<unsigned long long>(entry.hash), p,
+                           DfPartitionOf(entry.hash)));
+      }
+      if (entry.df > num_documents_) {
+        a.Expect(false,
+                 StrFormat("phrase %llu has df %u outside [1, %zu]",
+                           static_cast<unsigned long long>(entry.hash),
+                           entry.df, num_documents_));
+      }
+    });
+  }
+  a.Expect(total_phrases == num_phrases_,
+           StrFormat("cached num_phrases %zu but partitions hold %zu",
+                     num_phrases_, total_phrases));
   return a.Finish();
+}
+
+// analyzer: hot
+std::vector<std::vector<PhraseHash>> SelectTopPhrases(const TfidfIndex& index,
+                                                      const Corpus& corpus,
+                                                      size_t num_threads) {
+  const size_t n = corpus.size();
+  std::vector<std::vector<PhraseHash>> top(n);
+  const size_t threads = ThreadPool::ResolveNumThreads(num_threads);
+  const size_t num_chunks = std::min(n, threads * 4);
+  ThreadPool::ParallelFor(threads, num_chunks, [&](size_t chunk) {
+    const size_t end = (chunk + 1) * n / num_chunks;
+    for (size_t d = chunk * n / num_chunks; d < end; ++d) {
+      // analyzer: allow(hot-loop-alloc) -- TopPhrases returns its scored
+      // list by value (one move per document, the API contract).
+      const std::vector<ScoredPhrase> scored =
+          index.TopPhrases(corpus.docs()[d]);
+      std::vector<PhraseHash>& hashes = top[d];
+      hashes.reserve(scored.size());
+      for (const ScoredPhrase& phrase : scored) hashes.push_back(phrase.hash);
+    }
+  });
+  return top;
 }
 
 Status ValidateTopPhrases(const std::vector<ScoredPhrase>& phrases) {

@@ -12,16 +12,25 @@
 // graph small. (The paper's tf-idf already down-weights nothing here —
 // df-1 phrases have the *highest* idf — so this is purely the graph-side
 // optimization, applied after scoring.)
+//
+// The index owns the df table: one FlatDfMap per hash partition
+// (df_count.h), grown in place. Document frequency is a commutative
+// integer sum, so adding documents batch by batch lands on exactly the
+// table one Build over all of them produces. That additivity is what
+// lets the batch coarse stage (one Build) and the incremental engine
+// (one AddDocuments per ingested batch) share this code, and what makes
+// the incremental engine's batch oracle (DESIGN.md §15) attainable.
 
 #ifndef INFOSHIELD_TFIDF_TFIDF_INDEX_H_
 #define INFOSHIELD_TFIDF_TFIDF_INDEX_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "text/corpus.h"
 #include "text/ngram.h"
-#include "tfidf/snapshot_df_table.h"
+#include "tfidf/df_count.h"
 #include "util/status.h"
 
 namespace infoshield {
@@ -62,26 +71,31 @@ struct TfidfBuildStats {
 class TfidfIndex {
  public:
   TfidfIndex() = default;
+  // An empty index (no documents) that scores with `options`.
+  explicit TfidfIndex(const TfidfOptions& options) : options_(options) {}
 
-  // Counts the corpus's document frequencies (df_count.h) with
-  // `num_threads` workers (0 = hardware concurrency) and folds them into
-  // a fresh df table. The table is identical for any thread count.
+  // Not copyable: the df table holds a 16-byte slot per phrase and
+  // spare, and no caller needs a second copy of it.
+  TfidfIndex(const TfidfIndex&) = delete;
+  TfidfIndex& operator=(const TfidfIndex&) = delete;
+
+  // Resets the index to `options` and no documents, then adds every
+  // document of `corpus`. The table is identical for any thread count.
   void Build(const Corpus& corpus, const TfidfOptions& options,
              size_t num_threads = 1);
 
-  // Points the index at a frozen df snapshot (snapshot_df_table.h)
-  // instead of scanning a corpus: O(1), no df maps are copied. Scoring
-  // then reads the snapshot's generation no matter what later ApplyBatch
-  // calls do to the underlying table. Build is this over a table holding
-  // exactly its corpus, so an index built from a snapshot covering
-  // documents [0, N) scores byte-identically to Build over those same N
-  // documents — the bridge the incremental path's differential oracle
-  // rests on.
-  void BuildFromSnapshot(const DfSnapshot& snapshot,
-                         const TfidfOptions& options);
+  // Counts the document frequencies of documents [begin, end) of
+  // `corpus` (df_count.h) with `num_threads` workers (0 = hardware
+  // concurrency) and adds them to the table in place, one worker per
+  // partition. The documents must not have been added before: each
+  // counts once per phrase, and num_documents() grows by end - begin.
+  void AddDocuments(const Corpus& corpus, size_t begin, size_t end,
+                    size_t num_threads = 1);
 
   // Document frequency of a phrase (0 if unseen).
-  size_t DocumentFrequency(PhraseHash phrase) const;
+  size_t DocumentFrequency(PhraseHash phrase) const {
+    return df_[DfPartitionOf(phrase)].Find(phrase);
+  }
 
   // The top phrases of one document by tf-idf, best first.
   std::vector<ScoredPhrase> TopPhrases(const Document& doc) const;
@@ -89,14 +103,18 @@ class TfidfIndex {
   // tf-idf score of a phrase occurring `tf` times in one document.
   double Score(PhraseHash phrase, size_t tf) const;
 
-  size_t num_documents() const { return snapshot_.num_documents(); }
-  size_t num_phrases() const { return snapshot_.num_phrases(); }
+  // Documents added so far (the N in idf).
+  size_t num_documents() const { return num_documents_; }
+  // Distinct phrases across all partitions.
+  size_t num_phrases() const { return num_phrases_; }
   const TfidfOptions& options() const { return options_; }
   const TfidfBuildStats& build_stats() const { return build_stats_; }
 
-  // Invariant audit (util/audit.h): the stored options are sane (the df
-  // table audits itself, SnapshotDfTable::ValidateInvariants). Returns OK
-  // or an Internal status listing every violation.
+  // Invariant audit (util/audit.h): the stored options are sane, every
+  // phrase sits in the partition its hash selects, every df lies in
+  // [1, num_documents], and the cached num_phrases matches the sum of
+  // partition sizes. Returns OK or an Internal status listing every
+  // violation.
   Status ValidateInvariants() const;
 
  private:
@@ -107,8 +125,19 @@ class TfidfIndex {
 
   TfidfOptions options_;
   TfidfBuildStats build_stats_;
-  DfSnapshot snapshot_;
+  std::array<FlatDfMap, kDfPartitions> df_;
+  size_t num_documents_ = 0;
+  size_t num_phrases_ = 0;
 };
+
+// Every document's top phrase hashes (TfidfIndex::TopPhrases, best
+// first), indexed by DocId. Against a fixed table TopPhrases is a pure
+// function of the document, so `num_threads` workers (0 = hardware
+// concurrency) own contiguous document chunks and write only their own
+// slots; the result is identical for any thread count.
+std::vector<std::vector<PhraseHash>> SelectTopPhrases(const TfidfIndex& index,
+                                                      const Corpus& corpus,
+                                                      size_t num_threads);
 
 // Audits a TopPhrases result: scores are finite, the list is sorted by
 // score descending (hash ascending on ties) and contains no duplicate

@@ -2,9 +2,9 @@
 // sequence of IngestBatch calls, ResultToJson over the engine's result
 // must byte-match a fresh InfoShield::Run over the concatenated corpus
 // (DESIGN.md §15). These tests drive the oracle across fixed splits,
-// random splits of seed corpora (property test), degree-cap forced
-// rebuilds, and thread counts — and pin down the reuse accounting that
-// makes incrementality worth having.
+// random splits of seed corpora (property test), a degree cap, and
+// thread counts — and pin down the reuse and dirty-marking accounting
+// that makes incrementality worth having.
 
 #include "incremental/incremental_infoshield.h"
 
@@ -138,8 +138,8 @@ TEST(IncrementalTest, RandomSplitPropertyTest) {
 
 TEST(IncrementalTest, DegreeCapForcesRebuildAndStillMatches) {
   // With a max_phrase_degree cap, the cap's edge drops depend on the
-  // canonical replay order, so any old-document change forces a graph
-  // rebuild — which must still land byte-exact on the oracle.
+  // canonical replay order, which every ingest's graph replay must
+  // reproduce to land byte-exact on the oracle.
   const std::vector<std::string> texts = GeneratedTexts(/*seed=*/21);
   InfoShieldOptions options;
   options.coarse.max_phrase_degree = 3;
@@ -210,7 +210,7 @@ TEST(IncrementalTest, UntouchedComponentsReuseCachedFineResults) {
   Result<IngestStats> s2 = engine.IngestBatch({a, a, a});
   ASSERT_TRUE(s2.ok());
   EXPECT_FALSE(s2->vocab_grew);
-  EXPECT_FALSE(s2->graph_rebuilt);
+  EXPECT_TRUE(s2->graph_rebuilt);
   ASSERT_EQ(s2->num_coarse_clusters, 2u);
   EXPECT_EQ(s2->reused_clusters, 1u) << "family B should be a cache hit";
   EXPECT_EQ(s2->dirty_clusters, 1u);
@@ -220,6 +220,43 @@ TEST(IncrementalTest, UntouchedComponentsReuseCachedFineResults) {
   std::vector<std::string> all = first_batch;
   all.insert(all.end(), {a, a, a});
   EXPECT_EQ(IncrementalJson(engine), BatchJson(all, all.size(), options));
+}
+
+TEST(IncrementalTest, ChangedTopPhrasesDirtyAnUnchangedCluster) {
+  // One new document moves idf enough to reorder an old document's top
+  // phrases while its coarse cluster keeps exactly its members and lg V
+  // holds still. The fine stage seeds candidate pools from the members'
+  // top phrases, so that cluster must re-fine rather than come from the
+  // cache: only the per-document change stamps can tell.
+  const std::vector<std::string> texts = GeneratedTexts(/*seed=*/28);
+  InfoShieldOptions options;
+  IncrementalInfoShield engine(options);
+  Result<IngestStats> s1 = engine.IngestBatch(
+      std::vector<std::string>(texts.begin(), texts.begin() + 45));
+  ASSERT_TRUE(s1.ok()) << s1.status();
+  Result<IngestStats> s2 = engine.IngestBatch({texts[45]});
+  ASSERT_TRUE(s2.ok()) << s2.status();
+  EXPECT_FALSE(s2->vocab_grew);
+  EXPECT_EQ(s2->num_coarse_clusters, 4u);
+  EXPECT_EQ(s2->reused_clusters, 3u);
+  EXPECT_EQ(s2->dirty_clusters, 1u);
+  EXPECT_EQ(IncrementalJson(engine), BatchJson(texts, 46, options));
+}
+
+TEST(IncrementalTest, RejectsTheLshBackend) {
+  // The engine runs the tf-idf coarse stage only; under kMinhashLsh its
+  // result would not be InfoShield::Run's, so IngestBatch refuses every
+  // batch and leaves the corpus as it was.
+  InfoShieldOptions options;
+  options.coarse.backend = CoarseBackend::kMinhashLsh;
+  IncrementalInfoShield engine(options);
+  const Result<IngestStats> stats = engine.IngestBatch(GeneratedTexts(42));
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stats.status().message().find("kMinhashLsh"), std::string::npos)
+      << stats.status();
+  EXPECT_EQ(engine.corpus().size(), 0u);
+  EXPECT_EQ(IncrementalJson(engine), BatchJson({}, 0, options));
 }
 
 TEST(IncrementalTest, NewVocabularyClearsTheFineCache) {

@@ -1,5 +1,7 @@
 #include "tfidf/tfidf_index.h"
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -7,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "oracle/reference_coarse.h"
+#include "oracle/reference_ngram.h"
 
 namespace infoshield {
 namespace {
@@ -252,6 +255,67 @@ TEST(TfidfTest, ParallelBuildMatchesSerialTopPhrases) {
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].hash, b[i].hash);
       EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
+    }
+  }
+}
+
+TEST(TfidfTest, AddDocumentsInBatchesMatchesBuild) {
+  // df is a commutative sum, so adding the corpus batch by batch must
+  // land on exactly the table Build makes over the whole corpus: same
+  // counts, same dfs, same top phrases to the bit. The incremental
+  // engine's batch oracle rests on this.
+  Corpus c;
+  for (const char* text :
+       {"sweet asian girls new in town call now",
+        "sweet asian girls new in town call today",
+        "grand opening best massage in town",
+        "grand opening best massage downtown",
+        "independent reviews posted daily for the best massage",
+        "completely unrelated text about gardening tools"}) {
+    c.Add(text);
+  }
+  const size_t n = c.size();
+  const TfidfOptions options;
+
+  const TfidfIndex empty(options);
+  EXPECT_EQ(empty.num_documents(), 0u);
+  EXPECT_EQ(empty.num_phrases(), 0u);
+
+  TfidfIndex built;
+  built.Build(c, options);
+  // Batch boundaries: the whole corpus, [0, 3) then [3, n), and one
+  // document at a time.
+  std::vector<size_t> singles;
+  for (size_t d = 0; d <= n; ++d) singles.push_back(d);
+  const std::vector<std::vector<size_t>> cuts = {{0, n}, {0, 3, n}, singles};
+  for (size_t threads : {1u, 4u}) {
+    for (const std::vector<size_t>& cut : cuts) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " batches=" +
+                   std::to_string(cut.size() - 1));
+      TfidfIndex index(options);
+      for (size_t i = 0; i + 1 < cut.size(); ++i) {
+        index.AddDocuments(c, cut[i], cut[i + 1], threads);
+      }
+      EXPECT_EQ(index.num_documents(), n);
+      EXPECT_EQ(index.num_phrases(), built.num_phrases());
+      for (const Document& doc : c.docs()) {
+        for (const oracle::NgramSpan& g :
+             oracle::ExtractNgrams(doc, options.max_ngram)) {
+          EXPECT_EQ(index.DocumentFrequency(g.hash),
+                    built.DocumentFrequency(g.hash))
+              << "df diverged for a phrase of doc " << doc.id;
+        }
+        const std::vector<ScoredPhrase> want = built.TopPhrases(doc);
+        const std::vector<ScoredPhrase> got = index.TopPhrases(doc);
+        ASSERT_EQ(got.size(), want.size()) << "doc " << doc.id;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].hash, want[i].hash) << "doc " << doc.id;
+          EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
+                    std::bit_cast<uint64_t>(want[i].score))
+              << "doc " << doc.id << " rank " << i;
+        }
+      }
+      EXPECT_TRUE(index.ValidateInvariants().ok());
     }
   }
 }

@@ -65,44 +65,6 @@ TEST(UnionFindDeathTest, FindOutOfRangeDies) {
   EXPECT_DEATH(uf.Find(2), "Check failed");
 }
 
-TEST(UnionFindTest, AddElementGrowsAsSingleton) {
-  UnionFind uf(2);
-  uf.Union(0, 1);
-  const uint32_t id = uf.AddElement();
-  EXPECT_EQ(id, 2u);
-  EXPECT_EQ(uf.num_elements(), 3u);
-  EXPECT_EQ(uf.num_sets(), 2u);
-  EXPECT_EQ(uf.Find(id), id);
-  EXPECT_EQ(uf.SetSize(id), 1u);
-  EXPECT_FALSE(uf.Connected(0, id));
-  EXPECT_TRUE(uf.ValidateInvariants().ok());
-}
-
-TEST(UnionFindTest, AddedElementsUnionWithOldOnes) {
-  UnionFind uf(3);
-  uf.Union(0, 1);
-  const uint32_t a = uf.AddElement();
-  const uint32_t b = uf.AddElement();
-  EXPECT_TRUE(uf.Union(a, 0));
-  EXPECT_TRUE(uf.Union(b, 2));
-  EXPECT_TRUE(uf.Connected(a, 1));
-  EXPECT_EQ(uf.SetSize(0), 3u);
-  EXPECT_EQ(uf.SetSize(2), 2u);
-  EXPECT_EQ(uf.num_sets(), 2u);
-  EXPECT_TRUE(uf.ValidateInvariants().ok());
-}
-
-TEST(UnionFindTest, AddElementFromEmpty) {
-  UnionFind uf(0);
-  EXPECT_EQ(uf.AddElement(), 0u);
-  EXPECT_EQ(uf.AddElement(), 1u);
-  uf.Reserve(100);
-  EXPECT_EQ(uf.num_elements(), 2u);
-  EXPECT_TRUE(uf.Union(0, 1));
-  EXPECT_EQ(uf.num_sets(), 1u);
-  EXPECT_TRUE(uf.ValidateInvariants().ok());
-}
-
 TEST(UnionFindDeathTest, CorruptParentChainDiesInsteadOfSilentUb) {
   // A stale or corrupt in-range element whose PARENT entry walked off
   // the array used to be silent UB in the path-halving read

@@ -737,7 +737,7 @@ def _thread_vector_launch(text, scope, ctx):
 
 def _receiver(path, callee, scope, ctx, owner, owned):
     """(receiver class name, receiver root kind) for a call path like
-    'table.ApplyBatch' / 'SnapshotDfTable::ApplyBatch' / 'ApplyBatch'."""
+    'pool.Submit' / 'ThreadPool::ParallelFor' / 'Submit'."""
     prefix = path[: len(path) - len(callee)]
     prefix = prefix.rstrip(".:->")
     prefix = re.sub(r"\s+", "", prefix)

@@ -38,9 +38,9 @@ and over the real tree, asserting:
    cleaned, live entries LRU-capped;
  * the real tree has zero unsuppressed findings, its lock-order
    graph names the mutexes of every current Mutex user (thread_pool,
-   logging, snapshot_df_table, audit), and its race report
-   carries the schema tag, the pipeline's thread roots, and the
-   annotated shared-state surface;
+   logging, audit), and its race report carries the schema tag, the
+   pipeline's thread roots, and exactly the GUARDED_BY fields those
+   users declare;
  * a failing run exits 1, not the violation count (a raw count would
    wrap modulo 256 on POSIX).
 
@@ -94,8 +94,19 @@ SEEDED_RACES = ("Telemetry::dropped_", "Ledger::balance_",
 REQUIRED_GRAPH_NODES = (
     "ThreadPool::mutex_",
     "logging::g_severity_mu",
-    "SnapshotDfTable::mu_",
     "audit::g_stats_mu",
+)
+
+# Every GUARDED_BY field of the real tree. The race report's set of
+# fields with verdict `annotated` must equal this exactly, so a field
+# that loses its annotation, or is swapped for another, fails the run.
+REQUIRED_ANNOTATED_FIELDS = (
+    "ThreadPool::tasks_",
+    "ThreadPool::in_flight_",
+    "ThreadPool::shutting_down_",
+    "audit::g_audits_finished",
+    "audit::g_audits_failed",
+    "logging::g_min_severity",
 )
 
 
@@ -407,9 +418,11 @@ def main():
                report.get("thread_roots"),
                "real tree: race report should carry the schema tag and "
                "the pipeline's thread roots")
-        expect(report["summary"].get("annotated", 0) >= 10,
-               "real tree: expected the annotated shared-state surface "
-               f"in the report, got {report['summary']}")
+        annotated = sorted(f["field"] for f in report.get("fields", [])
+                           if f.get("verdict") == "annotated")
+        expect(annotated == sorted(REQUIRED_ANNOTATED_FIELDS),
+               "real tree: expected the annotated fields "
+               f"{sorted(REQUIRED_ANNOTATED_FIELDS)}, got {annotated}")
         with open(lifetime_path, encoding="utf-8") as f:
             lifetime = json.load(f)
         expect(lifetime.get("schema") == "infoshield-lifetime-report/1",
