@@ -259,21 +259,32 @@ TEST(TfidfTest, ParallelBuildMatchesSerialTopPhrases) {
   }
 }
 
+// Six ads: two near-duplicate pairs, one ad sharing a phrase with the
+// second pair, and one unrelated text.
+const std::vector<std::string>& AdTexts() {
+  static const std::vector<std::string> texts = {
+      "sweet asian girls new in town call now",
+      "sweet asian girls new in town call today",
+      "grand opening best massage in town",
+      "grand opening best massage downtown",
+      "independent reviews posted daily for the best massage",
+      "completely unrelated text about gardening tools",
+  };
+  return texts;
+}
+
+Corpus AdCorpus() {
+  Corpus c;
+  for (const std::string& text : AdTexts()) c.Add(text);
+  return c;
+}
+
 TEST(TfidfTest, AddDocumentsInBatchesMatchesBuild) {
   // df is a commutative sum, so adding the corpus batch by batch must
   // land on exactly the table Build makes over the whole corpus: same
   // counts, same dfs, same top phrases to the bit. The incremental
   // engine's batch oracle rests on this.
-  Corpus c;
-  for (const char* text :
-       {"sweet asian girls new in town call now",
-        "sweet asian girls new in town call today",
-        "grand opening best massage in town",
-        "grand opening best massage downtown",
-        "independent reviews posted daily for the best massage",
-        "completely unrelated text about gardening tools"}) {
-    c.Add(text);
-  }
+  const Corpus c = AdCorpus();
   const size_t n = c.size();
   const TfidfOptions options;
 
@@ -335,6 +346,92 @@ TEST(TfidfTest, EmptyDocumentYieldsNoPhrases) {
   TfidfIndex index;
   index.Build(c, TfidfOptions{});
   EXPECT_TRUE(index.TopPhrases(c.doc(0)).empty());
+}
+
+
+// The df table's fold-in contract, checked on the TfidfIndex that owns
+// the table. The suite keeps the name of the tests that pinned the same
+// contract when the table was a separate copy-on-write class.
+
+TEST(SnapshotDfTableTest, EmptyTableIsGenerationZero) {
+  // Nothing added, an empty range added, or a Build over an empty corpus
+  // after documents were added: each index reads zero documents and
+  // phrases and scores nothing.
+  const Corpus c = AdCorpus();
+  const TfidfOptions options;
+  TfidfIndex fresh(options);
+  TfidfIndex empty_range(options);
+  empty_range.AddDocuments(c, 2, 2);
+  TfidfIndex rebuilt;
+  rebuilt.Build(c, options);
+  rebuilt.Build(Corpus(), options);
+  for (const TfidfIndex* index : {&fresh, &empty_range, &rebuilt}) {
+    EXPECT_EQ(index->num_documents(), 0u);
+    EXPECT_EQ(index->num_phrases(), 0u);
+    EXPECT_EQ(index->DocumentFrequency(12345u), 0u);
+    EXPECT_DOUBLE_EQ(index->Score(12345u, 3), 0.0);
+    EXPECT_TRUE(index->TopPhrases(c.doc(0)).empty());
+    EXPECT_TRUE(index->ValidateInvariants().ok());
+  }
+}
+
+TEST(SnapshotDfTableTest, FoldInMatchesBatchBuildExactly) {
+  // A built index is a starting point like an empty one: folding later
+  // documents into it lands on the table one Build over all of them
+  // makes, phrase for phrase.
+  const TfidfOptions options;
+  Corpus growing;
+  for (size_t d = 0; d < 3; ++d) growing.Add(AdTexts()[d]);
+  TfidfIndex index;
+  index.Build(growing, options);
+  for (size_t d = 3; d < AdTexts().size(); ++d) growing.Add(AdTexts()[d]);
+  index.AddDocuments(growing, 3, growing.size(), /*num_threads=*/4);
+
+  const Corpus whole = AdCorpus();
+  TfidfIndex reference;
+  reference.Build(whole, options);
+  EXPECT_EQ(index.num_documents(), whole.size());
+  EXPECT_EQ(index.num_phrases(), reference.num_phrases());
+  for (const Document& doc : whole.docs()) {
+    for (const oracle::NgramSpan& g :
+         oracle::ExtractNgrams(doc, options.max_ngram)) {
+      EXPECT_EQ(index.DocumentFrequency(g.hash),
+                reference.DocumentFrequency(g.hash))
+          << "df diverged for a phrase of doc " << doc.id;
+    }
+  }
+  EXPECT_TRUE(index.ValidateInvariants().ok());
+}
+
+TEST(SnapshotDfTableTest, IndexFromSnapshotScoresByteIdenticallyToBuild) {
+  // Scores read off a table grown one document at a time are
+  // bit-identical to Build's, so SelectTopPhrases picks the same phrases
+  // in the same order at any thread count.
+  const Corpus c = AdCorpus();
+  const TfidfOptions options;
+  TfidfIndex built;
+  built.Build(c, options);
+  TfidfIndex grown(options);
+  for (size_t d = 0; d < c.size(); ++d) {
+    grown.AddDocuments(c, d, d + 1, /*num_threads=*/4);
+  }
+
+  for (const Document& doc : c.docs()) {
+    for (const oracle::NgramSpan& g :
+         oracle::ExtractNgrams(doc, options.max_ngram)) {
+      for (size_t tf : {1u, 2u}) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(grown.Score(g.hash, tf)),
+                  std::bit_cast<uint64_t>(built.Score(g.hash, tf)))
+            << "doc " << doc.id << " tf " << tf;
+      }
+    }
+  }
+  const std::vector<std::vector<PhraseHash>> want =
+      SelectTopPhrases(built, c, /*num_threads=*/1);
+  for (size_t threads : {1u, 4u}) {
+    EXPECT_EQ(SelectTopPhrases(grown, c, threads), want)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace
