@@ -7,19 +7,23 @@
 //     contain quotes, separators, newlines, CR), format, re-parse, and
 //     require exact equality — the writer must quote everything the
 //     reader needs;
-//  2: stream arbitrary bytes through ReadCsvRecord (the multi-line
-//     record assembler), which must terminate, never crash, and either
-//     error (InvalidArgument inside an open quote) or yield records
-//     whose own parse round-trips when it succeeds — covers embedded
-//     newlines, CRLF terminators, and trailing-newline cases.
+//  2: split arbitrary bytes into records with ScanCsvRecords and with
+//     the istream reference reader (oracle::ReferenceReadCsvRecord),
+//     fed the same bytes after the one leading byte-order mark the
+//     scanner skips: the records must be equal, and so must the error
+//     when the input ends inside a quoted field; each record whose
+//     parse succeeds must round-trip — covers embedded newlines, CRLF
+//     terminators, and trailing-newline cases.
 
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fuzz_util.h"
 #include "io/csv.h"
+#include "oracle/reference_text.h"
 #include "util/logging.h"
 #include "util/status.h"
 
@@ -27,9 +31,11 @@ namespace {
 
 using infoshield::FormatCsvLine;
 using infoshield::ParseCsvLine;
-using infoshield::ReadCsvRecord;
 using infoshield::Result;
+using infoshield::ScanCsvRecords;
+using infoshield::Status;
 using infoshield::StatusCode;
+using infoshield::oracle::ReferenceReadCsvRecord;
 
 char PickSeparator(uint8_t b) {
   switch (b % 3) {
@@ -82,21 +88,38 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       break;
     }
     default: {
-      std::istringstream stream(in.TakeRest());
+      const std::string bytes = in.TakeRest();
+      std::vector<std::string_view> records;
+      const Status scanned = ScanCsvRecords(bytes, &records);
+      std::string_view body = bytes;
+      if (body.starts_with("\xEF\xBB\xBF")) body.remove_prefix(3);
+      std::istringstream stream{std::string(body)};
       std::string record;
-      // The stream shrinks every iteration; the cap is sheer paranoia.
-      for (int i = 0; i < 1 << 16; ++i) {
-        Result<bool> more = ReadCsvRecord(stream, &record, sep);
+      size_t r = 0;
+      while (true) {
+        Result<bool> more = ReferenceReadCsvRecord(stream, &record);
         if (!more.ok()) {
           CHECK(more.status().code() == StatusCode::kInvalidArgument)
               << "unexpected record error code: "
               << more.status().ToString();
+          CHECK(scanned == more.status())
+              << "scanner reported " << scanned.ToString()
+              << ", reference " << more.status().ToString();
           break;
         }
-        if (!*more) break;
+        if (!*more) {
+          CHECK(scanned.ok()) << "scanner reported " << scanned.ToString()
+                              << " on input the reference read whole";
+          break;
+        }
+        CHECK(r < records.size() && records[r] == record)
+            << "record " << r + 1 << " differs from the reference's";
+        ++r;
         Result<std::vector<std::string>> fields = ParseCsvLine(record, sep);
         if (fields.ok()) RoundTripFields(*fields, sep);
       }
+      CHECK(r == records.size()) << "scanner found " << records.size()
+                                 << " records, reference " << r;
       break;
     }
   }

@@ -7,13 +7,16 @@
 //  * if the input was well-formed UTF-8, every token is well-formed
 //    UTF-8 (malformed input may degrade bytes, valid input must not);
 //  * fixed point: joining the tokens with single spaces and re-tokenizing
-//    reproduces the token list exactly — tokenization is idempotent.
+//    reproduces the token list exactly — tokenization is idempotent;
+//  * differential: the tokens equal those of oracle::ReferenceTokenize,
+//    the per-character reference tokenizer, under the same options.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "fuzz_util.h"
+#include "oracle/reference_text.h"
 #include "text/tokenizer.h"
 #include "util/logging.h"
 
@@ -32,6 +35,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   const std::string text = in.TakeRest();
   const std::vector<std::string> tokens = tokenizer.Tokenize(text);
+  CHECK(tokens == infoshield::oracle::ReferenceTokenize(text, options))
+      << "tokens differ from the reference tokenizer's";
 
   const bool input_valid_utf8 = IsValidUtf8(text);
   std::string joined;

@@ -116,7 +116,7 @@ NearDupCorpus GenerateNearDupFamilies(const NearDupGenOptions& options,
   }
   // Batch interning: tokenization parallelizes inside AddBatch while the
   // resulting corpus stays byte-identical to serial Adds.
-  out.corpus.AddBatch(texts, /*num_threads=*/0);
+  out.corpus.AddBatch(std::move(texts), /*num_threads=*/0);
   CHECK_EQ(out.corpus.size(), out.family.size());
   return out;
 }

@@ -4,7 +4,7 @@
 #ifndef INFOSHIELD_IO_CSV_H_
 #define INFOSHIELD_IO_CSV_H_
 
-#include <istream>
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,14 +31,17 @@ std::string EscapeCsvField(std::string_view field, char sep = ',');
 std::string FormatCsvLine(const std::vector<std::string>& fields,
                           char sep = ',');
 
-// Reads one logical CSV record from `in` into `*record`, continuing
-// across physical lines while inside a quoted field (so embedded
-// newlines survive; the physical CRLF/LF record terminator is not part
-// of the record). Returns true when a record was read, false at a clean
-// end of input, and InvalidArgument when the input ends inside an open
-// quoted field.
-[[nodiscard]] Result<bool> ReadCsvRecord(std::istream& in, std::string* record,
-                           char sep = ',');
+// Splits the bytes of a CSV file into its records, in one pass, as
+// views into `data` (which must outlive them). Quote parity decides
+// which newlines end records, so a quoted field keeps its embedded
+// newlines; a record's terminating "\n" or "\r\n" is not part of it,
+// and a '\r' anywhere else is. One leading UTF-8 byte-order mark
+// (EF BB BF, as spreadsheets write) is skipped. Empty records are kept,
+// so (*records)[i] is record number i + 1. Returns InvalidArgument when
+// the input ends inside a quoted field; *records then holds the
+// complete records before it.
+[[nodiscard]] Status ScanCsvRecords(std::string_view data,
+                                    std::vector<std::string_view>* records);
 
 struct CsvTable {
   std::vector<std::string> header;
@@ -48,19 +51,24 @@ struct CsvTable {
   int ColumnIndex(std::string_view name) const;
 };
 
-// Reads a whole CSV file; the first record is the header. Quoted fields
-// may contain embedded newlines (records are assembled by
-// ReadCsvRecord). Malformed quoting fails with the record number.
+// Reads a whole CSV file; the first non-empty record is the header.
+// Quoted fields may contain embedded newlines (records are split by
+// ScanCsvRecords). Malformed quoting fails with the record number.
 [[nodiscard]] Result<CsvTable> ReadCsvFile(const std::string& path, char sep = ',');
 
 [[nodiscard]] Status WriteCsvFile(const std::string& path, const CsvTable& table,
                     char sep = ',');
 
 // Loads a corpus from a CSV file: each row's `text_column` becomes a
-// document. Fails if the column is missing.
+// document (empty for a row too short to have it). Fails if the column
+// is missing, and on the first malformed record in file order, naming
+// it. `num_threads` workers (0 = hardware concurrency) parse chunks of
+// records and tokenize through Corpus::AddBatch; the corpus is the same
+// at any count.
 [[nodiscard]] Result<Corpus> LoadCorpusFromCsv(const std::string& path,
-                                 const std::string& text_column,
-                                 char sep = ',');
+                                               const std::string& text_column,
+                                               char sep = ',',
+                                               size_t num_threads = 0);
 
 }  // namespace infoshield
 

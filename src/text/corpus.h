@@ -50,28 +50,36 @@ class Corpus {
   static constexpr size_t kMaxDocuments =
       static_cast<size_t>(UINT32_MAX) - 1;
 
-  // Tokenizes, interns, and appends a document; returns its DocId.
-  // CHECK-fails when the corpus is full (see kMaxDocuments).
+  // AddBatch (and LoadCorpusFromCsv, io/csv.h) split their input into
+  // contiguous chunks of at least about this many bytes, at most 4 per
+  // worker, so a small batch runs as one chunk on the calling thread.
+  static constexpr size_t kMinChunkBytes = 256 * 1024;
+
+  // Tokenizes, interns, and appends a document; returns its DocId. The
+  // one-document case of AddBatch. CHECK-fails when the corpus is full
+  // (see kMaxDocuments).
   DocId Add(std::string_view text);
 
   // As Add, but reports a full corpus as Status ResourceExhausted
   // instead of dying. On error the corpus is unchanged.
   Result<DocId> TryAdd(std::string_view text);
 
-  // Tokenizes `texts` across `num_threads` workers (1 = sequential,
-  // 0 = hardware concurrency), then interns and appends them in input
-  // order. Tokenization is a pure per-text function and interning runs
-  // serially in order, so the resulting documents, token ids, and
-  // vocabulary are byte-identical to calling Add on each text in turn.
-  // Returns the DocId of the first appended document (the rest follow
-  // consecutively); returns the would-be next id when `texts` is empty.
-  // CHECK-fails when the batch would overflow kMaxDocuments.
-  DocId AddBatch(const std::vector<std::string>& texts, size_t num_threads);
+  // Appends one document per text, in order, using `num_threads`
+  // workers (1 = sequential, 0 = hardware concurrency); each text moves
+  // into its document's raw. Each byte-balanced chunk of texts is
+  // tokenized into a chunk-local dictionary, and the dictionaries are
+  // merged into the vocabulary in chunk order, so the documents, token
+  // ids and vocabulary are byte-identical to calling Add on each text in
+  // turn (DESIGN.md §19). Returns the DocId of the first appended
+  // document (the rest follow consecutively); returns the would-be next
+  // id when `texts` is empty. CHECK-fails when the batch would overflow
+  // kMaxDocuments.
+  DocId AddBatch(std::vector<std::string> texts, size_t num_threads);
 
   // As AddBatch, but reports an overflowing batch as ResourceExhausted
   // instead of dying. The check is all-or-nothing and happens before any
   // tokenization: on error the corpus is unchanged.
-  Result<DocId> TryAddBatch(const std::vector<std::string>& texts,
+  Result<DocId> TryAddBatch(std::vector<std::string> texts,
                             size_t num_threads);
 
   // Appends a pre-tokenized document (token ids must be valid for the

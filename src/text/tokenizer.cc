@@ -15,6 +15,11 @@ inline bool IsAsciiSpace(unsigned char c) {
          c == '\v';
 }
 
+// Tokenizer::byte_class_ values.
+constexpr uint8_t kSeparator = 0;  // ends the token
+constexpr uint8_t kTokenByte = 1;  // part of the token
+constexpr uint8_t kUrlByte = 2;    // part of the token inside a URL only
+
 }  // namespace
 
 size_t ValidUtf8SequenceLength(std::string_view text, size_t pos) {
@@ -64,75 +69,75 @@ bool IsValidUtf8(std::string_view text) {
   return true;
 }
 
-std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
-  std::vector<std::string> tokens;
-  std::string current;
-  size_t i = 0;
-  bool in_url = false;
-
-  auto flush = [&]() {
-    if (!current.empty()) {
-      tokens.push_back(current);
-      current.clear();
-    }
-    in_url = false;
-  };
-
-  while (i < text.size()) {
-    unsigned char c = static_cast<unsigned char>(text[i]);
+Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {
+  for (int b = 0; b < 256; ++b) {
+    const unsigned char c = static_cast<unsigned char>(b);
+    uint8_t cls = kSeparator;
     if (c >= 0x80) {
-      // Multi-byte UTF-8 sequence: copy it whole as token content, but
-      // only when it is well-formed per RFC 3629 (ValidUtf8SequenceLength
-      // rejects truncation, bad continuation bytes, overlong encodings,
-      // surrogates, and code points above U+10FFFF). Anything malformed
-      // degrades to a single-byte copy so a bad lead byte can never
-      // swallow the ASCII that follows it.
-      size_t len = ValidUtf8SequenceLength(text, i);
-      if (len == 0) len = 1;
-      current.append(text.substr(i, len));
-      i += len;
-      continue;
+      // UTF-8 lead and continuation bytes are token content, copied as
+      // they come: a well-formed sequence stays whole, and a malformed
+      // byte is one byte of token that cannot swallow the ASCII after it.
+      cls = kTokenByte;
+    } else if (IsAsciiAlpha(c)) {
+      cls = kTokenByte;
+    } else if (IsAsciiDigit(c)) {
+      cls = options_.keep_digits ? kTokenByte : kSeparator;
+    } else if (!IsAsciiSpace(c)) {
+      // ASCII punctuation and control bytes.
+      cls = options_.strip_punctuation ? kUrlByte : kTokenByte;
     }
-    if (IsAsciiSpace(c)) {
-      flush();
-      ++i;
-      continue;
-    }
-    if (IsAsciiAlpha(c)) {
-      char out = c;
-      if (options_.lowercase && c >= 'A' && c <= 'Z') {
-        out = static_cast<char>(c - 'A' + 'a');
-      }
-      current.push_back(out);
-      // Detect the start of a URL so its punctuation is preserved.
-      if (!in_url && (current == "http" || current == "https")) {
-        // Confirmed a URL only once "://" follows; cheap lookahead.
-        if (text.substr(i + 1, 3) == "://") in_url = true;
-      }
-      ++i;
-      continue;
-    }
-    if (IsAsciiDigit(c)) {
-      if (options_.keep_digits) {
-        current.push_back(static_cast<char>(c));
-      } else {
-        flush();
-      }
-      ++i;
-      continue;
-    }
-    // ASCII punctuation.
-    if (in_url) {
-      current.push_back(static_cast<char>(c));
-    } else if (options_.strip_punctuation) {
-      flush();
-    } else {
-      current.push_back(static_cast<char>(c));
-    }
-    ++i;
+    byte_class_[b] = cls;
+    fold_[b] = static_cast<char>(
+        options_.lowercase && c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c);
   }
-  flush();
-  return tokens;
+}
+
+std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
+  std::string scratch;
+  std::vector<std::string_view> views;
+  TokenizeViews(text, &scratch, &views);
+  return std::vector<std::string>(views.begin(), views.end());
+}
+
+void Tokenizer::TokenizeViews(std::string_view text, std::string* scratch,
+                              std::vector<std::string_view>* tokens) const {
+  tokens->clear();
+  // A token byte comes from exactly one input byte, so the token bytes
+  // fit in text.size() and scratch never reallocates under the views.
+  if (scratch->size() < text.size()) scratch->resize(text.size());
+  char* const out = scratch->data();
+  const size_t n = text.size();
+  auto cls = [&](size_t i) {
+    return byte_class_[static_cast<unsigned char>(text[i])];
+  };
+  size_t i = 0;
+  size_t o = 0;
+  while (true) {
+    // A token starts at a token byte; punctuation only continues a URL.
+    while (i < n && cls(i) != kTokenByte) ++i;
+    if (i == n) break;
+    const size_t start = o;
+    bool in_url = false;
+    while (true) {
+      for (; i < n; ++i) {
+        const uint8_t c = cls(i);
+        if (c != kTokenByte && !(in_url && c == kUrlByte)) break;
+        out[o++] = fold_[static_cast<unsigned char>(text[i])];
+      }
+      // The run stopped at a separator, or at punctuation. Punctuation
+      // joins the token when the token so far is exactly "http" or
+      // "https" and "://" follows: a URL, whose punctuation is
+      // near-duplicate evidence in spam campaigns.
+      if (in_url || i == n || cls(i) != kUrlByte) break;
+      const std::string_view so_far(out + start, o - start);
+      if ((so_far != "http" && so_far != "https") ||
+          text.substr(i, 3) != "://") {
+        break;
+      }
+      in_url = true;
+    }
+    tokens->emplace_back(out + start, o - start);
+  }
 }
 
 }  // namespace infoshield

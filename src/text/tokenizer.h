@@ -11,6 +11,8 @@
 #ifndef INFOSHIELD_TEXT_TOKENIZER_H_
 #define INFOSHIELD_TEXT_TOKENIZER_H_
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,8 +33,9 @@ struct TokenizerOptions {
 // text[pos], or 0 when text[pos] does not start one (ASCII byte, stray
 // continuation byte, truncated sequence, overlong encoding, surrogate
 // code point U+D800..U+DFFF, or a code point above U+10FFFF — RFC 3629).
-// This is the exact acceptance test Tokenizer uses: sequences it rejects
-// degrade to single-byte copies in token output.
+// Tokenizer needs no such test: it copies every byte >= 0x80 into the
+// token unchanged, so well-formed sequences stay whole and a malformed
+// byte never swallows the ASCII after it.
 size_t ValidUtf8SequenceLength(std::string_view text, size_t pos);
 
 // True iff `text` is entirely well-formed UTF-8 (ASCII plus sequences
@@ -41,16 +44,27 @@ bool IsValidUtf8(std::string_view text);
 
 class Tokenizer {
  public:
-  Tokenizer() = default;
-  explicit Tokenizer(TokenizerOptions options) : options_(options) {}
+  Tokenizer() : Tokenizer(TokenizerOptions{}) {}
+  explicit Tokenizer(TokenizerOptions options);
 
   // Splits UTF-8 text into tokens per the options.
   std::vector<std::string> Tokenize(std::string_view text) const;
+
+  // As Tokenize, without a heap string per token: writes the token
+  // bytes into `*scratch`, which callers reuse across texts, and views
+  // of them into `*tokens` (cleared first). The views stay valid until
+  // `*scratch` is next written.
+  void TokenizeViews(std::string_view text, std::string* scratch,
+                     std::vector<std::string_view>* tokens) const;
 
   const TokenizerOptions& options() const { return options_; }
 
  private:
   TokenizerOptions options_;
+  // Per input byte: whether it ends a token, belongs to one, or belongs
+  // to one only inside a URL (tokenizer.cc), and the byte it becomes.
+  std::array<uint8_t, 256> byte_class_{};
+  std::array<char, 256> fold_{};
 };
 
 }  // namespace infoshield

@@ -7,7 +7,7 @@
 namespace infoshield {
 
 TokenId Vocabulary::Intern(std::string_view token) {
-  auto it = index_.find(std::string(token));
+  auto it = index_.find(token);
   if (it != index_.end()) return it->second;
   TokenId id = static_cast<TokenId>(words_.size());
   words_.emplace_back(token);
@@ -16,7 +16,7 @@ TokenId Vocabulary::Intern(std::string_view token) {
 }
 
 TokenId Vocabulary::Find(std::string_view token) const {
-  auto it = index_.find(std::string(token));
+  auto it = index_.find(token);
   return it == index_.end() ? kInvalidToken : it->second;
 }
 

@@ -6,6 +6,7 @@
 #define INFOSHIELD_TEXT_VOCABULARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -21,7 +22,8 @@ class Vocabulary {
  public:
   Vocabulary() = default;
 
-  // Returns the id for `token`, interning it if new.
+  // Returns the id for `token`, interning it if new. Ids are dense and
+  // assigned in first-Intern order. Only a new word allocates.
   TokenId Intern(std::string_view token);
 
   // Returns the id for `token`, or kInvalidToken if not present.
@@ -38,8 +40,17 @@ class Vocabulary {
   double BitsPerWord() const;
 
  private:
+  // Hashes std::string keys and std::string_view probes alike, so a
+  // lookup by view builds no string.
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> words_;
-  std::unordered_map<std::string, TokenId> index_;
+  std::unordered_map<std::string, TokenId, ViewHash, std::equal_to<>> index_;
 };
 
 }  // namespace infoshield

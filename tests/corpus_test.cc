@@ -1,5 +1,8 @@
 #include "text/corpus.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace infoshield {
@@ -77,28 +80,53 @@ TEST(CorpusTest, MoveSemantics) {
 }
 
 TEST(CorpusTest, AddBatchMatchesSequentialAdd) {
-  // AddBatch parallelizes only tokenization (a pure per-text function);
-  // interning stays serial and in input order, so documents, token ids,
-  // vocabulary, and raw text must all come out exactly as a sequential
-  // Add loop's.
-  const std::vector<std::string> texts = {
+  // AddBatch tokenizes byte-balanced chunks into chunk-local
+  // dictionaries and merges them in chunk order; documents, token ids,
+  // vocabulary and raw text must all come out exactly as a sequential
+  // Add loop's. The short batch is one chunk; the long one, past
+  // several times Corpus::kMinChunkBytes, splits into chunks at 2+
+  // threads, and new words keep first appearing up to its last chunk.
+  const std::vector<std::string> short_texts = {
       "This is a great soap",  "great chair, cheap!",
       "",                      "call 555-1234 now",
       "sureste de Méjico",     "This is a great soap",
       "visit http://scam.com", "completely fresh words entirely",
   };
-  Corpus serial;
-  for (const std::string& t : texts) serial.Add(t);
-
-  Corpus batched;
-  DocId first = batched.AddBatch(texts, /*num_threads=*/4);
-  EXPECT_EQ(first, 0u);
-  ASSERT_EQ(batched.size(), serial.size());
-  EXPECT_EQ(batched.vocab().size(), serial.vocab().size());
-  for (DocId d = 0; d < serial.size(); ++d) {
-    EXPECT_EQ(batched.doc(d).id, d);
-    EXPECT_EQ(batched.doc(d).tokens, serial.doc(d).tokens) << "doc " << d;
-    EXPECT_EQ(batched.doc(d).raw, serial.doc(d).raw) << "doc " << d;
+  std::vector<std::string> long_texts = short_texts;
+  size_t bytes = 0;
+  for (size_t i = 0; bytes < 5 * Corpus::kMinChunkBytes; ++i) {
+    std::string text = "Shared Opening words ";
+    for (size_t k = 0; k < 24; ++k) {
+      text += "w" + std::to_string((i * 7 + k * 13) % 500) + " ";
+    }
+    // A word first seen here, so every chunk brings new ones.
+    text += "fresh" + std::to_string(i / 3) + " " + short_texts[i % 8];
+    bytes += text.size();
+    long_texts.push_back(std::move(text));
+  }
+  for (const std::vector<std::string>* texts :
+       std::vector<const std::vector<std::string>*>{&short_texts,
+                                                    &long_texts}) {
+    Corpus serial;
+    for (const std::string& t : *texts) serial.Add(t);
+    for (size_t threads : {2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << texts->size() << " texts, "
+                                      << threads << " threads");
+      Corpus batched;
+      DocId first = batched.AddBatch(*texts, threads);
+      EXPECT_EQ(first, 0u);
+      ASSERT_EQ(batched.size(), serial.size());
+      ASSERT_EQ(batched.vocab().size(), serial.vocab().size());
+      for (TokenId w = 0; w < serial.vocab().size(); ++w) {
+        ASSERT_EQ(batched.vocab().Word(w), serial.vocab().Word(w))
+            << "word " << w;
+      }
+      for (DocId d = 0; d < serial.size(); ++d) {
+        EXPECT_EQ(batched.doc(d).id, d);
+        EXPECT_EQ(batched.doc(d).tokens, serial.doc(d).tokens) << "doc " << d;
+        EXPECT_EQ(batched.doc(d).raw, serial.doc(d).raw) << "doc " << d;
+      }
+    }
   }
 }
 

@@ -51,6 +51,10 @@ write("tokenizer", "malformed_sequences",
       ALL_OPTIONS + b"ok \xc3( \xed\xa0\x80 \xc0\x80 \xf5\x80\x80\x80 end")
 write("tokenizer", "no_options_whitespace",
       byte(0x00) + b"  Tabs\tand\nnewlines  MiXeD 99 !!!")
+# The URL lookahead at the very end of the input, where "://" is the
+# last thing there is to read.
+write("tokenizer", "https_at_end_of_input",
+      ALL_OPTIONS + b"Visit HTTPS://")
 
 # --- csv: mode byte + separator byte + payload -----------------------
 write("csv", "quoted_fields",
@@ -63,6 +67,16 @@ write("csv", "semicolon_empty_fields",
       byte(0) + byte(1) + b';;a;;"q;q";')
 write("csv", "tab_stream_trailing_newline",
       byte(2) + byte(2) + b"a\tb\nc\td\n\n")
+# Mode 2 compares ScanCsvRecords with the reference reader: a leading
+# UTF-8 byte-order mark (skipped) and one later in the input (content),
+# a CRLF inside quotes (kept) next to CRLF terminators (dropped), and a
+# last line whose quote never closes (the error, after two records).
+write("csv", "stream_utf8_bom",
+      byte(2) + byte(0) + b"\xef\xbb\xbftext,label\nhi,1\n\xef\xbb\xbfx,2\n")
+write("csv", "stream_crlf_inside_quotes",
+      byte(2) + byte(0) + b'a,"x\r\ny",b\r\n"\r",c\r\n')
+write("csv", "stream_quote_flips_on_last_line",
+      byte(2) + byte(0) + b'a,b\r\nc,""\r\nd,"e\r\nf')
 
 # --- universal_code: count + values + noise + summary ----------------
 values = [0, 1, 2, 3, 255, 256, (1 << 32) - 1, (1 << 63), (1 << 64) - 2]

@@ -1,6 +1,13 @@
 #include "text/tokenizer.h"
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "oracle/reference_text.h"
 
 namespace infoshield {
 namespace {
@@ -257,8 +264,9 @@ TEST(TokenizerTest, CodePointsAboveU10FFFFDegradeToSingleBytes) {
 }
 
 TEST(TokenizerTest, ValidUtf8SequenceLengthBoundaries) {
-  // Direct checks of the validator the tokenizer (and the fuzz
-  // harnesses) lean on: minimal/maximal valid sequence of each length.
+  // Direct checks of the validator IsValidUtf8, the reference tokenizer
+  // and the fuzz harnesses lean on: minimal/maximal valid sequence of
+  // each length.
   EXPECT_EQ(ValidUtf8SequenceLength(Bytes({0xC2, 0x80}), 0), 2u);
   EXPECT_EQ(ValidUtf8SequenceLength(Bytes({0xDF, 0xBF}), 0), 2u);
   EXPECT_EQ(ValidUtf8SequenceLength(Bytes({0xE0, 0xA0, 0x80}), 0), 3u);
@@ -272,6 +280,54 @@ TEST(TokenizerTest, ValidUtf8SequenceLengthBoundaries) {
   EXPECT_EQ(ValidUtf8SequenceLength("ab", 5), 0u);
   EXPECT_TRUE(IsValidUtf8(""));
   EXPECT_TRUE(IsValidUtf8("plain ascii"));
+}
+
+TEST(TokenizerTest, MatchesReferenceForEveryOptionCombination) {
+  // The byte-run core against the per-character reference tokenizer,
+  // at all 8 option combinations: random strings over bytes that cross
+  // every class boundary, plus URL prefixes cut off at the end of the
+  // input. TokenizeViews reuses one scratch buffer across inputs.
+  const std::vector<std::string> pieces = {
+      "http", "https", "HTTP", "://", ":/", "s", "p", "Ab", "z9", "7",
+      " ",    "\t",   "\n",  ".",   ",",  "?", "=", "-", "\x01", "\x7f",
+      "é",    "東",    "\xc3", "\x80", "\xed\xa0\x80", "\xf4\x90"};
+  std::vector<std::string> inputs = {"",          "http",       "https",
+                                     "http:",     "http:/",     "see https",
+                                     "https://",  "x http://",  "HTTPS://A.b",
+                                     "(http://x", "http://a b", "https://t.co/9"};
+  uint64_t state = 0x9e3779b97f4a7c15ULL;
+  auto next = [&state]() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string input;
+    const size_t len = next() % 24;
+    for (size_t i = 0; i < len; ++i) input += pieces[next() % pieces.size()];
+    inputs.push_back(input);
+    inputs.push_back(input + (trial % 2 == 0 ? "http" : "https://"));
+  }
+  for (int bits = 0; bits < 8; ++bits) {
+    TokenizerOptions options;
+    options.lowercase = (bits & 1) != 0;
+    options.strip_punctuation = (bits & 2) != 0;
+    options.keep_digits = (bits & 4) != 0;
+    const Tokenizer tokenizer(options);
+    std::string scratch;
+    std::vector<std::string_view> views;
+    for (const std::string& input : inputs) {
+      const std::vector<std::string> expected =
+          oracle::ReferenceTokenize(input, options);
+      EXPECT_EQ(tokenizer.Tokenize(input), expected)
+          << "options " << bits << ", input '" << input << "'";
+      tokenizer.TokenizeViews(input, &scratch, &views);
+      EXPECT_EQ(std::vector<std::string>(views.begin(), views.end()),
+                expected)
+          << "options " << bits << ", input '" << input << "'";
+    }
+  }
 }
 
 }  // namespace

@@ -49,9 +49,10 @@ int Main(int argc, char** argv) {
       .AddInt("max-docs-per-template", 10,
               "member documents rendered per template (0 = all)")
       .AddInt("threads", 1,
-              "worker threads for both stages: the partitioned coarse "
-              "pipeline and the per-cluster fine stage (0 = all cores); "
-              "results are identical for any value")
+              "worker threads for loading the CSV and for both stages: "
+              "the partitioned coarse pipeline and the per-cluster fine "
+              "stage (0 = all cores); results are identical for any "
+              "value")
       .AddBool("color", true, "ANSI colors in terminal output")
       .AddBool("stats", true, "print per-cluster compression statistics")
       .AddBool("rank", true,
@@ -127,8 +128,10 @@ int Main(int argc, char** argv) {
     }
   }
 
-  Result<Corpus> corpus = LoadCorpusFromCsv(
-      flags.GetString("input"), flags.GetString("text-column"), separator);
+  Result<Corpus> corpus =
+      LoadCorpusFromCsv(flags.GetString("input"),
+                        flags.GetString("text-column"), separator,
+                        options.num_threads);
   if (!corpus.ok()) {
     std::fprintf(stderr, "error: %s\n", corpus.status().ToString().c_str());
     return 1;
