@@ -49,10 +49,18 @@ void SpreadOntoCpu(size_t index) {
 }  // namespace
 
 size_t ThreadPool::ResolveNumThreads(size_t requested) {
-  if (requested == 0) {
-    return std::max<size_t>(1, std::thread::hardware_concurrency());
+  if (requested != 0) return requested;
+#if defined(__linux__)
+  // hardware_concurrency() counts the machine's online CPUs, however few
+  // of them a cpuset or taskset lets this process use; workers beyond
+  // those only take turns on them, and a fork-join stage then waits for
+  // whichever was descheduled last.
+  cpu_set_t allowed{};
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    return static_cast<size_t>(std::max(1, CPU_COUNT(&allowed)));
   }
-  return requested;
+#endif
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
 ThreadPool::ThreadPool(size_t num_threads) {
