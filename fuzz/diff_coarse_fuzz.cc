@@ -69,6 +69,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if ((option_bits & 2) != 0) options.tfidf.max_ngram = 3;
   if ((option_bits & 4) != 0) options.max_phrase_degree = 4;
   if ((option_bits & 8) != 0) options.min_cluster_size = 3;
+  // min_df 1 makes TopPhrases probe the df-1 phrases as well.
+  if ((option_bits & 16) != 0) options.tfidf.min_df = 1;
 
   const std::vector<std::string> texts =
       infoshield::fuzz::DecodeSyntheticTexts(in, /*max_docs=*/16);

@@ -31,6 +31,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if ((option_bits & 4) != 0) options.coarse.max_phrase_degree = 4;
   if ((option_bits & 8) != 0) options.coarse.min_cluster_size = 3;
   if ((option_bits & 16) != 0) options.num_threads = 4;
+  // Under min_df 1 a df-1 phrase a later batch promotes is scored before
+  // and after; under the default it becomes eligible only then.
+  if ((option_bits & 32) != 0) options.coarse.tfidf.min_df = 1;
 
   const std::vector<std::string> texts =
       infoshield::fuzz::DecodeSyntheticTexts(in, /*max_docs=*/12);

@@ -1,6 +1,7 @@
 #include "coarse/coarse_clustering.h"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "graph/connected_components.h"
@@ -10,6 +11,20 @@
 #include "util/timer.h"
 
 namespace infoshield {
+
+void CoarseEdgeAccumulator::Grow() {
+  const size_t capacity = slots_.empty() ? 16 : slots_.size() * 2;
+  std::vector<PhraseSlot> old(capacity);
+  old.swap(slots_);
+  shift_ = 64 - std::countr_zero(capacity);
+  const size_t mask = capacity - 1;
+  for (const PhraseSlot& slot : old) {
+    if (slot.degree == 0) continue;
+    size_t i = FibonacciSlot(slot.phrase, shift_);
+    while (slots_[i].degree != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
 
 void EmitCoarseComponents(UnionFind& uf, const CoarseOptions& options,
                           CoarseResult* result) {

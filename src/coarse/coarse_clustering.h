@@ -14,7 +14,6 @@
 #define INFOSHIELD_COARSE_COARSE_CLUSTERING_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/union_find.h"
@@ -22,6 +21,7 @@
 #include "lsh/minhash.h"
 #include "text/corpus.h"
 #include "text/ngram.h"
+#include "tfidf/df_count.h"
 #include "tfidf/tfidf_index.h"
 
 namespace infoshield {
@@ -115,28 +115,56 @@ struct CoarseResult {
 // yields exactly the connected components of the bipartite graph
 // restricted to document vertices, provided edges are replayed in the
 // canonical order (the degree cap drops the same edges only then).
+//
+// Each phrase seen so far has one slot in a flat open-addressing table
+// (linear probing from a Fibonacci hash, at most 3/4 full): its anchor
+// and its degree, the number of documents added with it so far.
 class CoarseEdgeAccumulator {
  public:
   CoarseEdgeAccumulator(size_t max_phrase_degree, UnionFind* uf)
       : max_phrase_degree_(max_phrase_degree), uf_(uf) {}
 
   void Add(DocId doc, PhraseHash phrase) {
-    if (max_phrase_degree_ > 0) {
-      uint32_t d = ++degree_[phrase];
-      if (d > max_phrase_degree_) return;
+    if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = FibonacciSlot(phrase, shift_);; i = (i + 1) & mask) {
+      PhraseSlot& slot = slots_[i];
+      if (slot.degree == 0) {
+        slot = PhraseSlot{phrase, doc, 1};
+        ++size_;
+        return;
+      }
+      if (slot.phrase != phrase) continue;
+      if (max_phrase_degree_ > 0) {
+        // Past the cap the degree stops counting: the phrase is a hub and
+        // every later edge of it is dropped.
+        if (slot.degree > max_phrase_degree_) return;
+        if (++slot.degree > max_phrase_degree_) return;
+      }
+      uf_->Union(slot.anchor, doc);
+      return;
     }
-    auto [it, inserted] = anchor_.emplace(phrase, doc);
-    if (!inserted) uf_->Union(it->second, doc);
   }
 
  private:
+  // degree 0 marks an empty slot. Without a cap the degree stays 1.
+  struct PhraseSlot {
+    PhraseHash phrase = 0;
+    DocId anchor = 0;
+    uint32_t degree = 0;
+  };
+
+  // Doubles the table (16 slots at first) and reinserts every phrase.
+  void Grow();
+
   const size_t max_phrase_degree_;
   // analyzer: borrows(uf_) -- the UnionFind outlives the accumulator: it
   // is a local declared just before it (BuildCoarseComponents, the
   // test oracle's ReferenceCoarse, perfbench's graph replay).
   UnionFind* uf_;
-  std::unordered_map<PhraseHash, DocId> anchor_;
-  std::unordered_map<PhraseHash, uint32_t> degree_;
+  std::vector<PhraseSlot> slots_;  // empty, or a power of two
+  size_t size_ = 0;
+  int shift_ = 64;  // 64 - log2(slots_.size())
 };
 
 // Component extraction + canonical cluster/singleton emission into

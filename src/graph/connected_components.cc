@@ -1,7 +1,7 @@
 #include "graph/connected_components.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "util/audit.h"
 
@@ -9,23 +9,30 @@ namespace infoshield {
 
 Components ExtractComponents(UnionFind& uf, size_t min_component_size) {
   INFOSHIELD_AUDIT_INVARIANTS(uf.ValidateInvariants());
-  std::unordered_map<uint32_t, std::vector<uint32_t>> by_root;
+  // A counting sort of the elements by root. The union-find already
+  // knows each set's size, so a component's first (smallest) member opens
+  // its group at its exact size and later members append in id order:
+  // groups come out ordered by smallest member, members ascending.
+  constexpr uint32_t kDropped = UINT32_MAX;
+  // Per root: 0 until its first member is met, kDropped below
+  // min_component_size, else 1 + the index of its group.
   const size_t n = uf.num_elements();
-  for (uint32_t i = 0; i < n; ++i) {
-    by_root[uf.Find(i)].push_back(i);
-  }
+  std::vector<uint32_t> group_of_root(n, 0);
   Components out;
-  out.groups.reserve(by_root.size());
-  // determinism: group order is canonicalized by the sort below; each
-  // member list is already ascending (inserted in id order).
-  for (auto& [root, members] : by_root) {
-    if (members.size() < min_component_size) continue;
-    out.groups.push_back(std::move(members));
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t root = uf.Find(i);
+    uint32_t& group = group_of_root[root];
+    if (group == 0) {
+      const uint32_t size = uf.SetSize(root);
+      if (size < min_component_size) {
+        group = kDropped;
+      } else {
+        out.groups.emplace_back().reserve(size);
+        group = static_cast<uint32_t>(out.groups.size());
+      }
+    }
+    if (group != kDropped) out.groups[group - 1].push_back(i);
   }
-  std::sort(out.groups.begin(), out.groups.end(),
-            [](const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) {
-              return a.front() < b.front();
-            });
   return out;
 }
 

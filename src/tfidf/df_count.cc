@@ -1,6 +1,7 @@
 #include "tfidf/df_count.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "util/logging.h"
@@ -8,16 +9,27 @@
 
 namespace infoshield {
 
+namespace {
+
+// The smallest power-of-two table, at least 16 slots, that holds `n`
+// entries at most 3/4 full.
+size_t CapacityFor(size_t n) {
+  size_t capacity = 16;
+  while (capacity * 3 < n * 4) capacity *= 2;
+  return capacity;
+}
+
+}  // namespace
+
 // analyzer: hot
-DfCounts CountDocumentFrequencies(const Corpus& corpus, size_t begin,
-                                  size_t end, size_t max_ngram,
-                                  size_t num_threads) {
+void CountDocumentFrequencies(const Corpus& corpus, size_t begin,
+                              size_t end, size_t max_ngram,
+                              size_t num_threads, const DfFold& fold) {
   CHECK(begin <= end && end <= corpus.size())
       << "document range [" << begin << ", " << end << ") outside a corpus of "
       << corpus.size();
-  DfCounts counts;
   const size_t n = end - begin;
-  if (n == 0 || max_ngram == 0) return counts;
+  if (n == 0 || max_ngram == 0) return;
   const size_t threads = ThreadPool::ResolveNumThreads(num_threads);
   const size_t num_chunks = std::min(n, threads * 4);
 
@@ -43,11 +55,12 @@ DfCounts CountDocumentFrequencies(const Corpus& corpus, size_t begin,
     }
   });
 
-  // Pass 2: one worker per partition sorts its hashes from every chunk
-  // and run-length counts them.
+  // Pass 2: one worker per partition sorts its hashes from every chunk,
+  // run-length counts them and folds the run.
   ThreadPool::ParallelFor(threads, kDfPartitions, [&](size_t p) {
     size_t total = 0;
     for (const auto& chunk : buckets) total += chunk[p].size();
+    if (total == 0) return;
     std::vector<PhraseHash> hashes;
     hashes.reserve(total);
     for (auto& chunk : buckets) {
@@ -59,7 +72,7 @@ DfCounts CountDocumentFrequencies(const Corpus& corpus, size_t begin,
     for (size_t i = 0; i < hashes.size(); ++i) {
       if (i == 0 || hashes[i] != hashes[i - 1]) ++distinct;
     }
-    std::vector<PhraseDf>& run = counts[p];
+    std::vector<PhraseDf> run;
     run.reserve(distinct);
     for (size_t i = 0; i < hashes.size();) {
       size_t j = i + 1;
@@ -67,8 +80,9 @@ DfCounts CountDocumentFrequencies(const Corpus& corpus, size_t begin,
       run.push_back(PhraseDf{hashes[i], static_cast<uint32_t>(j - i)});
       i = j;
     }
+    std::vector<PhraseHash>().swap(hashes);
+    fold(p, run);
   });
-  return counts;
 }
 
 bool FlatDfMap::Add(PhraseHash hash, uint32_t count) {
@@ -78,7 +92,7 @@ bool FlatDfMap::Add(PhraseHash hash, uint32_t count) {
 
 bool FlatDfMap::Insert(PhraseHash hash, uint32_t count) {
   const size_t mask = slots_.size() - 1;
-  for (size_t i = Home(hash);; i = (i + 1) & mask) {
+  for (size_t i = FibonacciSlot(hash, shift_);; i = (i + 1) & mask) {
     PhraseDf& slot = slots_[i];
     if (slot.df == 0) {
       slot = PhraseDf{hash, count};
@@ -94,14 +108,77 @@ bool FlatDfMap::Insert(PhraseHash hash, uint32_t count) {
 
 void FlatDfMap::Reserve(size_t n) {
   if (n * 4 <= slots_.size() * 3) return;
-  size_t capacity = 16;
-  while (capacity * 3 < n * 4) capacity *= 2;
+  const size_t capacity = CapacityFor(n);
   std::vector<PhraseDf> old(capacity);
   old.swap(slots_);
   shift_ = 64 - std::countr_zero(capacity);
   size_ = 0;
   for (const PhraseDf& slot : old) {
     if (slot.df != 0) Insert(slot.hash, slot.df);
+  }
+}
+
+bool FlatPhraseSet::Insert(PhraseHash hash) {
+  if (hash == 0) {
+    if (has_zero_) return false;
+    has_zero_ = true;
+    ++size_;
+    return true;
+  }
+  Reserve(size_ + 1);
+  return InsertSlot(hash);
+}
+
+bool FlatPhraseSet::InsertSlot(PhraseHash hash) {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = FibonacciSlot(hash, shift_);; i = (i + 1) & mask) {
+    if (slots_[i] == hash) return false;
+    if (slots_[i] == 0) {
+      slots_[i] = hash;
+      ++size_;
+      return true;
+    }
+  }
+}
+
+bool FlatPhraseSet::Erase(PhraseHash hash) {
+  if (hash == 0) {
+    if (!has_zero_) return false;
+    has_zero_ = false;
+    --size_;
+    return true;
+  }
+  if (slots_.empty()) return false;
+  const size_t mask = slots_.size() - 1;
+  size_t hole = FibonacciSlot(hash, shift_);
+  while (slots_[hole] != hash) {
+    if (slots_[hole] == 0) return false;
+    hole = (hole + 1) & mask;
+  }
+  // Backward shift: a later member of the run may fill the hole iff the
+  // hole lies on its probe path, i.e. its home is no nearer to it than
+  // the hole is (distances taken cyclically).
+  for (size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
+    const size_t home = FibonacciSlot(slots_[j], shift_);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = 0;
+  --size_;
+  return true;
+}
+
+void FlatPhraseSet::Reserve(size_t n) {
+  if (n * 4 <= slots_.size() * 3) return;
+  const size_t capacity = CapacityFor(n);
+  std::vector<PhraseHash> old(capacity);
+  old.swap(slots_);
+  shift_ = 64 - std::countr_zero(capacity);
+  size_ = has_zero_ ? 1 : 0;
+  for (const PhraseHash slot : old) {
+    if (slot != 0) InsertSlot(slot);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "tfidf/df_count.h"
@@ -15,7 +16,8 @@ namespace infoshield {
 void TfidfIndex::Build(const Corpus& corpus, const TfidfOptions& options,
                        size_t num_threads) {
   options_ = options;
-  df_ = {};
+  shared_ = {};
+  once_ = {};
   num_documents_ = 0;
   num_phrases_ = 0;
   AddDocuments(corpus, 0, corpus.size(), num_threads);
@@ -23,26 +25,37 @@ void TfidfIndex::Build(const Corpus& corpus, const TfidfOptions& options,
 
 void TfidfIndex::AddDocuments(const Corpus& corpus, size_t begin, size_t end,
                               size_t num_threads) {
-  DfCounts counts = CountDocumentFrequencies(corpus, begin, end,
-                                             options_.max_ngram, num_threads);
-  // One worker per partition adds that partition's counts. It moves the
-  // map into a local and back, which copies nothing and touches df_ only
-  // at the worker's own index: the disjoint-slot form the race analysis
-  // can see (DESIGN.md §11).
+  // Each partition's run is folded on the worker that counted it. The
+  // fold moves the partition's tables into locals and back, which copies
+  // nothing and touches shared_ and once_ only at the worker's own index:
+  // the disjoint-slot form the race analysis can see (DESIGN.md §11).
   std::array<size_t, kDfPartitions> inserted{};
-  ThreadPool::ParallelFor(num_threads, kDfPartitions, [&](size_t p) {
-    std::vector<PhraseDf>& run = counts[p];
-    if (run.empty()) return;
-    FlatDfMap map = std::move(df_[p]);
-    map.Reserve(map.size() + run.size());
-    size_t added = 0;
-    for (const PhraseDf& entry : run) {
-      if (map.Add(entry.hash, entry.df)) ++added;
-    }
-    df_[p] = std::move(map);
-    inserted[p] = added;
-    std::vector<PhraseDf>().swap(run);
-  });
+  CountDocumentFrequencies(
+      corpus, begin, end, options_.max_ngram, num_threads,
+      [&](size_t p, std::span<const PhraseDf> run) {
+        FlatDfMap shared = std::move(shared_[p]);
+        FlatPhraseSet once = std::move(once_[p]);
+        const size_t run_once = static_cast<size_t>(std::count_if(
+            run.begin(), run.end(),
+            [](const PhraseDf& entry) { return entry.df == 1; }));
+        shared.Reserve(shared.size() + run.size() - run_once);
+        once.Reserve(once.size() + run_once);
+        size_t added = 0;
+        for (const PhraseDf& entry : run) {
+          if (once.Erase(entry.hash)) {
+            // Seen in one earlier document: promote with the sum.
+            shared.Add(entry.hash, entry.df + 1);
+          } else if (entry.df > 1 || shared.Find(entry.hash) != 0) {
+            if (shared.Add(entry.hash, entry.df)) ++added;
+          } else {
+            once.Insert(entry.hash);
+            ++added;
+          }
+        }
+        shared_[p] = std::move(shared);
+        once_[p] = std::move(once);
+        inserted[p] = added;
+      });
   for (const size_t added : inserted) num_phrases_ += added;
   num_documents_ += end - begin;
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
@@ -72,11 +85,16 @@ std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
 
   std::vector<ScoredPhrase> scored;
   // One df lookup per phrase: the min_df filter and the score share it
-  // (Score(hash, tf) would redo the hash probe).
+  // (Score(hash, tf) would redo the hash probe). Below min_df 2 it must
+  // see df-1 phrases too; otherwise the small map of phrases in two or
+  // more documents answers alone.
+  const bool probe_once = options_.min_df < 2;
   for (size_t i = 0; i < grams.size();) {
     size_t j = i + 1;
     while (j < grams.size() && grams[j] == grams[i]) ++j;
-    const size_t df = DocumentFrequency(grams[i]);
+    const size_t df = probe_once
+                          ? DocumentFrequency(grams[i])
+                          : shared_[DfPartitionOf(grams[i])].Find(grams[i]);
     if (df >= options_.min_df) {
       scored.push_back(ScoredPhrase{grams[i], ScoreWithDf(df, j - i)});
     }
@@ -112,8 +130,8 @@ Status TfidfIndex::ValidateInvariants() const {
   a.Expect(options_.max_ngram >= 1, "max_ngram is 0");
   size_t total_phrases = 0;
   for (size_t p = 0; p < kDfPartitions; ++p) {
-    total_phrases += df_[p].size();
-    df_[p].ForEach([&](const PhraseDf& entry) {
+    total_phrases += shared_[p].size() + once_[p].size();
+    shared_[p].ForEach([&](const PhraseDf& entry) {
       if (DfPartitionOf(entry.hash) != p) {
         a.Expect(false,
                  StrFormat("phrase %llu stored in partition %zu but hashes "
@@ -121,11 +139,26 @@ Status TfidfIndex::ValidateInvariants() const {
                            static_cast<unsigned long long>(entry.hash), p,
                            DfPartitionOf(entry.hash)));
       }
-      if (entry.df > num_documents_) {
+      if (entry.df < 2 || entry.df > num_documents_) {
         a.Expect(false,
-                 StrFormat("phrase %llu has df %u outside [1, %zu]",
+                 StrFormat("phrase %llu has df %u outside [2, %zu]",
                            static_cast<unsigned long long>(entry.hash),
                            entry.df, num_documents_));
+      }
+    });
+    once_[p].ForEach([&](PhraseHash hash) {
+      if (DfPartitionOf(hash) != p) {
+        a.Expect(false,
+                 StrFormat("df-1 phrase %llu stored in partition %zu but "
+                           "hashes to partition %zu",
+                           static_cast<unsigned long long>(hash), p,
+                           DfPartitionOf(hash)));
+      }
+      if (shared_[p].Find(hash) != 0) {
+        a.Expect(false,
+                 StrFormat("phrase %llu is both a df-1 phrase and in the "
+                           "df map",
+                           static_cast<unsigned long long>(hash)));
       }
     });
   }

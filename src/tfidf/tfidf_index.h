@@ -13,13 +13,17 @@
 // df-1 phrases have the *highest* idf — so this is purely the graph-side
 // optimization, applied after scoring.)
 //
-// The index owns the df table: one FlatDfMap per hash partition
-// (df_count.h), grown in place. Document frequency is a commutative
-// integer sum, so adding documents batch by batch lands on exactly the
-// table one Build over all of them produces. That additivity is what
-// lets the batch coarse stage (one Build) and the incremental engine
-// (one AddDocuments per ingested batch) share this code, and what makes
-// the incremental engine's batch oracle (DESIGN.md §15) attainable.
+// The index owns the df table, split by hash partition (df_count.h) and,
+// within each partition, by df: a FlatDfMap of the phrases seen in two or
+// more documents and a hash-only FlatPhraseSet of those seen in exactly
+// one (94% of a 96k-tweet corpus's phrases). Both grow in place; a phrase
+// moves from the set to the map the first time a later batch sees it
+// again. Document frequency is a commutative integer sum, so adding
+// documents batch by batch lands on exactly the table one Build over all
+// of them produces. That additivity is what lets the batch coarse stage
+// (one Build) and the incremental engine (one AddDocuments per ingested
+// batch) share this code, and what makes the incremental engine's batch
+// oracle (DESIGN.md §15) attainable.
 
 #ifndef INFOSHIELD_TFIDF_TFIDF_INDEX_H_
 #define INFOSHIELD_TFIDF_TFIDF_INDEX_H_
@@ -74,8 +78,8 @@ class TfidfIndex {
   // An empty index (no documents) that scores with `options`.
   explicit TfidfIndex(const TfidfOptions& options) : options_(options) {}
 
-  // Not copyable: the df table holds a 16-byte slot per phrase and
-  // spare, and no caller needs a second copy of it.
+  // Not copyable: the df table holds a slot per phrase and spare, and no
+  // caller needs a second copy of it.
   TfidfIndex(const TfidfIndex&) = delete;
   TfidfIndex& operator=(const TfidfIndex&) = delete;
 
@@ -86,18 +90,24 @@ class TfidfIndex {
 
   // Counts the document frequencies of documents [begin, end) of
   // `corpus` (df_count.h) with `num_threads` workers (0 = hardware
-  // concurrency) and adds them to the table in place, one worker per
-  // partition. The documents must not have been added before: each
-  // counts once per phrase, and num_documents() grows by end - begin.
+  // concurrency) and folds each partition's counts into the table in
+  // place on the worker that counted them. The documents must not have
+  // been added before: each counts once per phrase, and num_documents()
+  // grows by end - begin.
   void AddDocuments(const Corpus& corpus, size_t begin, size_t end,
                     size_t num_threads = 1);
 
   // Document frequency of a phrase (0 if unseen).
   size_t DocumentFrequency(PhraseHash phrase) const {
-    return df_[DfPartitionOf(phrase)].Find(phrase);
+    const size_t p = DfPartitionOf(phrase);
+    const uint32_t df = shared_[p].Find(phrase);
+    if (df != 0) return df;
+    return once_[p].Contains(phrase) ? 1 : 0;
   }
 
-  // The top phrases of one document by tf-idf, best first.
+  // The top phrases of one document by tf-idf, best first. With
+  // min_df >= 2 a df-1 phrase can never qualify, so only the phrases
+  // seen in two or more documents are probed.
   std::vector<ScoredPhrase> TopPhrases(const Document& doc) const;
 
   // tf-idf score of a phrase occurring `tf` times in one document.
@@ -111,9 +121,10 @@ class TfidfIndex {
   const TfidfBuildStats& build_stats() const { return build_stats_; }
 
   // Invariant audit (util/audit.h): the stored options are sane, every
-  // phrase sits in the partition its hash selects, every df lies in
-  // [1, num_documents], and the cached num_phrases matches the sum of
-  // partition sizes. Returns OK or an Internal status listing every
+  // phrase sits in the partition its hash selects, every df in a map lies
+  // in [2, num_documents], no phrase is in both its partition's map and
+  // set, and the cached num_phrases matches the sizes of all maps and
+  // sets summed. Returns OK or an Internal status listing every
   // violation.
   Status ValidateInvariants() const;
 
@@ -125,7 +136,10 @@ class TfidfIndex {
 
   TfidfOptions options_;
   TfidfBuildStats build_stats_;
-  std::array<FlatDfMap, kDfPartitions> df_;
+  // Per partition: phrases seen in two or more documents, with their df,
+  // and phrases seen in exactly one.
+  std::array<FlatDfMap, kDfPartitions> shared_;
+  std::array<FlatPhraseSet, kDfPartitions> once_;
   size_t num_documents_ = 0;
   size_t num_phrases_ = 0;
 };

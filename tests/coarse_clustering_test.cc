@@ -1,8 +1,15 @@
 #include "coarse/coarse_clustering.h"
 
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "graph/connected_components.h"
+#include "graph/union_find.h"
 #include "oracle/reference_coarse.h"
+#include "util/random.h"
 
 namespace infoshield {
 namespace {
@@ -163,6 +170,58 @@ TEST(CoarseTest, EdgeCountPositiveWhenClustered) {
   CoarseClustering coarse;
   CoarseResult r = coarse.Run(c);
   EXPECT_GT(r.num_edges, 0u);
+}
+
+// The accumulator's rule written over two std::unordered_maps: the first
+// document added with a phrase is its anchor, and with a cap only a
+// phrase's first max_phrase_degree documents are unioned with it.
+std::vector<std::vector<uint32_t>> MapReplay(
+    const std::vector<std::pair<DocId, PhraseHash>>& edges, size_t num_docs,
+    size_t max_phrase_degree) {
+  UnionFind uf(num_docs);
+  std::unordered_map<PhraseHash, DocId> anchor;
+  std::unordered_map<PhraseHash, size_t> degree;
+  for (const auto& [doc, phrase] : edges) {
+    if (max_phrase_degree > 0 && ++degree[phrase] > max_phrase_degree) {
+      continue;
+    }
+    const auto [it, inserted] = anchor.emplace(phrase, doc);
+    if (!inserted) uf.Union(it->second, doc);
+  }
+  return ExtractComponents(uf, 1).groups;
+}
+
+TEST(CoarseEdgeAccumulatorTest, MatchesUnorderedMapReplay) {
+  // Random document-major (doc, phrase) streams over a phrase pool small
+  // enough that phrases repeat and become hubs, large enough that the
+  // flat table grows several times. The pool holds hash 0 and hashes
+  // that differ only in their top bits, so probe runs collide.
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    Rng rng(seed);
+    const size_t num_docs = 50 + rng.NextIndex(400);
+    std::vector<PhraseHash> pool = {0};
+    const size_t pool_size = 20 + rng.NextIndex(3000);
+    while (pool.size() < pool_size) {
+      const PhraseHash base = rng.NextUint64();
+      pool.push_back(base);
+      pool.push_back(base ^ (uint64_t{1} << 63));
+    }
+    std::vector<std::pair<DocId, PhraseHash>> edges;
+    for (DocId d = 0; d < num_docs; ++d) {
+      const size_t phrases = rng.NextIndex(8);
+      for (size_t k = 0; k < phrases; ++k) {
+        edges.emplace_back(d, pool[rng.NextIndex(pool.size())]);
+      }
+    }
+    for (size_t cap : {size_t{0}, size_t{1}, size_t{2}, size_t{5}}) {
+      UnionFind uf(num_docs);
+      CoarseEdgeAccumulator accumulator(cap, &uf);
+      for (const auto& [doc, phrase] : edges) accumulator.Add(doc, phrase);
+      EXPECT_EQ(ExtractComponents(uf, 1).groups,
+                MapReplay(edges, num_docs, cap))
+          << "seed=" << seed << " cap=" << cap;
+    }
+  }
 }
 
 }  // namespace

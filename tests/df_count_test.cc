@@ -1,9 +1,11 @@
-// The partitioned df count and its flat map: counts must equal the
-// serial reference's global map at every thread count, and the map must
-// keep every count through growth and copies.
+// The partitioned df count and its flat tables: counts must equal the
+// serial reference's global map at every thread count, and the map and
+// the df-1 set must keep every member through growth, copies and erases.
 
 #include "tfidf/df_count.h"
 
+#include <array>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -32,8 +34,25 @@ Corpus CampaignCorpus() {
   return c;
 }
 
+// Each partition's folded run, copied out by a fold that writes only its
+// own partition's slot.
+using PartitionRuns = std::array<std::vector<PhraseDf>, kDfPartitions>;
+
+PartitionRuns CountRuns(const Corpus& corpus, size_t begin, size_t end,
+                   size_t max_ngram, size_t num_threads) {
+  PartitionRuns counts;
+  CountDocumentFrequencies(
+      corpus, begin, end, max_ngram, num_threads,
+      [&](size_t p, std::span<const PhraseDf> run) {
+        EXPECT_TRUE(counts[p].empty()) << "partition " << p << " folded twice";
+        EXPECT_FALSE(run.empty()) << "partition " << p << " folded empty";
+        counts[p].assign(run.begin(), run.end());
+      });
+  return counts;
+}
+
 // Every (hash, df) of `counts` in partition order.
-std::vector<PhraseDf> Flatten(const DfCounts& counts) {
+std::vector<PhraseDf> Flatten(const PartitionRuns& counts) {
   std::vector<PhraseDf> out;
   for (const std::vector<PhraseDf>& partition : counts) {
     out.insert(out.end(), partition.begin(), partition.end());
@@ -52,7 +71,7 @@ TEST(DfCountTest, MatchesSerialReferenceAtEveryThreadCount) {
   const std::unordered_map<PhraseHash, uint32_t> reference =
       oracle::ReferenceDocumentFrequencies(c, 0, c.size(), /*max_ngram=*/5);
   const std::vector<PhraseDf> first =
-      Flatten(CountDocumentFrequencies(c, 0, c.size(), 5, 1));
+      Flatten(CountRuns(c, 0, c.size(), 5, 1));
   ASSERT_EQ(first.size(), reference.size());
   for (const PhraseDf& entry : first) {
     const auto it = reference.find(entry.hash);
@@ -60,15 +79,15 @@ TEST(DfCountTest, MatchesSerialReferenceAtEveryThreadCount) {
     EXPECT_EQ(entry.df, it->second);
   }
   for (size_t threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(Flatten(CountDocumentFrequencies(c, 0, c.size(), 5, threads)),
+    EXPECT_EQ(Flatten(CountRuns(c, 0, c.size(), 5, threads)),
               first)
         << "threads=" << threads;
   }
 }
 
 TEST(DfCountTest, PartitionsHoldSortedRunsOfTheirOwnHashes) {
-  const DfCounts counts =
-      CountDocumentFrequencies(CampaignCorpus(), 0, 60, 5, 4);
+  const PartitionRuns counts =
+      CountRuns(CampaignCorpus(), 0, 60, 5, 4);
   for (size_t p = 0; p < kDfPartitions; ++p) {
     for (size_t i = 0; i < counts[p].size(); ++i) {
       EXPECT_EQ(DfPartitionOf(counts[p][i].hash), p);
@@ -80,8 +99,8 @@ TEST(DfCountTest, PartitionsHoldSortedRunsOfTheirOwnHashes) {
 }
 
 TEST(DfCountTest, CountsSpreadAcrossAllPartitions) {
-  const DfCounts counts =
-      CountDocumentFrequencies(CampaignCorpus(), 0, 60, 5, 2);
+  const PartitionRuns counts =
+      CountRuns(CampaignCorpus(), 0, 60, 5, 2);
   for (size_t p = 0; p < kDfPartitions; ++p) {
     EXPECT_FALSE(counts[p].empty()) << "partition " << p;
   }
@@ -91,9 +110,9 @@ TEST(DfCountTest, CountsOnlyTheRequestedRange) {
   const Corpus c = CampaignCorpus();
   const std::unordered_map<PhraseHash, uint32_t> reference =
       oracle::ReferenceDocumentFrequencies(c, 10, 25, 3);
-  EXPECT_EQ(Flatten(CountDocumentFrequencies(c, 10, 25, 3, 4)).size(),
+  EXPECT_EQ(Flatten(CountRuns(c, 10, 25, 3, 4)).size(),
             reference.size());
-  EXPECT_EQ(Flatten(CountDocumentFrequencies(c, 7, 7, 3, 4)).size(), 0u);
+  EXPECT_EQ(Flatten(CountRuns(c, 7, 7, 3, 4)).size(), 0u);
 }
 
 TEST(FlatDfMapTest, AddAccumulatesIntoExistingCounts) {
@@ -135,6 +154,95 @@ TEST(FlatDfMapTest, CopyIsIndependentOfItsSource) {
   EXPECT_EQ(original.Find(2), 0u);
   EXPECT_EQ(copy.Find(1), 3u);
   EXPECT_EQ(copy.size(), 2u);
+}
+
+TEST(FlatPhraseSetTest, HashZeroIsAMemberLikeAnyOther) {
+  // 0 is a valid PhraseHash (partition 0), so it cannot double as the
+  // empty-slot marker.
+  FlatPhraseSet set;
+  EXPECT_FALSE(set.Contains(0));
+  EXPECT_FALSE(set.Erase(0));
+  EXPECT_TRUE(set.Insert(0));
+  EXPECT_FALSE(set.Insert(0));
+  EXPECT_TRUE(set.Insert(5));
+  EXPECT_TRUE(set.Contains(0));
+  EXPECT_TRUE(set.Contains(5));
+  EXPECT_EQ(set.size(), 2u);
+  std::vector<PhraseHash> members;
+  set.ForEach([&](PhraseHash hash) { members.push_back(hash); });
+  EXPECT_EQ(members, (std::vector<PhraseHash>{0, 5}));
+  set.Reserve(1000);
+  EXPECT_TRUE(set.Contains(0));
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.Erase(0));
+  EXPECT_FALSE(set.Contains(0));
+  EXPECT_TRUE(set.Contains(5));
+  EXPECT_EQ(set.size(), 1u);
+}
+
+// Hashes whose Fibonacci home in a table of 2^(64 - shift) slots is
+// `home`, found by scanning a partition's low bits.
+std::vector<PhraseHash> HashesWithHome(size_t home, int shift, size_t count) {
+  std::vector<PhraseHash> out;
+  for (uint64_t salt = 1; out.size() < count; ++salt) {
+    const PhraseHash hash = HashInPartition(9, salt);
+    if (FibonacciSlot(hash, shift) == home) out.push_back(hash);
+  }
+  return out;
+}
+
+TEST(FlatPhraseSetTest, EraseInARunThatWrapsKeepsEveryOtherMember) {
+  // A 16-slot table (shift 60): five hashes homed at slot 14 fill slots
+  // 14, 15, 0, 1, 2, and two homed at slot 0 queue behind them at 3 and
+  // 4. Erasing each member in turn from a fresh table must leave every
+  // other member findable, whichever side of the wrap the hole opens.
+  const std::vector<PhraseHash> at_14 = HashesWithHome(14, 60, 5);
+  const std::vector<PhraseHash> at_0 = HashesWithHome(0, 60, 2);
+  std::vector<PhraseHash> members = at_14;
+  members.insert(members.end(), at_0.begin(), at_0.end());
+  for (size_t victim = 0; victim < members.size(); ++victim) {
+    FlatPhraseSet set;
+    for (const PhraseHash hash : members) ASSERT_TRUE(set.Insert(hash));
+    ASSERT_TRUE(set.Erase(members[victim])) << "victim " << victim;
+    EXPECT_FALSE(set.Contains(members[victim])) << "victim " << victim;
+    EXPECT_EQ(set.size(), members.size() - 1);
+    for (size_t k = 0; k < members.size(); ++k) {
+      if (k == victim) continue;
+      EXPECT_TRUE(set.Contains(members[k]))
+          << "member " << k << " lost after erasing " << victim;
+    }
+  }
+}
+
+TEST(FlatPhraseSetTest, GrowthKeepsEveryMember) {
+  FlatPhraseSet set;
+  constexpr uint64_t kKeys = 5000;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    EXPECT_TRUE(set.Insert(HashInPartition(5, k << 20)));
+  }
+  EXPECT_EQ(set.size(), kKeys);
+  size_t visited = 0;
+  set.ForEach([&](PhraseHash) { ++visited; });
+  EXPECT_EQ(visited, kKeys);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    EXPECT_TRUE(set.Contains(HashInPartition(5, k << 20))) << k;
+    EXPECT_FALSE(set.Contains(HashInPartition(6, k << 20))) << k;
+  }
+}
+
+TEST(FlatPhraseSetTest, ErasingAnAbsentHashChangesNothing) {
+  FlatPhraseSet set;
+  EXPECT_FALSE(set.Erase(7));
+  for (uint64_t k = 1; k <= 40; ++k) set.Insert(HashInPartition(3, k));
+  EXPECT_FALSE(set.Erase(HashInPartition(3, 41)));
+  EXPECT_FALSE(set.Erase(HashInPartition(4, 1)));
+  EXPECT_EQ(set.size(), 40u);
+  for (uint64_t k = 1; k <= 40; ++k) {
+    EXPECT_TRUE(set.Contains(HashInPartition(3, k))) << k;
+  }
+  EXPECT_TRUE(set.Erase(HashInPartition(3, 40)));
+  EXPECT_FALSE(set.Erase(HashInPartition(3, 40)));
+  EXPECT_EQ(set.size(), 39u);
 }
 
 }  // namespace

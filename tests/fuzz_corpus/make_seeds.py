@@ -267,6 +267,8 @@ write("diff_coarse", "unigrams_and_degree_cap",
 write("diff_coarse", "min_cluster_three",
       synthetic(0x08, [([1, 3, 5, 7, 9, 11], [[0] * 6, [0] * 6, [0] * 6])],
                 []))
+# min_df 1: top phrases are scored from the df-1 phrases as well.
+write("diff_coarse", "min_df_one", synthetic(0x10, two_families, noise))
 
 # --- diff_coarse_backend: params + exact-duplicate families ----------
 # Decode order: shingle_k-1, band choice, num_families-1, then per
@@ -313,5 +315,9 @@ write("diff_incremental", "threaded_with_degree_cap",
       synthetic(0x14, two_families, noise) + u64(1) + u64(1) + u64(1))
 write("diff_incremental", "unigram_vocab_growth",
       synthetic(0x03, two_families, noise) + u64(2) + u64(0) + u64(4))
+# min_df 1 on one document per batch: every batch after the first
+# promotes phrases its predecessors saw once.
+write("diff_incremental", "min_df_one_single_doc_batches",
+      synthetic(0x20, two_families, noise) + u64(1) * 6)
 
 print("seed corpora regenerated under", ROOT)

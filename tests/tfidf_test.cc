@@ -331,6 +331,31 @@ TEST(TfidfTest, AddDocumentsInBatchesMatchesBuild) {
   }
 }
 
+TEST(TfidfTest, PhraseSeenAgainInALaterBatchBecomesATopPhrase) {
+  // A df-1 phrase cannot pass min_df = 2. A later batch that repeats it
+  // promotes it with df 2, and it becomes a top phrase; the phrase count
+  // stays the same, since the batch adds no phrase not seen before.
+  Corpus c;
+  c.Add("alpha beta");
+  c.Add("gamma delta epsilon");
+  c.Add("alpha beta");
+  const PhraseHash bigram = HashNgram(c.doc(0).tokens.data(), 2);
+  TfidfIndex index{TfidfOptions{}};
+  index.AddDocuments(c, 0, 2);
+  EXPECT_EQ(index.DocumentFrequency(bigram), 1u);
+  EXPECT_TRUE(index.TopPhrases(c.doc(0)).empty());
+  const size_t phrases = index.num_phrases();
+
+  index.AddDocuments(c, 2, 3, /*num_threads=*/4);
+  EXPECT_EQ(index.DocumentFrequency(bigram), 2u);
+  EXPECT_EQ(index.num_phrases(), phrases);
+  const std::vector<ScoredPhrase> top = index.TopPhrases(c.doc(0));
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].hash, bigram);
+  EXPECT_GT(top[0].score, 0.0);
+  EXPECT_TRUE(index.ValidateInvariants().ok());
+}
+
 TEST(TfidfTest, EmptyCorpus) {
   Corpus c;
   TfidfIndex index;
