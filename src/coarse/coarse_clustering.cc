@@ -1,6 +1,5 @@
 #include "coarse/coarse_clustering.h"
 
-#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -28,18 +27,16 @@ void CoarseEdgeAccumulator::Grow() {
 
 void EmitCoarseComponents(UnionFind& uf, const CoarseOptions& options,
                           CoarseResult* result) {
-  Components components = ExtractComponents(uf, /*min_component_size=*/1);
+  Components components = ExtractComponents(uf, options.min_cluster_size);
   for (auto& group : components.groups) {
-    if (group.size() < options.min_cluster_size) {
-      for (uint32_t id : group) result->singletons.push_back(id);
-    } else {
-      result->clusters.push_back(std::move(group));
+    result->clusters.push_back(std::move(group));
+  }
+  const uint32_t n = static_cast<uint32_t>(uf.num_elements());
+  for (uint32_t id = 0; id < n; ++id) {
+    if (uf.SetSize(id) < options.min_cluster_size) {
+      result->singletons.push_back(id);
     }
   }
-  // Canonical emission order: undersized groups arrive sorted by their
-  // first member, so their documents interleave; sort so the singleton
-  // list is the same ascending sequence however the groups fell out.
-  std::sort(result->singletons.begin(), result->singletons.end());
 }
 
 // analyzer: hot

@@ -65,7 +65,7 @@ struct CoarseOptions {
   size_t max_phrase_degree = 0;
   // Worker threads for the coarse pipeline (1 = sequential, 0 = hardware
   // concurrency). The partitioned df count and the per-document
-  // top-phrase selection fan out across the pool; the edges are then
+  // top-phrase selection fan out across workers; the edges are then
   // replayed in canonical (document, phrase-rank) order, so the output
   // is byte-identical for any value (DESIGN.md §11).
   size_t num_threads = 1;

@@ -1,7 +1,7 @@
 // MinHash/LSH coarse backend driver (DESIGN.md §16).
 //
 // Pipeline: tokenized corpus -> per-document MinHash signatures (pure,
-// fanned across the thread pool) -> band bucket keys -> canonical
+// fanned out by ParallelFor) -> band bucket keys -> canonical
 // doc-major edge replay and connected components, both by
 // BuildCoarseComponents (coarse_clustering.h). The replay consumes
 // (doc, band key) edges in ascending document order, so (as with the tf-idf

@@ -38,7 +38,7 @@ namespace audit {
 bool AuditingEnabled();
 void SetAuditingEnabled(bool enabled);
 
-// Process-wide audit tallies. Auditors run concurrently on thread-pool
+// Process-wide audit tallies. Auditors run concurrently on ParallelFor
 // workers (the fine stage audits every cluster inside ParallelFor), so
 // the counters live behind an annotated Mutex in audit.cc; these
 // accessors are safe from any thread.

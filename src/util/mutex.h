@@ -1,29 +1,28 @@
 // Annotated concurrency primitives: the only lock types the repo uses.
 //
-// Mutex/MutexLock/CondVar wrap the std primitives and carry the Clang
-// thread-safety annotations from util/thread_annotations.h, so a Clang
-// build with -DINFOSHIELD_THREAD_SAFETY=ON proves at compile time that
-// every GUARDED_BY field is touched only under its mutex. Raw
-// std::mutex / std::lock_guard / std::thread / std::condition_variable
-// are banned outside src/util/ by tools/lint.py (rule raw-concurrency);
-// new shared state must be expressed through these wrappers:
+// Mutex/MutexLock wrap std::mutex and carry the Clang thread-safety
+// annotations from util/thread_annotations.h, so a Clang build with
+// -DINFOSHIELD_THREAD_SAFETY=ON proves at compile time that every
+// GUARDED_BY field is touched only under its mutex. Raw std::mutex /
+// std::lock_guard / std::thread / std::condition_variable are banned
+// outside src/util/ by tools/lint.py (rule raw-concurrency); new shared
+// state must be expressed through these wrappers:
 //
 //   Mutex mu_;
-//   std::queue<Task> tasks_ GUARDED_BY(mu_);
+//   size_t finished_ GUARDED_BY(mu_) = 0;
 //
-//   void Push(Task t) EXCLUDES(mu_) {
+//   void Finish() EXCLUDES(mu_) {
 //     MutexLock lock(&mu_);
-//     tasks_.push(std::move(t));
+//     ++finished_;
 //   }
 //
-// CondVar waits re-acquire the mutex before returning, and (like every
-// condition variable) can wake spuriously — always wait in a loop that
-// re-checks the predicate while holding the lock.
+// Work split across threads goes through ThreadPool::ParallelFor
+// (util/thread_pool.h); workers that write disjoint per-index slots need
+// no lock at all.
 
 #ifndef INFOSHIELD_UTIL_MUTEX_H_
 #define INFOSHIELD_UTIL_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.h"
@@ -45,7 +44,6 @@ class CAPABILITY("mutex") Mutex {
   bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -62,25 +60,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-// Condition variable bound to Mutex. Wait() atomically releases the
-// mutex, blocks, and re-acquires it before returning; REQUIRES(mu)
-// makes callers prove they hold the lock at the call site.
-class CondVar {
- public:
-  CondVar() = default;
-
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void Wait(Mutex& mu) REQUIRES(mu);
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace infoshield

@@ -25,7 +25,7 @@
 //                             the invariant)
 //
 // Only src/util/mutex.h should define new capabilities; everything else
-// consumes Mutex/MutexLock/CondVar and annotates its guarded state
+// consumes Mutex/MutexLock and annotates its guarded state
 // (see DESIGN.md §9, "Concurrency contract").
 
 #ifndef INFOSHIELD_UTIL_THREAD_ANNOTATIONS_H_

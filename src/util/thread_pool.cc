@@ -6,8 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
-
-#include "util/logging.h"
+#include <thread>
 
 namespace infoshield {
 
@@ -19,10 +18,11 @@ namespace {
 // where the kernel put it.
 //
 // Without this, a 4-vCPU KVM guest (Linux 6.18) that had idled for a few
-// seconds ran all four newly created workers of every pool on a single
-// vCPU for about a second in roughly half of fresh processes, before the
-// load balancer spread them; a fork-join stage then took ~3x as long.
-// Starting worker i on the i-th allowed CPU removed that in every trial.
+// seconds ran all four newly created workers of every fork-join on a
+// single vCPU for about a second in roughly half of fresh processes,
+// before the load balancer spread them; a fork-join stage then took ~3x
+// as long. Starting worker i on the i-th allowed CPU removed that in
+// every trial.
 void SpreadOntoCpu(size_t index) {
 #if defined(__linux__)
   cpu_set_t allowed{};
@@ -63,80 +63,28 @@ size_t ThreadPool::ResolveNumThreads(size_t requested) {
   return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  num_threads = ResolveNumThreads(num_threads);
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] {
-      SpreadOntoCpu(i);
-      WorkerLoop();
-    });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(&mutex_);
-    shutting_down_ = true;
-  }
-  task_available_.NotifyAll();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    MutexLock lock(&mutex_);
-    CHECK(!shutting_down_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_available_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(&mutex_);
-  while (in_flight_ != 0) all_done_.Wait(mutex_);
-}
-
-void ThreadPool::WorkerLoop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      MutexLock lock(&mutex_);
-      while (!shutting_down_ && tasks_.empty()) task_available_.Wait(mutex_);
-      if (tasks_.empty()) return;  // shutting down, queue drained
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
-    {
-      MutexLock lock(&mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.NotifyAll();
-    }
-  }
-}
-
 void ThreadPool::ParallelFor(size_t num_threads, size_t count,
                              const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  if (num_threads == 1 || count == 1) {
+  const size_t workers = std::min(ResolveNumThreads(num_threads), count);
+  if (workers <= 1) {
     for (size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  ThreadPool pool(num_threads);
+  // A thread that cannot start throws std::system_error, and the
+  // unjoined workers then end the program, as a failed allocation does
+  // in this exception-free library.
   std::atomic<size_t> next{0};
-  const size_t workers = std::min(pool.num_threads(), count);
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
-    pool.Submit([&] {
-      while (true) {
-        const size_t i = next.fetch_add(1);
-        if (i >= count) return;
+    threads.emplace_back([&, w] {
+      SpreadOntoCpu(w);
+      for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
         fn(i);
       }
     });
   }
-  pool.Wait();
+  for (std::thread& t : threads) t.join();
 }
 
 }  // namespace infoshield

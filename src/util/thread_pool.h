@@ -1,11 +1,12 @@
-// Fixed-size worker pool for embarrassingly parallel stages. The fine
-// stage processes coarse clusters independently, so InfoShield can fan
-// them out across cores (the paper's 8-hour/4M-documents figure is a
+// Fork-join over an index range for embarrassingly parallel stages. The
+// fine stage processes coarse clusters independently, so InfoShield can
+// fan them out across cores (the paper's 8-hour/4M-documents figure is a
 // single laptop; multicore shortens it proportionally).
 //
-// All queue/bookkeeping state is guarded by mutex_ under the compile-time
-// contract from util/thread_annotations.h: a Clang build with
-// -DINFOSHIELD_THREAD_SAFETY=ON rejects any access outside the lock.
+// ParallelFor starts its workers, lets them claim indices from one atomic
+// counter and joins them before it returns. Nothing outlives a call, so
+// there is no pool object and no lock; ThreadPool only scopes the three
+// static functions below.
 
 #ifndef INFOSHIELD_UTIL_THREAD_POOL_H_
 #define INFOSHIELD_UTIL_THREAD_POOL_H_
@@ -13,47 +14,26 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <queue>
-#include <thread>
 #include <vector>
-
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace infoshield {
 
 class ThreadPool {
  public:
-  // num_threads == 0 picks the hardware concurrency: the number of CPUs
-  // the calling thread may run on (its affinity mask, which a cpuset or
-  // taskset narrows), at least 1. Worker i starts on the i-th CPU the
-  // process may use (round-robin) and then keeps the creating thread's
-  // whole CPU mask, so a pool's workers begin spread out rather than
-  // wherever the kernel first puts new threads (thread_pool.cc).
-  explicit ThreadPool(size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Enqueues a task; runs on some worker. Safe to call concurrently from
-  // any thread, including from inside a running task (the chain is
-  // covered by Wait).
-  void Submit(std::function<void()> task) EXCLUDES(mutex_);
-
-  // Blocks until every submitted task has finished.
-  void Wait() EXCLUDES(mutex_);
-
-  size_t num_threads() const { return workers_.size(); }
-
-  // The effective worker count for `requested` (0 = hardware concurrency
-  // as defined above) — the same resolution the constructor applies.
-  // Callers outside src/util/ use this instead of touching std::thread
-  // directly (lint rule raw-concurrency).
+  // The effective worker count for `requested`: itself, or for 0 the
+  // hardware concurrency, meaning the number of CPUs the calling thread
+  // may run on (its affinity mask, which a cpuset or taskset narrows),
+  // at least 1. Callers outside src/util/ use this instead of touching
+  // std::thread directly (lint rule raw-concurrency).
   static size_t ResolveNumThreads(size_t requested);
 
-  // Runs fn(i) for i in [0, count) across the pool and waits. fn must be
-  // safe to call concurrently for distinct i.
+  // Runs fn(i) for i in [0, count) on min(ResolveNumThreads(num_threads),
+  // count) workers and returns once every call has. One worker means the
+  // calling thread, in index order. Otherwise worker w starts on the w-th
+  // CPU the process may use (round-robin) and then keeps the calling
+  // thread's whole CPU mask, so the workers begin spread out rather than
+  // wherever the kernel first puts new threads (thread_pool.cc). fn must
+  // be safe to call concurrently for distinct i.
   static void ParallelFor(size_t num_threads, size_t count,
                           const std::function<void(size_t)>& fn);
 
@@ -85,19 +65,6 @@ class ThreadPool {
     bounds.push_back(count);
     return bounds;
   }
-
- private:
-  void WorkerLoop() EXCLUDES(mutex_);
-
-  // Immutable after the constructor returns; joined in the destructor.
-  std::vector<std::thread> workers_;
-
-  Mutex mutex_;
-  std::queue<std::function<void()>> tasks_ GUARDED_BY(mutex_);
-  CondVar task_available_;
-  CondVar all_done_;
-  size_t in_flight_ GUARDED_BY(mutex_) = 0;
-  bool shutting_down_ GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace infoshield

@@ -55,65 +55,5 @@ TEST(MutexTest, MutexLockGuardsCriticalSection) {
   EXPECT_EQ(counter.value, kThreads * kIncrements);
 }
 
-TEST(CondVarTest, WaitWakesOnNotify) {
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;  // guarded by mu (local, so annotated by comment)
-  bool observed = false;
-
-  std::thread waiter([&] {
-    MutexLock lock(&mu);
-    while (!ready) cv.Wait(mu);
-    observed = true;
-  });
-  {
-    MutexLock lock(&mu);
-    ready = true;
-  }
-  cv.NotifyAll();
-  waiter.join();
-  EXPECT_TRUE(observed);
-}
-
-TEST(CondVarTest, ProducerConsumerHandsOffEveryItem) {
-  Mutex mu;
-  CondVar item_ready;
-  std::vector<int> queue;  // guarded by mu
-  bool done = false;       // guarded by mu
-  constexpr int kItems = 500;
-
-  long long consumed_sum = 0;
-  std::thread consumer([&] {
-    while (true) {
-      int item;
-      {
-        MutexLock lock(&mu);
-        while (queue.empty() && !done) item_ready.Wait(mu);
-        if (queue.empty()) return;
-        item = queue.back();
-        queue.pop_back();
-      }
-      consumed_sum += item;
-    }
-  });
-
-  long long produced_sum = 0;
-  for (int i = 1; i <= kItems; ++i) {
-    produced_sum += i;
-    {
-      MutexLock lock(&mu);
-      queue.push_back(i);
-    }
-    item_ready.NotifyOne();
-  }
-  {
-    MutexLock lock(&mu);
-    done = true;
-  }
-  item_ready.NotifyAll();
-  consumer.join();
-  EXPECT_EQ(consumed_sum, produced_sum);
-}
-
 }  // namespace
 }  // namespace infoshield

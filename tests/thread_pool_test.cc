@@ -4,8 +4,9 @@
 #include <sched.h>
 #endif
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -14,42 +15,13 @@
 namespace infoshield {
 namespace {
 
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, MultipleWaitRounds) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), (round + 1) * 20);
-  }
-}
-
 TEST(ThreadPoolTest, ZeroMeansHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.num_threads(), 1u);
+  EXPECT_GE(ThreadPool::ResolveNumThreads(0), 1u);
 }
 
 #if defined(__linux__)
 // 0 counts the CPUs the caller may run on, not every CPU online: under a
-// one-CPU mask a default pool has one worker.
+// one-CPU mask a default ParallelFor has one worker, the calling thread.
 TEST(ThreadPoolTest, ZeroCountsOnlyTheCpusTheCallerMayUse) {
   cpu_set_t allowed{};
   ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
@@ -61,78 +33,19 @@ TEST(ThreadPoolTest, ZeroCountsOnlyTheCpusTheCallerMayUse) {
   CPU_SET(cpu, &one);
   ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
   const size_t resolved = ThreadPool::ResolveNumThreads(0);
-  const size_t workers = ThreadPool(0).num_threads();
+  std::vector<std::thread::id> ran_on(5);
+  ThreadPool::ParallelFor(0, ran_on.size(), [&](size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
   ASSERT_EQ(sched_setaffinity(0, sizeof(allowed), &allowed), 0);
   EXPECT_EQ(resolved, 1u);
-  EXPECT_EQ(workers, 1u);
-}
-#endif
-
-// Many external threads hammering Submit concurrently: exercises the
-// task-queue lock from outside the pool (TSan-sensitive; see
-// tools/check.sh tsan leg).
-TEST(ThreadPoolTest, ConcurrentSubmitFromManyThreads) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  constexpr int kSubmitters = 8;
-  constexpr int kTasksEach = 250;
-  std::vector<std::thread> submitters;
-  submitters.reserve(kSubmitters);
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&pool, &counter] {
-      for (int i = 0; i < kTasksEach; ++i) {
-        pool.Submit([&counter] { counter.fetch_add(1); });
-      }
-    });
+  for (size_t i = 0; i < ran_on.size(); ++i) {
+    EXPECT_EQ(ran_on[i], std::this_thread::get_id()) << "index " << i;
   }
-  for (std::thread& t : submitters) t.join();
-  pool.Wait();
-  EXPECT_EQ(counter.load(), kSubmitters * kTasksEach);
 }
 
-// Tasks that submit follow-up tasks while Wait() is already blocked:
-// Wait() must not return until the transitively-spawned work drains.
-TEST(ThreadPoolTest, SubmitDuringWaitIsObservedByWait) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  constexpr int kRoots = 16;
-  constexpr int kChildrenPerRoot = 8;
-  for (int i = 0; i < kRoots; ++i) {
-    pool.Submit([&pool, &counter] {
-      counter.fetch_add(1);
-      for (int c = 0; c < kChildrenPerRoot; ++c) {
-        pool.Submit([&counter] { counter.fetch_add(1); });
-      }
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), kRoots * (1 + kChildrenPerRoot));
-}
-
-// External submitter racing a Wait() caller: Wait() must return with the
-// tasks it can see drained, and the destructor must still run everything
-// that was ever accepted.
-TEST(ThreadPoolTest, WaitRacingSubmitNeverLosesTasks) {
-  std::atomic<int> counter{0};
-  constexpr int kTasks = 400;
-  {
-    ThreadPool pool(4);
-    std::thread submitter([&pool, &counter] {
-      for (int i = 0; i < kTasks; ++i) {
-        pool.Submit([&counter] { counter.fetch_add(1); });
-      }
-    });
-    for (int w = 0; w < 10; ++w) pool.Wait();
-    submitter.join();
-    pool.Wait();
-    EXPECT_EQ(counter.load(), kTasks);
-  }
-  EXPECT_EQ(counter.load(), kTasks);
-}
-
-#if defined(__linux__)
 // Workers start on spread-out CPUs, but each must end up with the
-// creating thread's whole CPU mask, never pinned to the one it began on.
+// calling thread's whole CPU mask, never pinned to the one it began on.
 TEST(ThreadPoolTest, WorkersKeepTheCreatorsCpuMask) {
   cpu_set_t creator{};
   ASSERT_EQ(sched_getaffinity(0, sizeof(creator), &creator), 0);
@@ -141,32 +54,44 @@ TEST(ThreadPoolTest, WorkersKeepTheCreatorsCpuMask) {
   std::vector<cpu_set_t> masks(workers);
   std::vector<char> read(workers, 0);
   std::atomic<size_t> started{0};
-  {
-    ThreadPool pool(workers);
-    for (size_t t = 0; t < workers; ++t) {
-      pool.Submit([&, t] {
-        // Each task holds its worker until every task has started, so
-        // every worker reports its own mask.
-        started.fetch_add(1);
-        while (started.load() < workers) std::this_thread::yield();
-        read[t] = sched_getaffinity(0, sizeof(masks[t]), &masks[t]) == 0;
-      });
-    }
-    pool.Wait();
-  }
+  ThreadPool::ParallelFor(workers, workers, [&](size_t t) {
+    // Each index holds its worker until every index has started, so
+    // every worker reports its own mask.
+    started.fetch_add(1);
+    while (started.load() < workers) std::this_thread::yield();
+    read[t] = sched_getaffinity(0, sizeof(masks[t]), &masks[t]) == 0;
+  });
   for (size_t t = 0; t < workers; ++t) {
-    ASSERT_TRUE(read[t]) << "task " << t;
-    EXPECT_TRUE(CPU_EQUAL(&masks[t], &creator)) << "task " << t;
+    ASSERT_TRUE(read[t]) << "index " << t;
+    EXPECT_TRUE(CPU_EQUAL(&masks[t], &creator)) << "index " << t;
   }
 }
 #endif
 
+// Every index runs once, on at most min(workers, count) threads, and on
+// the calling thread alone when that is one (count < workers included).
 TEST(ParallelForTest, CoversEveryIndexOnce) {
-  const size_t n = 1000;
-  std::vector<std::atomic<int>> hits(n);
-  ThreadPool::ParallelFor(4, n, [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  for (size_t threads : {0, 1, 2, 8}) {
+    for (size_t n : {0, 1, 3, 1000}) {
+      std::vector<std::atomic<int>> hits(n);
+      std::vector<std::thread::id> ran_on(n);
+      ThreadPool::ParallelFor(threads, n, [&](size_t i) {
+        hits[i].fetch_add(1);
+        ran_on[i] = std::this_thread::get_id();
+      });
+      const std::set<std::thread::id> distinct(ran_on.begin(), ran_on.end());
+      const size_t workers =
+          std::min(ThreadPool::ResolveNumThreads(threads), n);
+      EXPECT_LE(distinct.size(), workers)
+          << threads << " threads, count " << n;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << threads << " threads, count " << n << ", index " << i;
+        if (workers == 1) {
+          EXPECT_EQ(ran_on[i], std::this_thread::get_id());
+        }
+      }
+    }
   }
 }
 

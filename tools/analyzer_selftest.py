@@ -92,7 +92,6 @@ SEEDED_RACES = ("Telemetry::dropped_", "Ledger::balance_",
 # Mutex nodes the real-tree lock graph must name (acceptance criterion:
 # coverage of every current Mutex user).
 REQUIRED_GRAPH_NODES = (
-    "ThreadPool::mutex_",
     "logging::g_severity_mu",
     "audit::g_stats_mu",
 )
@@ -101,9 +100,6 @@ REQUIRED_GRAPH_NODES = (
 # fields with verdict `annotated` must equal this exactly, so a field
 # that loses its annotation, or is swapped for another, fails the run.
 REQUIRED_ANNOTATED_FIELDS = (
-    "ThreadPool::tasks_",
-    "ThreadPool::in_flight_",
-    "ThreadPool::shutting_down_",
     "audit::g_audits_finished",
     "audit::g_audits_failed",
     "logging::g_min_severity",

@@ -20,10 +20,11 @@ Rules
                      std::lock_guard, std::thread,
                      std::condition_variable, ...) are banned outside
                      src/util/: shared state goes through the annotated
-                     Mutex/MutexLock/CondVar wrappers in util/mutex.h and
-                     the ThreadPool in util/thread_pool.h, so the Clang
-                     thread-safety analysis (-DINFOSHIELD_THREAD_SAFETY)
-                     sees every lock. std::atomic is allowed.
+                     Mutex/MutexLock wrappers in util/mutex.h and work
+                     is split across threads by ThreadPool::ParallelFor
+                     in util/thread_pool.h, so the Clang thread-safety
+                     analysis (-DINFOSHIELD_THREAD_SAFETY) sees every
+                     lock. std::atomic is allowed.
  6. mutable-global   New mutable globals (the repo convention names them
                      g_*, or column-0 `static` non-const definitions) are
                      banned outside an explicit allowlist. Mutex-typed
@@ -72,7 +73,6 @@ CURATED_SYMBOLS = {
     "INFOSHIELD_AUDIT_INVARIANTS": "util/audit.h",
     "Mutex": "util/mutex.h",
     "MutexLock": "util/mutex.h",
-    "CondVar": "util/mutex.h",
     "CAPABILITY": "util/thread_annotations.h",
     "SCOPED_CAPABILITY": "util/thread_annotations.h",
     "GUARDED_BY": "util/thread_annotations.h",
@@ -313,9 +313,9 @@ def check_raw_concurrency(path, text, report):
         if match:
             report(path, i, "raw-concurrency",
                    f"`{match.group(0)}` is banned outside src/util/; use "
-                   "Mutex/MutexLock/CondVar (util/mutex.h) or ThreadPool "
-                   "(util/thread_pool.h) so the thread-safety analysis "
-                   "sees the lock")
+                   "Mutex/MutexLock (util/mutex.h) or "
+                   "ThreadPool::ParallelFor (util/thread_pool.h) so the "
+                   "thread-safety analysis sees the lock")
 
 
 def check_mutable_globals(path, text, report):
