@@ -3,22 +3,20 @@
 
 #include <atomic>
 
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-
 namespace infoshield {
 namespace audit {
 
 namespace {
-// Lone atomic: the gate is a single flag read on every hook, and a
-// relaxed load is both race-free and contention-free. All compound
-// shared state below goes behind g_stats_mu under the compile-time
-// contract.
+// The gate is a single flag read on every hook, and a relaxed load is
+// both race-free and contention-free.
 std::atomic<bool> g_auditing_enabled{true};
 
-Mutex g_stats_mu;
-size_t g_audits_finished GUARDED_BY(g_stats_mu) = 0;
-size_t g_audits_failed GUARDED_BY(g_stats_mu) = 0;
+// Finish() counts an audit before its failure, the failure with release;
+// GetAuditStats() reads the failures first, with acquire. A snapshot that
+// sees a failure therefore sees the audit counted before it, so it never
+// shows more failures than audits.
+std::atomic<size_t> g_audits_finished{0};
+std::atomic<size_t> g_audits_failed{0};
 }  // namespace
 
 bool AuditingEnabled() {
@@ -30,17 +28,15 @@ void SetAuditingEnabled(bool enabled) {
 }
 
 AuditStats GetAuditStats() {
-  MutexLock lock(&g_stats_mu);
   AuditStats stats;
-  stats.finished = g_audits_finished;
-  stats.failed = g_audits_failed;
+  stats.failed = g_audits_failed.load(std::memory_order_acquire);
+  stats.finished = g_audits_finished.load(std::memory_order_relaxed);
   return stats;
 }
 
 void ResetAuditStats() {
-  MutexLock lock(&g_stats_mu);
-  g_audits_finished = 0;
-  g_audits_failed = 0;
+  g_audits_failed.store(0, std::memory_order_relaxed);
+  g_audits_finished.store(0, std::memory_order_relaxed);
 }
 
 bool Auditor::Expect(bool ok, const std::string& what) {
@@ -49,12 +45,9 @@ bool Auditor::Expect(bool ok, const std::string& what) {
 }
 
 Status Auditor::Finish() const {
-  {
-    MutexLock lock(&g_stats_mu);
-    ++g_audits_finished;
-    if (!failures_.empty()) ++g_audits_failed;
-  }
+  g_audits_finished.fetch_add(1, std::memory_order_relaxed);
   if (failures_.empty()) return Status::Ok();
+  g_audits_failed.fetch_add(1, std::memory_order_release);
   std::string message = subject_;
   message += ": ";
   for (size_t i = 0; i < failures_.size(); ++i) {

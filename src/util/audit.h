@@ -40,8 +40,9 @@ void SetAuditingEnabled(bool enabled);
 
 // Process-wide audit tallies. Auditors run concurrently on ParallelFor
 // workers (the fine stage audits every cluster inside ParallelFor), so
-// the counters live behind an annotated Mutex in audit.cc; these
-// accessors are safe from any thread.
+// the counters are atomics in audit.cc. GetAuditStats is safe from any
+// thread and never reports more failures than finished audits;
+// ResetAuditStats is meant for moments when no auditor is finishing.
 struct AuditStats {
   size_t finished = 0;  // Auditor::Finish() calls
   size_t failed = 0;    // ... of which returned a non-OK Status

@@ -1,20 +1,18 @@
 #include "util/logging.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace infoshield {
 
 namespace {
 
 // Worker threads log concurrently (LOG from inside ParallelFor tasks),
-// so the severity floor is shared state like any other.
-Mutex g_severity_mu;
-LogSeverity g_min_severity GUARDED_BY(g_severity_mu) = LogSeverity::kInfo;
+// so the severity floor is an atomic. It is a lone value that orders
+// nothing else, so relaxed loads and stores suffice.
+std::atomic<LogSeverity> g_min_severity{LogSeverity::kInfo};
 
 const char* SeverityTag(LogSeverity s) {
   switch (s) {
@@ -38,13 +36,11 @@ const char* Basename(const char* path) {
 }  // namespace
 
 void SetMinLogSeverity(LogSeverity severity) {
-  MutexLock lock(&g_severity_mu);
-  g_min_severity = severity;
+  g_min_severity.store(severity, std::memory_order_relaxed);
 }
 
 LogSeverity MinLogSeverity() {
-  MutexLock lock(&g_severity_mu);
-  return g_min_severity;
+  return g_min_severity.load(std::memory_order_relaxed);
 }
 
 namespace internal {

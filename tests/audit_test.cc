@@ -12,6 +12,7 @@
 //      builds without INFOSHIELD_AUDIT.
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <thread>
 #include <utility>
@@ -444,11 +445,20 @@ TEST(AuditStatsTest, CountsFinishedAndFailedAudits) {
 }
 
 TEST(AuditStatsTest, TalliesAreConsistentUnderConcurrentFinish) {
-  // The fine stage audits every cluster on thread-pool workers, so the
-  // tallies must hold up under parallel Finish() calls.
+  // The fine stage audits every cluster on ParallelFor workers, so the
+  // tallies must hold up under parallel Finish() calls, and a snapshot
+  // taken meanwhile must never show more failures than audits.
   audit::ResetAuditStats();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
+  std::atomic<bool> done{false};
+  size_t torn_snapshots = 0;
+  std::thread reader([&] {
+    while (!done.load()) {
+      audit::AuditStats snapshot = audit::GetAuditStats();
+      if (snapshot.failed > snapshot.finished) ++torn_snapshots;
+    }
+  });
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -461,6 +471,9 @@ TEST(AuditStatsTest, TalliesAreConsistentUnderConcurrentFinish) {
     });
   }
   for (std::thread& t : threads) t.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(torn_snapshots, 0u);
   audit::AuditStats stats = audit::GetAuditStats();
   EXPECT_EQ(stats.finished,
             static_cast<size_t>(kThreads) * kPerThread);

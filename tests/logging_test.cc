@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
+#include "util/thread_pool.h"
+
 namespace infoshield {
 namespace {
 
@@ -33,6 +38,32 @@ TEST(LoggingTest, SeverityFilterRoundTrips) {
   SetMinLogSeverity(LogSeverity::kError);
   EXPECT_EQ(MinLogSeverity(), LogSeverity::kError);
   LOG(INFO) << "suppressed";
+  SetMinLogSeverity(original);
+}
+
+TEST(LoggingTest, SeverityCanChangeWhileWorkersLog) {
+  // Index 0 moves the floor between kWarning and kError while the other
+  // workers log below it, so the floor is written and read on several
+  // threads at once (the TSan job runs this suite). Either floor
+  // suppresses INFO.
+  LogSeverity original = MinLogSeverity();
+  SetMinLogSeverity(LogSeverity::kError);
+  std::atomic<size_t> logging{0};
+  ThreadPool::ParallelFor(4, 256, [&logging](size_t i) {
+    if (i == 0) {
+      // Flip only once another worker has begun logging, so the flips
+      // overlap its reads rather than all landing before them.
+      while (logging.load() == 0) std::this_thread::yield();
+      for (int flip = 0; flip < 1000; ++flip) {
+        SetMinLogSeverity(flip % 2 == 0 ? LogSeverity::kWarning
+                                        : LogSeverity::kError);
+      }
+      return;
+    }
+    logging.fetch_add(1);
+    LOG(INFO) << "suppressed " << i;
+  });
+  EXPECT_EQ(MinLogSeverity(), LogSeverity::kError);
   SetMinLogSeverity(original);
 }
 

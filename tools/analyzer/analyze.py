@@ -9,16 +9,14 @@ Usage (normally via `cmake --build build --target analyze` or
   analyze.py [--repo-root DIR] [--roots src tools fuzz ...]
              [--frontend auto|clang|internal] [--checks a,b,...]
              [--baseline FILE | --no-baseline] [--write-baseline]
-             [--dot-out FILE] [--race-report FILE]
-             [--lifetime-report FILE]
+             [--race-report FILE] [--lifetime-report FILE]
              [--cache-dir DIR] [--cache-cap N] [--quiet]
 
-Checks: guarded-ref-escape, lock-order-cycle, hot-loop-alloc,
-unordered-iter (DESIGN.md §13); race-infer, missing-guarded-by,
-blocking-under-lock, unordered-output-flow (interprocedural lockset
-inference, DESIGN.md §14); dangling-view, iter-invalidation,
-view-escape (lifetime pass, DESIGN.md §17). A discarded Status or
-Result is the compiler's to reject (-Werror=unused-result).
+Checks: hot-loop-alloc, unordered-iter (DESIGN.md §13); race-infer,
+unordered-output-flow (DESIGN.md §14); dangling-view,
+iter-invalidation, view-escape (lifetime pass, DESIGN.md §17). A
+discarded Status or Result is the compiler's to reject
+(-Werror=unused-result).
 
 Suppression: `// analyzer: allow(<check>[, ...]) -- <reason>` on the
 finding line or in the unbroken //-comment run directly above it — the
@@ -40,12 +38,10 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+import accesses                                              # noqa: E402
 import callgraph as callgraph_mod                            # noqa: E402
 import checks as checks_mod                                  # noqa: E402
-import dataflow as dataflow_mod                              # noqa: E402
 import lifetimes as lifetimes_mod                            # noqa: E402
-import lockgraph                                             # noqa: E402
-import locksets                                              # noqa: E402
 import parser as parser_mod                                  # noqa: E402
 import raceinfer                                             # noqa: E402
 import ratchet                                               # noqa: E402
@@ -54,9 +50,7 @@ from model import Finding, comment_run_covers                # noqa: E402
 SKIP_DIR_NAMES = {"fixtures", "lint_fixtures", "corpus", "third_party",
                   "__pycache__"}
 
-WHOLE_PROGRAM_CHECKS = ["lock-order-cycle", "race-infer",
-                        "missing-guarded-by", "blocking-under-lock",
-                        "dangling-view", "iter-invalidation"]
+WHOLE_PROGRAM_CHECKS = ["race-infer", "dangling-view", "iter-invalidation"]
 
 ALL_CHECKS = sorted(list(checks_mod.PER_TU_CHECKS) + WHOLE_PROGRAM_CHECKS)
 
@@ -171,8 +165,6 @@ def main():
                     help="ignore the baseline file (fixture/selftest runs)")
     ap.add_argument("--write-baseline", action="store_true",
                     help="rewrite the baseline to the current counts")
-    ap.add_argument("--dot-out", default="",
-                    help="write the lock-order graph as graphviz dot")
     ap.add_argument("--race-report", default="",
                     help="write the race-inference report as JSON "
                          "(schema: infoshield-race-report/1)")
@@ -215,27 +207,15 @@ def main():
             if selected and name not in selected:
                 continue
             findings.extend(fn(tu, ctx))
-    walks = locksets.walk_tree(tus, ctx)
-    graph, lock_findings = lockgraph.build_lock_graph(tus, ctx, walks=walks)
-    findings.extend(lock_findings)
+    walks = accesses.walk_tree(tus, ctx)
     cg = callgraph_mod.CallGraph(walks, ctx)
-    race_findings, race_report = raceinfer.infer(walks, cg, tus, ctx)
+    race_findings, race_report = raceinfer.infer(walks, cg, tus)
     findings.extend(race_findings)
-    findings.extend(dataflow_mod.check_blocking_under_lock(walks, ctx))
     lt_findings, lifetime_report = lifetimes_mod.run(tus, ctx, cg)
     findings.extend(lt_findings)
     if selected:
         findings = [f for f in findings
                     if f.check in selected or f.check == "allow-syntax"]
-
-    if args.dot_out:
-        os.makedirs(os.path.dirname(os.path.abspath(args.dot_out)),
-                    exist_ok=True)
-        with open(args.dot_out, "w", encoding="utf-8") as f:
-            f.write(graph.to_dot())
-        if not args.quiet:
-            print(f"analyze: lock-order graph ({len(graph.nodes)} mutexes, "
-                  f"{len(graph.edges)} edges) -> {args.dot_out}")
 
     if args.race_report:
         os.makedirs(os.path.dirname(os.path.abspath(args.race_report)),
@@ -246,7 +226,7 @@ def main():
         if not args.quiet:
             s = race_report["summary"]
             print(f"analyze: race report ({sum(s.values())} field(s): "
-                  f"{s.get('annotated', 0)} annotated, "
+                  f"{s.get('read-shared', 0)} read-shared, "
                   f"{s.get('racy', 0)} racy, "
                   f"{len(race_report['thread_roots'])} thread root(s)) "
                   f"-> {args.race_report}")

@@ -4,10 +4,10 @@ does it see a shared `this`?*
 
 Thread-entry roots (DESIGN.md §14):
 
-  * lambdas handed to `ThreadPool::Submit` / `ThreadPool::ParallelFor`;
+  * lambdas handed to `ThreadPool::ParallelFor`;
   * lambdas handed to a `std::thread` constructor or emplaced into a
-    `std::vector<std::thread>` (the pool's own
-    `workers_.emplace_back([this] { WorkerLoop(); })`);
+    `std::vector<std::thread>` (ParallelFor's own
+    `threads.emplace_back([&, w] { ... })`);
   * `LLVMFuzzerTestOneInput` (the fuzz harness entry — libFuzzer value
     profiling and forked modes can run it in parallel, and treating it
     as a root makes every harness-reachable field part of the audit).
@@ -34,8 +34,10 @@ would otherwise mark half the tree concurrent. Receiver-free calls
 Access rules (access_is_concurrent): at SHARED everything but
 owned-local and parameter-rooted accesses is concurrent; at ANY only
 globals are (the receiver chain was thread-private, so `this`- and
-local-rooted state is too); on the main thread only accesses inside a
-Submit..Wait window are. Parameter-rooted accesses are demoted for
+local-rooted state is too); on the main thread none are, since the
+library's one launcher, ParallelFor, joins its workers before it
+returns (lint bans std::thread outside src/util/). Parameter-rooted
+accesses are demoted for
 the same reason parameter receivers are: a pointer/reference argument
 almost always binds caller-owned state (a per-worker stats struct, a
 scratch workspace), and when it does not, the flagged event is the
@@ -123,13 +125,9 @@ class CallGraph:
 
 def access_is_concurrent(access, level):
     """Applies the ownership lattice to one access in a node reached at
-    `level` (NONE for main-thread nodes). Main-thread accesses are
-    concurrent only inside a Submit..Wait window, where they genuinely
-    overlap the submitted tasks."""
-    if access.root == "owned":
+    `level` (NONE for main-thread nodes)."""
+    if level == NONE or access.root == "owned":
         return False
-    if level == NONE:
-        return access.window
     if level == ANY:
         return access.root == "global"
     return access.root != "param"

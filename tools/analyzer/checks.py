@@ -2,14 +2,11 @@
 
 Checks implemented here (check name -> function):
 
-  guarded-ref-escape  aliases to GUARDED_BY state escaping their lock
   hot-loop-alloc      allocation inside loops of `// analyzer: hot` fns
   unordered-iter      iteration order of unordered containers leaking
 
-The fourth check, lock-order-cycle, needs the whole-program acquisition
-graph and lives in tools/analyzer/lockgraph.py. A discarded Status or
-Result is not checked here: it fails to compile (-Werror=unused-result
-on the [[nodiscard]] classes in util/status.h).
+A discarded Status or Result is not checked here: it fails to compile
+(-Werror=unused-result on the [[nodiscard]] classes in util/status.h).
 
 Every check consumes only the normalized model (model.py) plus the
 Scope type resolver (cpputil.py); nothing here looks at raw source
@@ -19,18 +16,14 @@ model.comment_run_covers.
 
 import re
 
-from cpputil import (Scope, chain_root, extract_calls, is_heap_container,
-                     is_map_like, is_string, is_unordered, top_level_assign,
-                     type_head)
-from model import (Block, ExprStmt, Finding, If, Loop, Return, VarDecl,
+from cpputil import (Scope, extract_calls, is_heap_container, is_map_like,
+                     is_string, is_unordered, type_head)
+from model import (ExprStmt, Finding, If, Loop, Return, VarDecl,
                    comment_run_covers, iter_stmts)
 
 # Mutating container entry points that may reallocate per call.
 GROW_METHODS = {"push_back", "emplace_back", "push_front", "emplace_front",
                 "insert", "emplace", "push", "append", "resize"}
-
-ALIAS_METHODS = ("begin", "end", "cbegin", "cend", "rbegin", "rend",
-                 "data", "c_str", "front", "back")
 
 
 class Context:
@@ -102,82 +95,6 @@ def _owner_class(ctx, tu, fn):
     if not fn.owner:
         return None
     return ctx.class_by_name(fn.owner)
-
-
-def _returns_alias(return_type):
-    r = re.sub(r"\bconst\b", " ", return_type or "").strip()
-    if not r:
-        return False
-    if "iterator" in r:
-        return True
-    return r.endswith("&") or r.endswith("*")
-
-
-def _alias_of_guarded(text, guarded_names):
-    """True if `text` takes the address of, or an iterator/pointer into,
-    any of the guarded fields."""
-    for name in guarded_names:
-        if re.search(rf"&\s*{re.escape(name)}\b", text):
-            return name
-        if re.search(rf"\b{re.escape(name)}\s*(?:\.|->)\s*"
-                     rf"(?:{'|'.join(ALIAS_METHODS)})\s*\(", text):
-            return name
-    return None
-
-
-# Shared with the lifetime pass; kept importable under the old name.
-_top_level_assign = top_level_assign
-
-
-def check_guarded_ref_escape(tu, ctx):
-    findings = []
-    for fn in tu.all_functions():
-        if fn.body is None:
-            continue
-        owner = _owner_class(ctx, tu, fn)
-        guarded = {}
-        if owner is not None:
-            for name, field in owner.guarded_fields().items():
-                guarded[name] = f"{owner.name}::{name}"
-        for gname in tu.global_guards:
-            guarded[gname] = gname
-        if not guarded:
-            continue
-        param_types = {p.name: p.type_text for p in fn.params if p.name}
-        ret_escapes = _returns_alias(fn.return_type)
-        for s in iter_stmts(fn.body):
-            if isinstance(s, Return) and s.expr_text:
-                root = chain_root(s.expr_text)
-                if ret_escapes and root in guarded:
-                    findings.append(Finding(
-                        tu.path, s.line, "guarded-ref-escape",
-                        f"{fn.qname} returns {fn.return_type.strip()} "
-                        f"aliasing GUARDED_BY field {guarded[root]}; the "
-                        "alias outlives the lock — return a by-value "
-                        "snapshot instead"))
-                else:
-                    hit = _alias_of_guarded(s.expr_text, guarded)
-                    if hit is not None:
-                        findings.append(Finding(
-                            tu.path, s.line, "guarded-ref-escape",
-                            f"{fn.qname} returns a pointer/iterator into "
-                            f"GUARDED_BY field {guarded[hit]}"))
-            elif isinstance(s, ExprStmt):
-                eq = _top_level_assign(s.text)
-                if eq < 0:
-                    continue
-                lhs, rhs = s.text[:eq], s.text[eq + 1:]
-                hit = _alias_of_guarded(rhs, guarded)
-                if hit is None:
-                    continue
-                lroot = chain_root(lhs)
-                ltype = param_types.get(lroot, "")
-                if "*" in ltype or "&" in ltype:
-                    findings.append(Finding(
-                        tu.path, s.line, "guarded-ref-escape",
-                        f"{fn.qname} stores an alias of GUARDED_BY field "
-                        f"{guarded[hit]} into out-parameter {lroot}"))
-    return findings
 
 
 def _loops_in(body):
@@ -299,15 +216,13 @@ def check_unordered_iter(tu, ctx):
     return findings
 
 
-# check name -> per-TU implementation. lock-order-cycle, race-infer,
-# missing-guarded-by, and blocking-under-lock are whole-program and are
-# invoked separately by the driver (see lockgraph.py / raceinfer.py /
-# dataflow.py).
+# check name -> per-TU implementation. race-infer, dangling-view and
+# iter-invalidation are whole-program and are invoked separately by the
+# driver (see raceinfer.py / lifetimes.py).
 import dataflow                                              # noqa: E402
 import lifetimes                                             # noqa: E402
 
 PER_TU_CHECKS = {
-    "guarded-ref-escape": check_guarded_ref_escape,
     "hot-loop-alloc": check_hot_loop_alloc,
     "unordered-iter": check_unordered_iter,
     "unordered-output-flow": dataflow.check_unordered_output_flow,

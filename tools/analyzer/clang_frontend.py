@@ -3,13 +3,11 @@ the normalized model.
 
 Division of labor: clang provides exact declaration segmentation (which
 byte ranges are classes, fields, methods, globals — immune to macro or
-template surprises), exact field types (`qualType`), and exact
-GUARDED_BY contracts (`GuardedByAttr` nodes, from the real attribute
-after preprocessing rather than a textual match). Statement bodies are
-then parsed by the same statement parser the internal frontend uses,
-over the clang-reported body byte range, so both frontends produce
-byte-identical statement trees and the checks cannot drift between
-them.
+template surprises) and exact field types (`qualType`). Statement
+bodies are then parsed by the same statement parser the internal
+frontend uses, over the clang-reported body byte range, so both
+frontends produce byte-identical statement trees and the checks cannot
+drift between them.
 
 AST dumps are cached under --cache-dir as gzipped JSON keyed on a
 content hash of (clang version, the TU's bytes, every header under
@@ -25,7 +23,6 @@ import gzip
 import hashlib
 import json
 import os
-import re
 import shutil
 import subprocess
 
@@ -244,22 +241,6 @@ class _Lowerer:
             self._lower_field(node, class_ctx)
             return
 
-    def _guard_from_attrs(self, node):
-        for ch in node.get("inner", []):
-            if ch.get("kind") == "GuardedByAttr":
-                name = _first_declref_name(ch)
-                if name:
-                    return name
-                # Fallback: slice the attribute's source range.
-                b = self._offset(ch.get("range", {}).get("begin", {}))
-                e = self._offset(ch.get("range", {}).get("end", {}))
-                if b is not None and e is not None:
-                    frag = self.p.text[b:e + 16]
-                    m = re.search(r"\(\s*([^)]*?)\s*\)", frag)
-                    if m:
-                        return m.group(1)
-        return None
-
     def _lower_record(self, node, class_ctx):
         name = node.get("name")
         if not name:
@@ -279,19 +260,14 @@ class _Lowerer:
         if not name:
             return
         qual = node.get("type", {}).get("qualType", "")
-        guard = self._guard_from_attrs(node)
-        class_ctx.fields[name] = Field(name, qual, guard,
+        class_ctx.fields[name] = Field(name, qual,
                                        self._line_of_node(node) or 0)
 
     def _lower_global(self, node):
         name = node.get("name")
         if not name:
             return
-        qual = node.get("type", {}).get("qualType", "")
-        self.tu.globals[name] = qual
-        guard = self._guard_from_attrs(node)
-        if guard:
-            self.tu.global_guards[name] = guard
+        self.tu.globals[name] = node.get("type", {}).get("qualType", "")
 
     def _line_of_node(self, node):
         off = self._offset(node.get("loc", {}))
@@ -362,21 +338,6 @@ def _cut_ctor_inits(head):
             return head[:i]
         i += 1
     return head
-
-
-def _first_declref_name(node):
-    if isinstance(node, dict):
-        if node.get("kind") in ("DeclRefExpr", "MemberExpr"):
-            ref = node.get("referencedDecl", {})
-            if ref.get("name"):
-                return ref["name"]
-            if node.get("name"):
-                return node["name"]
-        for ch in node.get("inner", []):
-            name = _first_declref_name(ch)
-            if name:
-                return name
-    return None
 
 
 def parse_file_clang(clang, abs_path, repo_rel, repo_root, cache_dir,

@@ -2,8 +2,8 @@
 member-chain parsing, and a small type resolver.
 
 The resolver answers the questions the checks ask — "is this expression
-an unordered container?", "which class does this mutex member belong
-to?", "is this variable a std::string?" — by chaining declared types
+an unordered container?", "which class does this member belong to?",
+"is this variable a std::string?" — by chaining declared types
 through member accesses, subscripts, and known method return types. It
 returns "" whenever it cannot prove a type; checks treat "" as
 "unknown" and stay silent, so resolver gaps cause missed findings, not

@@ -1,21 +1,4 @@
-"""The two companion checks that ride the lockset dataflow.
-
-blocking-under-lock (whole-program): anything that can stall the thread
-for unbounded time while a mutex is held serializes every other waiter —
-the latency killer for the serving path (ROADMAP item 3). Flagged while
-holding a lock: direct I/O (stdio calls, writes to file/console
-streams), sleeps, ThreadPool Submit/Wait/ParallelFor (Submit can block
-on the queue lock of a loaded pool; Wait blocks by design), calls into
-`// analyzer: hot` functions (allocation-heavy by contract), and calls
-whose *transitive* same-thread callees do any of the above. Deliberate
-exclusions: CHECK/LOG (ThreadPool::Submit legitimately CHECKs its
-invariants under mutex_ — the lock-order analysis already models the
-logging mutex), CondVar::Wait (waiting on a condition under its mutex
-is the idiom, not a bug), and anything inside a launched lambda body
-relative to the launching function (the task's I/O happens on another
-thread after the caller released its locks).
-
-unordered-output-flow (per-TU taint): hash-table iteration order
+"""unordered-output-flow (per-TU taint): hash-table iteration order
 reaching a serialization sink breaks the repo's byte-identical output
 contract. Loop bindings over unordered containers are taint sources;
 taint propagates through locals (including the launder-through-a-vector
@@ -33,94 +16,9 @@ callee)."""
 
 import re
 
-import locksets
 from cpputil import (Scope, chain_root, extract_calls, is_unordered,
                      type_head)
 from model import (Block, ExprStmt, Finding, If, Loop, Return, VarDecl)
-
-# --- blocking-under-lock ------------------------------------------------
-
-POOL_BLOCKING_METHODS = ("Submit", "Wait", "ParallelFor")
-
-
-def check_blocking_under_lock(walks, ctx):
-    findings = []
-    seen = set()
-    hot_names = {w.fn.name for top in walks for w in top.walks()
-                 if w.fn.is_hot}
-
-    def report(path, line, msg):
-        key = (path, line, msg)
-        if key not in seen:
-            seen.add(key)
-            findings.append(Finding(path, line, "blocking-under-lock", msg))
-
-    # Transitive same-thread blocking summaries by unqualified name.
-    # Launched lambdas are excluded from their parent's summary: their
-    # work happens on another thread, after the caller's locks drop.
-    direct = {}
-    calls = {}
-    for top in walks:
-        name = top.fn.name
-        ops = [op for w in top.walks_same_thread() for op in w.ops]
-        direct.setdefault(name, set()).update(op.desc for op in ops)
-        cs_names = {c.name for w in top.walks_same_thread()
-                    for c in w.callsites}
-        calls.setdefault(name, set()).update(cs_names)
-        if any(w.fn.is_hot for w in top.walks_same_thread()):
-            direct[name].add(f"hot function {name}()")
-    trans = {n: set(d) for n, d in direct.items()}
-    changed = True
-    while changed:
-        changed = False
-        for name in trans:
-            add = set()
-            for callee in calls.get(name, ()):
-                add.update(trans.get(callee, ()))
-            if not add <= trans[name]:
-                trans[name] |= add
-                changed = True
-
-    for top in walks:
-        for w in top.walks():
-            for op in w.ops:
-                if op.held:
-                    report(w.tu.path, op.line,
-                           f"{w.fn.qname} does {op.desc} while holding "
-                           f"{_locks(op.held)} — move it outside the "
-                           "critical section")
-            for cs in w.callsites:
-                if not cs.held:
-                    continue
-                if cs.recv_class == "ThreadPool" and \
-                        cs.name in POOL_BLOCKING_METHODS:
-                    report(w.tu.path, cs.line,
-                           f"{w.fn.qname} calls ThreadPool::{cs.name} "
-                           f"while holding {_locks(cs.held)} — "
-                           f"{cs.name} can block on pool state")
-                    continue
-                if cs.name in hot_names:
-                    report(w.tu.path, cs.line,
-                           f"{w.fn.qname} calls hot function {cs.name}() "
-                           f"while holding {_locks(cs.held)} — "
-                           "allocation-heavy work belongs outside the "
-                           "lock")
-                    continue
-                blocked = trans.get(cs.name, ())
-                if blocked:
-                    sample = sorted(blocked)[0]
-                    report(w.tu.path, cs.line,
-                           f"{w.fn.qname} calls {cs.name}() while holding "
-                           f"{_locks(cs.held)}, and {cs.name} transitively "
-                           f"does {sample}")
-    return findings
-
-
-def _locks(held):
-    return "{" + ", ".join(sorted(held)) + "}"
-
-
-# --- unordered-output-flow ----------------------------------------------
 
 SINK_NAME_RE = re.compile(
     r"^(?:Write|Emit|Print|Serialize|Dump)\w*$|Json|Csv|Html")

@@ -1,72 +1,36 @@
-// Fixture: four fields written from concurrent contexts without a
-// consistent lock — the seeded races the interprocedural lockset
-// inference must catch. Self-contained (stub Mutex/ThreadPool, real
-// attribute spelling) so the clang frontend can parse it too.
+// Fixture: five fields written from concurrent contexts that are neither
+// std::atomic nor a worker's own element slot — the seeded races the
+// race inference must catch. Self-contained (a stub static ParallelFor)
+// so the clang frontend can parse it too.
+#include <cstddef>
 #include <functional>
-
-#define GUARDED_BY(x) __attribute__((guarded_by(x)))
-
-class Mutex {
- public:
-  void Lock();
-  void Unlock();
-  bool TryLock();
-};
-
-class MutexLock {
- public:
-  explicit MutexLock(Mutex* mu);
-  ~MutexLock();
-};
+#include <thread>
+#include <vector>
 
 class ThreadPool {
  public:
-  void Submit(std::function<void()> fn);
-  void Wait();
+  static void ParallelFor(size_t num_threads, size_t count,
+                          const std::function<void(size_t)>& fn);
 };
 
-// Race 1: unlocked write from a launched lambda (two workers bump the
-// same counter through the captured `this`).
+// Race 1: a write from the launched lambda itself (every worker bumps
+// the same counter through the captured `this`).
 class Telemetry {
  public:
-  void Start(ThreadPool* pool) {
-    pool->Submit([this] { ++dropped_; });
-    pool->Submit([this] { ++dropped_; });
+  void Run(size_t n) {
+    ThreadPool::ParallelFor(4, n, [this](size_t) { ++dropped_; });
   }
 
  private:
   long dropped_ = 0;
 };
 
-// Race 2: every write holds *a* lock, but not the same one — the
-// lockset intersection over concurrent accesses is empty.
-class Ledger {
- public:
-  void Churn(ThreadPool* pool) {
-    pool->Submit([this] {
-      MutexLock lock(&mu_);
-      balance_ += 1;
-    });
-    pool->Submit([this] {
-      MutexLock lock(&alt_mu_);
-      balance_ -= 1;
-    });
-  }
-
- private:
-  Mutex mu_;
-  Mutex alt_mu_;
-  long balance_ = 0;
-};
-
-// Race 3: the write hides one call deep — the launched lambda looks
-// innocent, the helper it calls touches the field with no lock. TSA
-// cannot see this without annotations; inference must.
+// Race 2: the write hides one call deep — the launched lambda looks
+// innocent, the helper it calls touches the field.
 class Journal {
  public:
-  void Start(ThreadPool* pool) {
-    pool->Submit([this] { Append(); });
-    pool->Submit([this] { Append(); });
+  void Run(size_t n) {
+    ThreadPool::ParallelFor(4, n, [this](size_t) { Append(); });
   }
 
  private:
@@ -74,18 +38,37 @@ class Journal {
   long entries_ = 0;
 };
 
-// Race 4: a main-thread write inside the Submit..Wait window races the
-// in-flight task that also writes the field.
-class Pipeline {
+// Race 3: workers grow one shared container instead of writing their
+// own slots of a presized one.
+class Collector {
  public:
-  void Run() {
-    pending_ = 0;  // pre-launch: still single-threaded
-    pool_.Submit([this] { ++pending_; });
-    pending_ = 1;  // in the window: races the submitted task
-    pool_.Wait();
+  void Run(size_t n) {
+    ThreadPool::ParallelFor(4, n, [this](size_t i) {
+      results_.push_back(static_cast<long>(i));
+    });
   }
 
  private:
-  ThreadPool pool_;
-  long pending_ = 0;
+  std::vector<long> results_;
+};
+
+// Race 4: a plain global bumped by every worker.
+long g_hits = 0;
+
+void CountHits(size_t n) {
+  ThreadPool::ParallelFor(4, n, [](size_t) { ++g_hits; });
+}
+
+// Race 5: two std::threads write the same field.
+class Heartbeat {
+ public:
+  void Run() {
+    std::thread beat([this] { ++beats_; });
+    std::thread echo([this] { ++beats_; });
+    beat.join();
+    echo.join();
+  }
+
+ private:
+  long beats_ = 0;
 };

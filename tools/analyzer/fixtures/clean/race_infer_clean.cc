@@ -1,65 +1,42 @@
 // Fixture: the concurrent idioms the race inference must NOT flag —
-// annotated state behind a REQUIRES helper chain, fields retired
-// before launch or after Wait, read-only sharing, per-worker owned
-// accumulators, and caller-owned out-params.
+// fields written before launch or after the join, read-only sharing,
+// per-worker owned accumulators, disjoint element slots, and atomics.
+#include <atomic>
+#include <cstddef>
 #include <functional>
-
-#define GUARDED_BY(x) __attribute__((guarded_by(x)))
-#define REQUIRES(...) __attribute__((exclusive_locks_required(__VA_ARGS__)))
-
-class Mutex {
- public:
-  void Lock();
-  void Unlock();
-};
-
-class MutexLock {
- public:
-  explicit MutexLock(Mutex* mu);
-  ~MutexLock();
-};
+#include <vector>
 
 class ThreadPool {
  public:
-  void Submit(std::function<void()> fn);
-  void Wait();
+  static void ParallelFor(size_t num_threads, size_t count,
+                          const std::function<void(size_t)>& fn);
 };
 
-// A worker's private tally: by-value local in the lambda, merged under
-// the lock through a pointer parameter. Nothing here is shared state.
+// A worker's private tally: a by-value local of the lambda.
 struct LocalTally {
   long n = 0;
 };
 
+std::atomic<long> g_runs{0};
+
 class CleanCounter {
  public:
-  void Run(ThreadPool* pool) {
+  void Run(size_t n) {
     seed_ = 7;  // written before any launch: single-threaded
-    pool->Submit([this] {
+    totals_.assign(n, 0);
+    ThreadPool::ParallelFor(4, n, [this](size_t i) {
       LocalTally tally;
       tally.n += seed_;  // concurrent *read* of seed_ only
-      Absorb(&tally);
+      totals_[i] = tally.n;  // each index owns its slot
+      merged_.fetch_add(tally.n);
+      g_runs.fetch_add(1);
     });
-    pool->Submit([this] {
-      LocalTally tally;
-      tally.n += seed_;
-      Absorb(&tally);
-    });
-    pool->Wait();
-    finished_ = true;  // after Wait: the workers are gone
+    finished_ = true;  // after the join: the workers are gone
   }
 
  private:
-  // Lockset propagation through the helper chain: Absorb takes the
-  // lock, BumpLocked inherits it via REQUIRES.
-  void Absorb(LocalTally* tally) {
-    MutexLock lock(&mu_);
-    BumpLocked(tally->n);
-  }
-  void BumpLocked(long n) REQUIRES(mu_) { total_ += n; }
-
-  Mutex mu_;
-  long total_ GUARDED_BY(mu_) = 0;
   int seed_ = 0;
+  std::vector<long> totals_;
+  std::atomic<long> merged_{0};
   bool finished_ = false;
 };

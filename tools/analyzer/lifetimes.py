@@ -241,9 +241,9 @@ class _Classifier:
         """Origin of `name(args...)` — a free-function call at the root
         of a chain, resolved through the call graph summaries."""
         if self.cg is not None and name in self.cg.by_name:
-            # Call-graph resolution: exactly the nodes the lockset pass
-            # walks, so laundering helpers resolve the same way there
-            # and here.
+            # Call-graph resolution: exactly the nodes the race
+            # inference walks, so laundering helpers resolve the same
+            # way there and here.
             fns = [self.cg.walk_by_id[nid].fn
                    for nid in self.cg.by_name[name]]
         else:

@@ -5,34 +5,31 @@ never look at raw source text or raw clang JSON. Two producers build it:
 
  * tools/analyzer/clang_frontend.py lowers `clang++ -Xclang
    -ast-dump=json` output (exact ASTs, used whenever a clang driver is
-   installed — the same clang the TSA CI leg already requires);
+   installed);
  * tools/analyzer/parser.py is a built-in structural parser for the
    repo's disciplined C++ subset, used when no clang driver exists so
    the local gate still runs on gcc-only toolchains.
 
-The model is deliberately small: classes with their fields (and
-GUARDED_BY contracts), functions with parameter lists and a statement
-tree (blocks, loops, ifs, returns, variable declarations, expression
-statements), plus the raw text of every statement for expression-level
-helpers. Statement text is always comment- and string-stripped.
+The model is deliberately small: classes with their fields, functions
+with parameter lists and a statement tree (blocks, loops, ifs, returns,
+variable declarations, expression statements), plus the raw text of
+every statement for expression-level helpers. Statement text is always
+comment- and string-stripped.
 """
 
 import re
 
 
 class Field:
-    """A class data member. guarded_by holds the raw GUARDED_BY argument
-    (e.g. "mu_", "stats_mu_") or None."""
+    """A class data member."""
 
-    def __init__(self, name, type_text, guarded_by, line):
+    def __init__(self, name, type_text, line):
         self.name = name
         self.type_text = type_text.strip()
-        self.guarded_by = guarded_by
         self.line = line
 
     def __repr__(self):
-        g = f" GUARDED_BY({self.guarded_by})" if self.guarded_by else ""
-        return f"Field({self.type_text} {self.name}{g})"
+        return f"Field({self.type_text} {self.name})"
 
 
 class ClassDecl:
@@ -44,9 +41,6 @@ class ClassDecl:
         self.fields = {}    # name -> Field
         self.methods = []   # FunctionDecl
         self.inner = []     # nested ClassDecl
-
-    def guarded_fields(self):
-        return {n: f for n, f in self.fields.items() if f.guarded_by}
 
     def __repr__(self):
         return f"ClassDecl({self.qname}, {len(self.fields)} fields)"
@@ -73,7 +67,7 @@ class FunctionDecl:
         self.body = body            # Block or None
         self.file = file
         self.line = line
-        # Raw trailing annotations: REQUIRES(mu), EXCLUDES(mu), const, ...
+        # Raw trailing annotations: const, override, noexcept
         self.annotations = annotations or []
         self.is_hot = False         # set from `// analyzer: hot` comments
 
@@ -92,8 +86,7 @@ class Stmt:
 
 class Block(Stmt):
     """kind: 'plain' for ordinary scopes, 'lambda' for lambda bodies
-    (lambda bodies do not inherit the enclosing lock-held set: the
-    closure runs later, possibly on another thread)."""
+    (the closure may run later, possibly on another thread)."""
 
     def __init__(self, line, stmts=None, kind="plain"):
         super().__init__(line)
@@ -151,9 +144,8 @@ class ExprStmt(Stmt):
 
 
 class LocalClass(Stmt):
-    """A class/struct defined inside a function body (e.g. Task in
-    FineClustering::RunOnClusters). Its fields can carry GUARDED_BY like
-    any other class."""
+    """A class/struct defined inside a function body. Its fields are
+    analyzed like those of any other class."""
 
     def __init__(self, line, decl):
         super().__init__(line)
@@ -168,7 +160,6 @@ class TU:
         self.classes = []           # top-level ClassDecl (nested inside)
         self.functions = []         # FunctionDecl at namespace scope
         self.globals = {}           # name -> type_text (namespace-scope vars)
-        self.global_guards = {}     # global var name -> GUARDED_BY arg
         self.aliases = {}           # `using Name = Type;` -> Name: Type
         # Comment-derived line maps (1-based), shared by both frontends:
         self.hot_lines = set()      # lines whose comment says analyzer: hot

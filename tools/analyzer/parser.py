@@ -2,10 +2,10 @@
 
 Parses the repo's disciplined C++ subset (see tools/lint.py for the
 conventions that make this tractable: no exceptions, column-0 namespace
-scope, annotated concurrency primitives) into the normalized AST model
-of tools/analyzer/model.py. Used when no clang driver is installed; when
-clang++ is available, tools/analyzer/clang_frontend.py produces the same
-model from exact `-ast-dump=json` ASTs instead.
+scope) into the normalized AST model of tools/analyzer/model.py. Used
+when no clang driver is installed; when clang++ is available,
+tools/analyzer/clang_frontend.py produces the same model from exact
+`-ast-dump=json` ASTs instead.
 
 The parser is deliberately forgiving: segments it cannot classify are
 skipped, never fatal, so an exotic construct degrades to a missed
@@ -27,19 +27,14 @@ CONTROL_KEYWORDS = {"if", "for", "while", "switch", "do", "else", "return",
 TYPE_QUALIFIERS = ("const ", "static ", "constexpr ", "mutable ",
                    "inline ", "volatile ", "extern ")
 
-GUARDED_BY_RE = re.compile(r"\b(?:PT_)?GUARDED_BY\s*\(\s*([^)]*?)\s*\)")
-
 CLASS_HEAD_RE = re.compile(
     r"^(?:template\s*<.*>\s*)?(?:class|struct)\b(?!.*\benum\b)", re.DOTALL)
 
 ACCESS_LABEL_RE = re.compile(r"^\s*(?:public|private|protected)\s*:")
 CASE_LABEL_RE = re.compile(r"^\s*(?:case\b[^:]*|default\s*):(?!:)")
 
-# Trailing function annotations worth keeping (TSA contracts + const).
-ANNOTATION_RE = re.compile(
-    r"\b(REQUIRES|REQUIRES_SHARED|EXCLUDES|ACQUIRE|RELEASE|TRY_ACQUIRE|"
-    r"ASSERT_CAPABILITY|NO_THREAD_SAFETY_ANALYSIS|const|override|noexcept)"
-    r"\b(\s*\([^)]*\))?")
+# Trailing function annotations worth keeping.
+ANNOTATION_RE = re.compile(r"\b(const|override|noexcept)\b(\s*\([^)]*\))?")
 
 # `using Name = Type;` at any scope. Alias names are unique across the
 # repo's disciplined subset, so a flat per-TU map suffices; the resolver
@@ -322,17 +317,12 @@ class Parser:
         if first_word in ("using", "typedef", "friend", "namespace",
                           "static_assert", "extern"):
             return
-        # Fields may legally contain parens: GUARDED_BY(mu) annotations,
-        # template args like std::function<void()>. Strip the guard and
-        # any top-level initializer first, then route on whether a
-        # parameter-list '(' remains at angle-bracket depth 0.
-        guard = None
-        m = GUARDED_BY_RE.search(head_clean)
-        if m:
-            guard = m.group(1).strip()
-            head_clean = GUARDED_BY_RE.sub("", head_clean)
+        # Fields may legally contain parens in template args like
+        # std::function<void()>. Strip any top-level initializer first,
+        # then route on whether a parameter-list '(' remains at
+        # angle-bracket depth 0.
         head_decl = self._strip_top_level_init(head_clean).strip()
-        if guard is None and _paren_at_angle_depth0(head_decl) >= 0:
+        if _paren_at_angle_depth0(head_decl) >= 0:
             # Function/method declaration (no body) or var with ctor init.
             fn = self.parse_signature(head_decl, line, class_ctx)
             if fn is not None:
@@ -353,11 +343,9 @@ class Parser:
         if class_ctx is not None:
             if "static" in head.split(name)[0] and "constexpr" in head:
                 return  # compile-time constant, not a data member
-            class_ctx.fields[name] = Field(name, type_text, guard, line)
+            class_ctx.fields[name] = Field(name, type_text, line)
         else:
             self.tu.globals[name] = type_text
-            if guard:
-                self.tu.global_guards[name] = guard
 
     def _strip_top_level_init(self, text):
         """Drops `= initializer...` at paren/angle depth 0 (keeps
@@ -386,11 +374,10 @@ class Parser:
     def parse_class(self, head, body_open, body_close, line, outer):
         sig = head.split(":")[0]
         sig = re.sub(r"^template\s*<.*>", "", sig, flags=re.DOTALL)
-        sig = re.sub(r"\([^)]*\)", "", sig)  # CAPABILITY("mutex") etc.
+        sig = re.sub(r"\([^)]*\)", "", sig)  # alignas(64) etc.
         idents = re.findall(r"[A-Za-z_]\w*", sig)
         idents = [w for w in idents if w not in
-                  ("class", "struct", "final", "CAPABILITY",
-                   "SCOPED_CAPABILITY", "alignas")]
+                  ("class", "struct", "final", "alignas")]
         if not idents:
             return None
         name = idents[-1]

@@ -1,89 +1,61 @@
 """Race inference: classifies every field/global access collected by
-locksets.py against the concurrency levels computed by callgraph.py.
+accesses.py against the concurrency levels computed by callgraph.py.
 
-Verdicts per field (DESIGN.md §14):
+The library shares state between threads in exactly two ways
+(DESIGN.md §9): `std::atomic` values, and disjoint `ParallelFor` slots
+(each worker writes only the elements its own indices name). The walker
+records neither as a plain write — atomic fields and globals are not
+recorded at all, and a subscripted element write has kind 'elem' — so
+any other concurrent write is a race. Verdicts per field
+(DESIGN.md §14):
 
-  annotated           carries GUARDED_BY, or is reachable only through
-                      container fields that do — TSA owns enforcement;
-  single-threaded     never touched from a concurrent context;
-  read-shared         concurrent accesses exist but none writes;
-  guarded-unannotated every concurrent access holds one common lock but
-                      the field has no GUARDED_BY  -> missing-guarded-by;
-  racy                concurrently written with no common lock
-                      (possibly *different* locks)  -> race-infer.
-
-The lockset of an access is the locally-held set at that point, which
-already folds in REQUIRES entry sets and MutexLock scopes
-interprocedurally: a helper called under a lock is walked with its
-REQUIRES set, and the callsite's held set was checked when lockgraph
-replayed the acquisition — so the intersection over concurrent accesses
-is the standard RacerD meet.
+  single-threaded  never touched from a concurrent context;
+  read-shared      concurrent accesses exist but none writes;
+  racy             written from a concurrent context  -> race-infer.
 
 Findings land on the field's *declaration* line so a
 `// analyzer: allow(race-infer) -- <reason>` sits next to the field it
-excuses (globals fall back to the first offending access site — the
-model does not record global declaration lines).
+excuses (globals fall back to the first concurrent write — the model
+does not record global declaration lines).
 
 The same pass emits the machine-readable race report
-(build/race_report.json, schema "infoshield-race-report/1"): every
-analyzed field with its verdict, access counts, common locks, and a
-per-TU annotation-completeness score — the number CI trend-watches as
-ROADMAP items 1 and 3 multiply the shared-state surface.
+(build/race_report.json, schema "infoshield-race-report/2"): the thread
+roots and every analyzed field with its verdict and access counts.
 """
 
 import collections
 
+import accesses
 from callgraph import NONE, access_is_concurrent
 from model import Finding
 
-REPORT_SCHEMA = "infoshield-race-report/1"
+REPORT_SCHEMA = "infoshield-race-report/2"
 
 # How many access sites to list per field in the report / messages.
 SITE_CAP = 8
 
 
-class FieldInfo:
-    __slots__ = ("key", "path", "line", "guarded_by", "type_text")
-
-    def __init__(self, key, path, line, guarded_by, type_text):
-        self.key = key
-        self.path = path
-        self.line = line
-        self.guarded_by = guarded_by
-        self.type_text = type_text
-
-
 def _field_index(tus):
-    """Canonical key -> FieldInfo for every class field and global in
-    the analyzed tree (first declaration wins, matching Context)."""
-    import locksets
+    """Canonical key -> (path, declaration line or None) for every class
+    field and global in the analyzed tree (first declaration wins,
+    matching Context)."""
     index = {}
     for tu in tus:
-        if locksets.is_excluded(tu.path):
-            continue
         for cls in tu.all_classes():
             for name, field in cls.fields.items():
-                key = f"{cls.name}::{name}"
-                index.setdefault(key, FieldInfo(
-                    key, tu.path, field.line, field.guarded_by,
-                    field.type_text))
-        for name, type_text in tu.globals.items():
-            key = f"{locksets.file_stem(tu.path)}::{name}"
-            index.setdefault(key, FieldInfo(
-                key, tu.path, None, tu.global_guards.get(name), type_text))
+                index.setdefault(f"{cls.name}::{name}", (tu.path, field.line))
+        for name in tu.globals:
+            index.setdefault(f"{accesses.file_stem(tu.path)}::{name}",
+                             (tu.path, None))
     return index
-
-
-def _fmt_lockset(held):
-    return "{" + ", ".join(sorted(held)) + "}" if held else "{no lock}"
 
 
 def _fmt_site(tu_path, access):
     rw = {"write": "w", "elem": "w[i]"}.get(access.kind, "r")
-    return f"{tu_path}:{access.line} {rw} {_fmt_lockset(access.held)}"
+    return f"{tu_path}:{access.line} {rw}"
 
 
-def infer(walks, graph, tus, ctx):
+def infer(walks, graph, tus):
     """Returns (findings, report_dict). `graph` is the CallGraph over
     `walks`; concurrency levels are computed here."""
     levels = graph.concurrency()
@@ -99,85 +71,45 @@ def infer(walks, graph, tus, ctx):
 
     findings = []
     fields_out = []
-    verdict_by_key = {}
     summary = collections.Counter()
 
     for key in sorted(by_field):
-        info = index.get(key)
-        if info is None:
+        if key not in index:
             continue  # resolver named a class outside the analyzed tree
+        decl_path, decl_line = index[key]
         sites = by_field[key]
-        conc = [(p, a) for (p, a, lvl) in sites
-                if access_is_concurrent(a, lvl)]
+        conc = sorted(((p, a) for (p, a, lvl) in sites
+                       if access_is_concurrent(a, lvl)),
+                      key=lambda s: (s[0], s[1].line))
         conc_writes = [(p, a) for (p, a) in conc if a.kind == "write"]
-        if info.guarded_by:
-            verdict = "annotated"
-        elif not conc:
-            verdict = "single-threaded"
-        elif all(a.via_guarded for (_p, a) in conc):
-            # Every concurrent path to this leaf runs through a container
-            # field that carries its own GUARDED_BY (e.g. Stats fields
-            # reached only as `stats_.flushes` where stats_ is
-            # GUARDED_BY(stats_mu_)): TSA polices those paths already,
-            # and the inner struct cannot name the outer mutex anyway.
-            verdict = "annotated"
-        elif not conc_writes:
+        if conc_writes:
+            verdict = "racy"
+        elif conc:
             verdict = "read-shared"
         else:
-            common = frozenset.intersection(
-                *[a.held for (_p, a) in conc])
-            if common:
-                verdict = "guarded-unannotated"
-            else:
-                verdict = "racy"
-        verdict_by_key[key] = verdict
+            verdict = "single-threaded"
         summary[verdict] += 1
 
-        locks_common = []
-        if conc:
-            locks_common = sorted(frozenset.intersection(
-                *[a.held for (_p, a) in conc]))
-
-        if verdict == "guarded-unannotated":
-            guard = locks_common[0]
-            line = info.line if info.line is not None else conc[0][1].line
-            path = info.path if info.line is not None else conc[0][0]
-            findings.append(Finding(
-                path, line, "missing-guarded-by",
-                f"field {key} is consistently protected by {guard} at "
-                f"every concurrent access but carries no GUARDED_BY — "
-                f"annotate it GUARDED_BY({guard.split('::')[-1]}) so the "
-                "compiler enforces what inference found"))
-        elif verdict == "racy":
-            locksets_seen = sorted({_fmt_lockset(a.held)
-                                    for (_p, a) in conc})
-            first_bad = min(conc_writes, key=lambda s: (s[0], s[1].line))
-            line = info.line if info.line is not None else first_bad[1].line
-            path = info.path if info.line is not None else first_bad[0]
-            detail = ("written under inconsistent locks "
-                      f"({' vs '.join(locksets_seen)})"
-                      if len(locksets_seen) > 1 and
-                      any(a.held for (_p, a) in conc)
-                      else "written from a concurrent context with no lock")
-            site_strs = [_fmt_site(p, a) for (p, a) in sorted(
-                conc, key=lambda s: (s[0], s[1].line))[:SITE_CAP]]
+        if verdict == "racy":
+            path, line = (decl_path, decl_line) if decl_line is not None \
+                else (conc_writes[0][0], conc_writes[0][1].line)
+            site_strs = [_fmt_site(p, a) for (p, a) in conc[:SITE_CAP]]
             findings.append(Finding(
                 path, line, "race-infer",
-                f"shared field {key} is {detail}; sites: "
-                f"{'; '.join(site_strs)} — pick one mutex, hold it at "
-                "every access, and annotate GUARDED_BY"))
+                f"shared field {key} is written from a concurrent "
+                f"context; sites: {'; '.join(site_strs)} — make it "
+                "std::atomic, or give each worker its own ParallelFor "
+                "slot"))
 
         all_sorted = sorted(sites, key=lambda s: (s[0], s[1].line))
         fields_out.append({
             "field": key,
-            "declared": (f"{info.path}:{info.line}"
-                         if info.line is not None else info.path),
-            "guarded_by": info.guarded_by,
+            "declared": (f"{decl_path}:{decl_line}"
+                         if decl_line is not None else decl_path),
             "verdict": verdict,
             "accesses": len(sites),
             "concurrent_accesses": len(conc),
             "concurrent_writes": len(conc_writes),
-            "locks_common": locks_common,
             "sites": [_fmt_site(p, a) for (p, a, _l) in all_sorted[:SITE_CAP]],
         })
 
@@ -190,43 +122,6 @@ def infer(walks, graph, tus, ctx):
             f"{graph.walk_by_id[nid].fn.line} ({kind}) {nid}"
             for nid, kind in graph.roots),
         "fields": fields_out,
-        "tu_completeness": _completeness(tus, verdict_by_key),
         "summary": dict(summary),
     }
     return findings, report
-
-
-def _completeness(tus, verdict_by_key):
-    """Per-TU annotation completeness: of the fields inference says need
-    a guard (guarded-unannotated + racy) plus those already annotated,
-    what fraction is annotated? 1.0 is the steady state the gate holds
-    the tree at; the score exists so the report shows *where* new shared
-    state is accumulating."""
-    import locksets
-    out = {}
-    for tu in tus:
-        if locksets.is_excluded(tu.path):
-            continue
-        annotated = 0
-        needs = 0
-        for cls in tu.all_classes():
-            for name, field in cls.fields.items():
-                if field.guarded_by:
-                    annotated += 1
-                elif verdict_by_key.get(f"{cls.name}::{name}") in (
-                        "guarded-unannotated", "racy"):
-                    needs += 1
-        for name in tu.globals:
-            key = f"{locksets.file_stem(tu.path)}::{name}"
-            if tu.global_guards.get(name):
-                annotated += 1
-            elif verdict_by_key.get(key) in ("guarded-unannotated", "racy"):
-                needs += 1
-        if annotated + needs == 0:
-            continue  # no shared state in this TU: omit, don't report 1.0
-        out[tu.path] = {
-            "annotated": annotated,
-            "unannotated_shared": needs,
-            "score": round(annotated / (annotated + needs), 4),
-        }
-    return out

@@ -5,23 +5,23 @@ Runs the analyzer over the fixture trees in tools/analyzer/fixtures/
 and over the real tree, asserting:
 
  * each bad fixture trips exactly the check it was written for, the
-   expected number of times — including the seeded lock-order cycle,
-   which must fail the run (the acceptance criterion that a cycle
-   fails the build);
- * the clean fixtures — by-value snapshots, consistent lock order,
-   reserve/hoist discipline, determinism markers, reasoned allow()
-   suppressions — trip nothing, and a clean tree exits 0;
+   expected number of times, and the bad tree fails the run;
+ * the clean fixtures — reserve/hoist discipline, determinism markers,
+   reasoned allow() suppressions, the lock-free concurrent idioms —
+   trip nothing, and a clean tree exits 0;
  * an allow() without a `-- reason` is itself reported;
  * baseline semantics: matching counts pass, counts above baseline
    fail, counts below baseline fail as stale (the ratchet only
    shrinks), and --write-baseline round-trips;
- * the race-inference stack (DESIGN.md §14): the seeded races carry
-   verdict `racy` in race_report.json, the consistently-locked field
-   demands its GUARDED_BY, the clean concurrent idioms (pre-launch
-   writes, post-Wait writes, owned accumulators, REQUIRES chains,
-   sorted sinks) stay silent, --checks filters to exactly the race
-   legs, and — when a clang driver exists — the seeded races are
-   caught under clang lowering too;
+ * the race inference (DESIGN.md §14): the seeded races (a
+   launched-lambda write, a helper-chain write, a shared container
+   grown by workers, a plain global, two std::threads) carry verdict
+   `racy` in race_report.json, the clean concurrent idioms (pre-launch
+   and post-join writes, read-only sharing, owned accumulators,
+   disjoint element slots, atomics, sorted sinks) stay silent,
+   --checks filters to exactly the race legs, and — when a clang
+   driver exists — the seeded races are caught under clang lowering
+   too;
  * the lifetime pass (DESIGN.md §17): seeded dangling views —
    including one laundered through a helper's borrow summary —
    iterator invalidations, and contract violations all fire;
@@ -36,11 +36,9 @@ and over the real tree, asserting:
    and the load/write round-trip;
  * AST-dump cache eviction: stale keys pruned, stray .tmp files
    cleaned, live entries LRU-capped;
- * the real tree has zero unsuppressed findings, its lock-order
-   graph names the mutexes of every current Mutex user (thread_pool,
-   logging, audit), and its race report carries the schema tag, the
-   pipeline's thread roots, and exactly the GUARDED_BY fields those
-   users declare;
+ * the real tree has zero unsuppressed findings, and its race report
+   carries the schema tag, ParallelFor's worker lambda and the fuzz
+   entries among its thread roots, and no racy field;
  * a failing run exits 1, not the violation count (a raw count would
    wrap modulo 256 on POSIX).
 
@@ -68,14 +66,10 @@ FINDING_RE = re.compile(r"^(?P<path>\S+?):(?P<line>\d+): \[(?P<check>[\w-]+)\]")
 # (fixture file, check) -> expected number of findings. Files in the bad
 # tree absent here must produce zero findings.
 EXPECTED = {
-    ("guarded_escape_bad.cc", "guarded-ref-escape"): 3,
-    ("lock_cycle_bad.cc", "lock-order-cycle"): 1,
     ("hot_alloc_bad.cc", "hot-loop-alloc"): 5,
     ("unordered_bad.cc", "unordered-iter"): 2,
     ("allow_noreason_bad.cc", "allow-syntax"): 1,
-    ("race_infer_bad.cc", "race-infer"): 4,
-    ("missing_guard_bad.cc", "missing-guarded-by"): 1,
-    ("blocking_bad.cc", "blocking-under-lock"): 3,
+    ("race_infer_bad.cc", "race-infer"): 5,
     ("output_flow_bad.cc", "unordered-output-flow"): 2,
     ("dangling_view_bad.cc", "dangling-view"): 5,
     ("view_launder_bad.cc", "dangling-view"): 2,
@@ -84,26 +78,13 @@ EXPECTED = {
     ("view_escape_bad.cc", "view-escape"): 6,
 }
 
-# The four seeded races by field, as they must appear in the race
+# The five seeded races by field, as they must appear in the race
 # report (and under BOTH frontends when a clang driver is available).
-SEEDED_RACES = ("Telemetry::dropped_", "Ledger::balance_",
-                "Journal::entries_", "Pipeline::pending_")
+SEEDED_RACES = ("Telemetry::dropped_", "Journal::entries_",
+                "Collector::results_", "race_infer_bad::g_hits",
+                "Heartbeat::beats_")
 
-# Mutex nodes the real-tree lock graph must name (acceptance criterion:
-# coverage of every current Mutex user).
-REQUIRED_GRAPH_NODES = (
-    "logging::g_severity_mu",
-    "audit::g_stats_mu",
-)
-
-# Every GUARDED_BY field of the real tree. The race report's set of
-# fields with verdict `annotated` must equal this exactly, so a field
-# that loses its annotation, or is swapped for another, fails the run.
-REQUIRED_ANNOTATED_FIELDS = (
-    "audit::g_audits_finished",
-    "audit::g_audits_failed",
-    "logging::g_min_severity",
-)
+RACE_REPORT_SCHEMA = "infoshield-race-report/2"
 
 
 def run_analyze(extra_args, frontend="internal"):
@@ -138,9 +119,6 @@ def main():
                f"{key[0]}: expected {want} [{key[1]}], got {got}")
     expect(not findings,
            f"bad tree: unexpected findings {dict(findings)}")
-    expect("lock-order-cycle" in proc.stdout and
-           "g_mu_a" in proc.stdout and "g_mu_b" in proc.stdout,
-           "seeded cycle: expected both mutexes named in the cycle report")
 
     # --- clean fixtures: nothing fires -------------------------------
     proc, findings = run_analyze(
@@ -149,8 +127,8 @@ def main():
            f"clean tree: expected exit 0, got {proc.returncode}")
     expect(not findings,
            f"clean tree: unexpected findings {dict(findings)} (reserve "
-           "discipline, determinism marker, allow(reason), or by-value "
-           "snapshot handling regressed)")
+           "discipline, determinism marker, allow(reason), or lock-free "
+           "idiom handling regressed)")
 
     # --- race report: schema, seeded verdicts, check filtering --------
     with tempfile.TemporaryDirectory() as tmp:
@@ -158,14 +136,12 @@ def main():
         proc, findings = run_analyze(
             ["--repo-root", FIXTURES, "--roots", "bad", "--no-baseline",
              "--race-report", report_path,
-             "--checks", "race-infer,missing-guarded-by,"
-                         "blocking-under-lock,unordered-output-flow"])
+             "--checks", "race-infer,unordered-output-flow"])
         expect(proc.returncode == 1,
                f"--checks races leg: expected exit 1, got {proc.returncode}")
         # allow-syntax always rides along: a broken suppression must
         # never be filtered out of view.
-        race_checks = {"race-infer", "missing-guarded-by",
-                       "blocking-under-lock", "unordered-output-flow",
+        race_checks = {"race-infer", "unordered-output-flow",
                        "allow-syntax"}
         expect(all(check in race_checks for (_f, check) in findings),
                f"--checks filter leaked other checks: {dict(findings)}")
@@ -175,7 +151,7 @@ def main():
                f"{sum(findings.values())}")
         with open(report_path, encoding="utf-8") as f:
             report = json.load(f)
-        expect(report.get("schema") == "infoshield-race-report/1",
+        expect(report.get("schema") == RACE_REPORT_SCHEMA,
                f"race report schema: got {report.get('schema')!r}")
         expect(report.get("thread_roots"),
                "race report: expected at least one thread root in the "
@@ -185,18 +161,9 @@ def main():
             expect(verdicts.get(field) == "racy",
                    f"race report: {field} should be racy, got "
                    f"{verdicts.get(field)!r}")
-        expect(verdicts.get("Registry::published_") ==
-               "guarded-unannotated",
-               "race report: Registry::published_ should be "
-               f"guarded-unannotated, got "
-               f"{verdicts.get('Registry::published_')!r}")
         expect(report["summary"].get("racy", 0) == len(SEEDED_RACES),
                f"race report summary: expected {len(SEEDED_RACES)} racy, "
                f"got {report['summary'].get('racy')}")
-        comp = report.get("tu_completeness", {})
-        expect(any(v["unannotated_shared"] > 0 for v in comp.values()),
-               "race report: completeness should count the unannotated "
-               "shared fields of the bad tree")
 
     # --- lifetime pass: report schema, verdicts, contract inventory ---
     with tempfile.TemporaryDirectory() as tmp:
@@ -253,12 +220,11 @@ def main():
     # --- clean fixtures under the race checks: FP guards hold ---------
     proc, findings = run_analyze(
         ["--repo-root", FIXTURES, "--roots", "clean", "--no-baseline",
-         "--checks", "race-infer,missing-guarded-by,blocking-under-lock,"
-                     "unordered-output-flow"])
+         "--checks", "race-infer,unordered-output-flow"])
     expect(proc.returncode == 0 and not findings,
            "clean tree under race checks: expected silence (pre-launch "
-           "writes, post-Wait writes, owned accumulators, REQUIRES "
-           "chains, sorted sinks), got "
+           "and post-join writes, owned accumulators, element slots, "
+           "atomics, sorted sinks), got "
            f"{proc.returncode} / {dict(findings)}")
 
     # --- dual frontend: the seeded races survive clang lowering -------
@@ -270,11 +236,10 @@ def main():
     else:
         proc, findings = run_analyze(
             ["--repo-root", FIXTURES, "--roots", "bad", "--no-baseline",
-             "--checks", "race-infer,missing-guarded-by"],
+             "--checks", "race-infer"],
             frontend="clang")
-        expect(findings.get(("race_infer_bad.cc", "race-infer")) == 4 and
-               findings.get(("missing_guard_bad.cc",
-                             "missing-guarded-by")) == 1,
+        expect(findings.get(("race_infer_bad.cc", "race-infer")) ==
+               len(SEEDED_RACES),
                "clang frontend: seeded races must be caught under clang "
                f"lowering too, got {dict(findings)}")
         proc, findings = run_analyze(
@@ -389,36 +354,32 @@ def main():
         expect(proc.returncode == 1 and "stale baseline" in proc.stdout,
                f"stale baseline: expected failure, got {proc.returncode}")
 
-    # --- real tree: zero unsuppressed findings + full mutex coverage --
+    # --- real tree: zero unsuppressed findings, no racy field ---------
     with tempfile.TemporaryDirectory() as tmp:
-        dot = os.path.join(tmp, "lock_order.dot")
         report_path = os.path.join(tmp, "race_report.json")
         lifetime_path = os.path.join(tmp, "lifetime_report.json")
         proc, findings = run_analyze(
             ["--repo-root", REPO_ROOT, "--roots", "src", "tools", "fuzz",
-             "--dot-out", dot, "--race-report", report_path,
+             "--race-report", report_path,
              "--lifetime-report", lifetime_path])
         expect(proc.returncode == 0,
                f"real tree: expected exit 0, got {proc.returncode}:\n"
                f"{proc.stdout}")
         expect(not findings,
                f"real tree: unsuppressed findings {dict(findings)}")
-        with open(dot, encoding="utf-8") as f:
-            graph = f.read()
-        for node in REQUIRED_GRAPH_NODES:
-            expect(f'"{node}"' in graph,
-                   f"lock graph: missing required mutex node {node}")
         with open(report_path, encoding="utf-8") as f:
             report = json.load(f)
-        expect(report.get("schema") == "infoshield-race-report/1" and
-               report.get("thread_roots"),
-               "real tree: race report should carry the schema tag and "
-               "the pipeline's thread roots")
-        annotated = sorted(f["field"] for f in report.get("fields", [])
-                           if f.get("verdict") == "annotated")
-        expect(annotated == sorted(REQUIRED_ANNOTATED_FIELDS),
-               "real tree: expected the annotated fields "
-               f"{sorted(REQUIRED_ANNOTATED_FIELDS)}, got {annotated}")
+        roots = report.get("thread_roots", [])
+        expect(report.get("schema") == RACE_REPORT_SCHEMA and
+               any("ThreadPool::ParallelFor" in r and "launched-lambda" in r
+                   for r in roots) and
+               any("(fuzz-entry)" in r for r in roots),
+               "real tree: race report should carry the schema tag, "
+               "ParallelFor's worker lambda and the fuzz entries among "
+               f"its thread roots, got {roots}")
+        racy = [f["field"] for f in report.get("fields", [])
+                if f.get("verdict") == "racy"]
+        expect(not racy, f"real tree: racy fields {racy}")
         with open(lifetime_path, encoding="utf-8") as f:
             lifetime = json.load(f)
         expect(lifetime.get("schema") == "infoshield-lifetime-report/1",

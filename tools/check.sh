@@ -1,35 +1,33 @@
 #!/usr/bin/env bash
 # Full correctness gate for InfoShield.
 #
-#   tools/check.sh          lint, the clang thread-safety-analysis gate
-#                           (when clang++ is installed), the whole test
-#                           suite under ASan+UBSan and again under TSan
-#                           (both with -Werror and the deep invariant
-#                           auditors on), then the line-coverage ratchet
+#   tools/check.sh          lint, the analyzer, a clang build with
+#                           warnings as errors (when clang++ is
+#                           installed), the whole test suite under
+#                           ASan+UBSan and again under TSan (both with
+#                           -Werror and the deep invariant auditors
+#                           on), then the line-coverage ratchet
 #                           (tools/coverage.sh against
 #                           tools/coverage_baseline.json).
-#   tools/check.sh --fast   lint + thread-safety gate + an ASan+UBSan run
-#                           of the unit tests only (slow sweep/pipeline
-#                           suites, the TSan pass, and the coverage
-#                           ratchet are skipped). Suitable as a pre-merge
-#                           smoke check.
+#   tools/check.sh --fast   lint + analyzer + clang build + an
+#                           ASan+UBSan run of the unit tests only (slow
+#                           sweep/pipeline suites, the TSan pass, and
+#                           the coverage ratchet are skipped). Suitable
+#                           as a pre-merge smoke check.
 #   tools/check.sh --analyze
 #                           the AST-grounded analyzer only
-#                           (tools/analyzer/analyze.py): guarded-ref
-#                           escapes, lock-order cycles, hot-loop
-#                           allocations, unordered iteration, the
-#                           interprocedural race-inference and lifetime
-#                           checks, the lock-order dot graph,
+#                           (tools/analyzer/analyze.py): hot-loop
+#                           allocations, unordered iteration, the race
+#                           inference and lifetime checks,
 #                           build/race_report.json, and
 #                           build/lifetime_report.json. Also part of
 #                           every full and --fast run.
-#   tools/check.sh --races  the race-inference legs only (race-infer,
-#                           missing-guarded-by, blocking-under-lock,
-#                           unordered-output-flow) + race_report.json —
-#                           the lockset-analysis counterpart to the TSan
-#                           and thread-safety gates, for states TSA
-#                           cannot see (unannotated fields, cross-call
-#                           locksets).
+#   tools/check.sh --races  the race legs only (race-infer,
+#                           unordered-output-flow) + race_report.json:
+#                           every field written from a thread root is
+#                           std::atomic or a disjoint ParallelFor slot,
+#                           checked statically where TSan checks only
+#                           the interleavings a test happens to run.
 #   tools/check.sh --lifetimes
 #                           the interprocedural lifetime legs only
 #                           (dangling-view, iter-invalidation,
@@ -46,9 +44,9 @@
 #                           for 60 seconds. Without clang++ the replay
 #                           runners still execute under gcc sanitizers.
 #
-# Build trees go to build-asan/, build-tsan/, build-clang-tsa/,
-# build-fuzz/, and build-cov/ next to build/ (all gitignored). Exits
-# non-zero on the first failing stage.
+# Build trees go to build-asan/, build-tsan/, build-clang/, build-fuzz/,
+# and build-cov/ next to build/ (all gitignored). Exits non-zero on the
+# first failing stage.
 
 set -euo pipefail
 
@@ -68,7 +66,8 @@ for arg in "$@"; do
     --races) RACES_ONLY=1 ;;
     --lifetimes) LIFETIMES_ONLY=1 ;;
     -h|--help)
-      sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'
+      # The leading comment block, up to the first non-comment line.
+      awk 'NR == 1 { next } /^#/ { sub(/^# ?/, ""); print; next } { exit }' "$0"
       exit 0
       ;;
     *)
@@ -91,27 +90,26 @@ step() { printf '\n=== %s ===\n' "$*"; }
 
 # The AST-grounded analyzer (DESIGN.md §13, §14, §17): every check over
 # every TU in src/, tools/, and fuzz/, the allow()/baseline ratchet,
-# the lock-order graph, and the race/lifetime reports. Uses clang ASTs
-# when clang++ is installed, the built-in frontend otherwise.
+# and the race/lifetime reports. Uses clang ASTs when clang++ is
+# installed, the built-in frontend otherwise.
 run_analyzer() {
-  step "AST analyzer (tools/analyzer: all checks + lock-order graph + race/lifetime reports)"
+  step "AST analyzer (tools/analyzer: all checks + race/lifetime reports)"
   mkdir -p build
   python3 tools/analyzer/analyze.py \
     --cache-dir "$ROOT/.analyzer-cache" \
-    --dot-out "$ROOT/build/lock_order.dot" \
     --race-report "$ROOT/build/race_report.json" \
     --lifetime-report "$ROOT/build/lifetime_report.json"
 }
 
-# --races: only the interprocedural lockset legs (DESIGN.md §14). The
-# baseline is filtered to the same checks, so inference findings gate
-# here without retesting the §13 checks.
+# --races: only the race legs (DESIGN.md §14). The baseline is filtered
+# to the same checks, so race findings gate here without retesting the
+# §13 checks.
 run_races() {
-  step "race inference (race-infer, missing-guarded-by, blocking-under-lock, unordered-output-flow)"
+  step "race inference (race-infer, unordered-output-flow)"
   mkdir -p build
   python3 tools/analyzer/analyze.py \
     --cache-dir "$ROOT/.analyzer-cache" \
-    --checks race-infer,missing-guarded-by,blocking-under-lock,unordered-output-flow \
+    --checks race-infer,unordered-output-flow \
     --race-report "$ROOT/build/race_report.json"
 }
 
@@ -197,22 +195,18 @@ python3 tools/lint.py --clang-tidy-build-dir "$ROOT/build-asan"
 
 run_analyzer
 
-# Clang thread-safety analysis: compiles all of src/ (and everything that
-# includes it) with -Wthread-safety -Wthread-safety-beta promoted to
-# errors, proving the GUARDED_BY/REQUIRES contracts in
-# src/util/thread_annotations.h. Build-only — the artifacts are the
-# proof; the sanitizer passes below run the tests.
+# Clang build: compiles everything with clang's warnings promoted to
+# errors. Build-only; the sanitizer passes below run the tests.
 if command -v clang++ > /dev/null 2>&1; then
-  step "clang thread-safety analysis (-Wthread-safety as errors)"
-  cmake -B build-clang-tsa -S . \
+  step "clang build (warnings as errors)"
+  cmake -B build-clang -S . \
     -DCMAKE_CXX_COMPILER=clang++ \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DINFOSHIELD_WERROR=ON \
-    -DINFOSHIELD_THREAD_SAFETY=ON \
     > /dev/null
-  cmake --build build-clang-tsa -j "$JOBS"
+  cmake --build build-clang -j "$JOBS"
 else
-  step "clang++ not installed — skipping the thread-safety analysis gate"
+  step "clang++ not installed — skipping the clang build"
 fi
 
 if [[ "$FAST" == "1" ]]; then

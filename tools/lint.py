@@ -19,17 +19,14 @@ Rules
  5. raw-concurrency  Raw std concurrency primitives (std::mutex,
                      std::lock_guard, std::thread,
                      std::condition_variable, ...) are banned outside
-                     src/util/: shared state goes through the annotated
-                     Mutex/MutexLock wrappers in util/mutex.h and work
-                     is split across threads by ThreadPool::ParallelFor
-                     in util/thread_pool.h, so the Clang thread-safety
-                     analysis (-DINFOSHIELD_THREAD_SAFETY) sees every
-                     lock. std::atomic is allowed.
+                     src/util/: work is split across threads by
+                     ThreadPool::ParallelFor in util/thread_pool.h, and
+                     state its workers share is std::atomic or a
+                     disjoint per-index slot (DESIGN.md §9). std::atomic
+                     is allowed.
  6. mutable-global   New mutable globals (the repo convention names them
                      g_*, or column-0 `static` non-const definitions) are
-                     banned outside an explicit allowlist. Mutex-typed
-                     globals are always allowed — the lock itself is the
-                     protection.
+                     banned outside an explicit allowlist.
  7. fuzz-corpus      Every fuzz harness (fuzz/<name>_fuzz.cc) must have
                      a non-empty seed corpus at tests/fuzz_corpus/<name>/
                      so the fuzz_replay_<name> ctest exercises the
@@ -71,21 +68,6 @@ CURATED_SYMBOLS = {
     "LOG": "util/logging.h",
     "INFOSHIELD_RETURN_IF_ERROR": "util/status.h",
     "INFOSHIELD_AUDIT_INVARIANTS": "util/audit.h",
-    "Mutex": "util/mutex.h",
-    "MutexLock": "util/mutex.h",
-    "CAPABILITY": "util/thread_annotations.h",
-    "SCOPED_CAPABILITY": "util/thread_annotations.h",
-    "GUARDED_BY": "util/thread_annotations.h",
-    "PT_GUARDED_BY": "util/thread_annotations.h",
-    "REQUIRES": "util/thread_annotations.h",
-    "REQUIRES_SHARED": "util/thread_annotations.h",
-    "ACQUIRE": "util/thread_annotations.h",
-    "RELEASE": "util/thread_annotations.h",
-    "TRY_ACQUIRE": "util/thread_annotations.h",
-    "EXCLUDES": "util/thread_annotations.h",
-    "ASSERT_CAPABILITY": "util/thread_annotations.h",
-    "RETURN_CAPABILITY": "util/thread_annotations.h",
-    "NO_THREAD_SAFETY_ANALYSIS": "util/thread_annotations.h",
 }
 
 # --- Rule 5: raw concurrency primitives (banned outside src/util/). ---
@@ -97,16 +79,16 @@ RAW_CONCURRENCY_RE = re.compile(
 
 # --- Rule 6: mutable globals. ---
 # (src-relative file) -> names that predate the rule or are deliberate.
-# Every entry must say, in the file itself, how it is synchronized.
+# Every entry is a std::atomic; its file says which memory order it uses
+# and why.
 GLOBAL_ALLOWLIST = {
-    "util/audit.cc": {"g_auditing_enabled",      # lone std::atomic gate
-                      "g_audits_finished",       # GUARDED_BY(g_stats_mu)
-                      "g_audits_failed"},        # GUARDED_BY(g_stats_mu)
-    "util/logging.cc": {"g_min_severity"},       # GUARDED_BY(g_severity_mu)
+    "util/audit.cc": {"g_auditing_enabled",      # std::atomic gate
+                      "g_audits_finished",       # std::atomic tally
+                      "g_audits_failed"},        # std::atomic tally
+    "util/logging.cc": {"g_min_severity"},       # std::atomic floor
 }
 GLOBAL_DECL_RE = re.compile(r"^[A-Za-z_][\w:<>,&*\s]*?\b(g_\w+)")
 STATIC_DECL_RE = re.compile(r"^static\s+(?!const\b|constexpr\b)")
-MUTEX_GLOBAL_RE = re.compile(r"^(?:static\s+)?(?:::infoshield::)?Mutex\s+\w+")
 
 # --- Rule 7: fuzz harnesses and their seed corpora. ---
 FUZZ_ROOT = os.path.join(REPO_ROOT, "fuzz")
@@ -313,9 +295,8 @@ def check_raw_concurrency(path, text, report):
         if match:
             report(path, i, "raw-concurrency",
                    f"`{match.group(0)}` is banned outside src/util/; use "
-                   "Mutex/MutexLock (util/mutex.h) or "
-                   "ThreadPool::ParallelFor (util/thread_pool.h) so the "
-                   "thread-safety analysis sees the lock")
+                   "ThreadPool::ParallelFor (util/thread_pool.h) and "
+                   "share state through std::atomic or per-index slots")
 
 
 def check_mutable_globals(path, text, report):
@@ -323,18 +304,15 @@ def check_mutable_globals(path, text, report):
 
     Namespace-scope definitions sit at column 0 (the codebase does not
     indent inside namespaces), so usages inside functions — always
-    indented — are skipped automatically. Mutex-typed globals are
-    allowed: the lock is the protection, not the hazard.
+    indented — are skipped automatically.
     """
     allowed = GLOBAL_ALLOWLIST.get(src_relative(path), set())
     for i, line in enumerate(text.splitlines(), start=1):
-        if MUTEX_GLOBAL_RE.match(line):
-            continue
         match = GLOBAL_DECL_RE.match(line)
         if match and match.group(1) not in allowed:
             report(path, i, "mutable-global",
                    f"mutable global `{match.group(1)}` — shared state "
-                   "needs a GUARDED_BY contract and an entry in "
+                   "must be std::atomic, with an entry in "
                    "tools/lint.py GLOBAL_ALLOWLIST")
             continue
         if STATIC_DECL_RE.match(line):
@@ -349,8 +327,8 @@ def check_mutable_globals(path, text, report):
             if paren == -1 or paren > init:
                 report(path, i, "mutable-global",
                        "file-scope `static` mutable variable — shared "
-                       "state needs a GUARDED_BY contract and an entry "
-                       "in tools/lint.py GLOBAL_ALLOWLIST")
+                       "state must be std::atomic, with an entry in "
+                       "tools/lint.py GLOBAL_ALLOWLIST")
 
 
 def check_fuzz_corpora(fuzz_root, corpus_root, report):

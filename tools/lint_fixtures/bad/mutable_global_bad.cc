@@ -1,12 +1,10 @@
 // Lint fixture (never compiled): mutable globals outside the allowlist
-// must trip the mutable-global rule; constants and Mutex globals must
-// not.
+// must trip the mutable-global rule; constants and functions must not.
 
 int g_counter = 0;
 static bool g_flag = false;
 static double accumulator = 0.0;
 
-Mutex g_mu;
 static const char* kName = "fixture";
 constexpr int kMax = 3;
 

@@ -9,7 +9,7 @@ asserts:
    missing or empty seed corpus, exercised via fixture fuzz/corpus
    roots);
  * the util/ exemption (raw primitives are legal under src/util/),
-   Mutex-typed globals, and constants do NOT trip anything;
+   constants, and file-scope functions do NOT trip anything;
  * a clean tree exits 0;
  * the exit status of a failing run is 1, not the violation count (a
    raw count would wrap modulo 256 on POSIX — 256 violations would
