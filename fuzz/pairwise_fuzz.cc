@@ -18,11 +18,17 @@
 //    trace replays losslessly AND base_cost equals the Eq. 3 cost
 //    recomputed from scratch;
 //  * with default scoring, EncodeDocument (which re-aligns internally)
-//    reproduces EncodeDocumentWithAlignment bit for bit.
+//    reproduces EncodeDocumentWithAlignment bit for bit;
+//  * the claim scan's bag-of-words bound (ClaimCostLowerBound) never
+//    exceeds EncodedDocCost(1, ·) of the alignment it lets the scan
+//    skip, and the alignment matches no more tokens than the two
+//    sequences share as multisets.
 
 #include <cstdint>
 #include <vector>
 
+#include "core/fine_clustering.h"
+#include "core/slot_analysis.h"
 #include "core/template.h"
 #include "fuzz_util.h"
 #include "mdl/cost_model.h"
@@ -40,13 +46,17 @@ using infoshield::Alignment;
 using infoshield::AlignmentIsConsistent;
 using infoshield::AlignmentScoring;
 using infoshield::AlignmentWorkspace;
+using infoshield::BuildGapCostProfile;
+using infoshield::ClaimCostLowerBound;
 using infoshield::CostModel;
 using infoshield::DocEncoding;
 using infoshield::EncodeDocument;
 using infoshield::EncodeDocumentWithAlignment;
 using infoshield::NeedlemanWunsch;
 using infoshield::Status;
+using infoshield::SummaryForSlotMask;
 using infoshield::Template;
+using infoshield::TokenBag;
 using infoshield::TokenId;
 using infoshield::ValidateDocEncoding;
 
@@ -132,6 +142,21 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                                                &cost_model);
   CHECK(encoding_status.ok())
       << "Eq. 3 cost identity violated: " << encoding_status.ToString();
+
+  // The claim scan's bound, with `a` as the seed and `b` as the probed
+  // document.
+  TokenBag bag;
+  bag.Assign(a);
+  const size_t overlap = bag.Overlap(b);
+  CHECK(alignment.matches() <= overlap)
+      << alignment.matches() << " matches but a multiset overlap of "
+      << overlap;
+  const double claim_cost = cost_model.EncodedDocCost(
+      1, SummaryForSlotMask(BuildGapCostProfile(alignment), {}));
+  CHECK(ClaimCostLowerBound(cost_model, a.size(), b.size(), overlap) <=
+        claim_cost)
+      << "scan bound exceeds the alignment's cost (|a|=" << a.size()
+      << ", |b|=" << b.size() << ", overlap " << overlap << ")";
 
   if (scoring_index == 0) {
     // EncodeDocument re-runs NW internally with default scoring; the

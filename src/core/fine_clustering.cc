@@ -1,6 +1,7 @@
 #include "core/fine_clustering.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -11,6 +12,7 @@
 #include <utility>
 
 #include "core/slot_analysis.h"
+#include "tfidf/df_count.h"
 #include "util/audit.h"
 #include "util/logging.h"
 #include "util/status.h"
@@ -21,6 +23,7 @@ namespace infoshield {
 
 void FineStageStats::MergeFrom(const FineStageStats& other) {
   alignments_computed += other.alignments_computed;
+  scan_alignments_skipped += other.scan_alignments_skipped;
   consensus_probes += other.consensus_probes;
   consensus_cache_hits += other.consensus_cache_hits;
   slot_candidates_evaluated += other.slot_candidates_evaluated;
@@ -31,6 +34,57 @@ double FineStageStats::cache_hit_rate() const {
   if (consensus_probes == 0) return 0.0;
   return static_cast<double>(consensus_cache_hits) /
          static_cast<double>(consensus_probes);
+}
+
+double ClaimCostLowerBound(const CostModel& cost_model, size_t seed_length,
+                           size_t doc_length, size_t overlap) {
+  EncodingSummary summary;
+  summary.alignment_length = std::max(seed_length, doc_length);
+  summary.unmatched = summary.alignment_length - overlap;
+  summary.inserted_or_substituted = doc_length - overlap;
+  return cost_model.EncodedDocCost(1, summary);
+}
+
+void TokenBag::Assign(const std::vector<TokenId>& tokens) {
+  size_t capacity = 8;
+  while (capacity < 2 * tokens.size()) capacity *= 2;
+  slots_.assign(capacity, Slot{});
+  shift_ = 64 - std::countr_zero(capacity);
+  const size_t mask = capacity - 1;
+  for (const TokenId token : tokens) {
+    size_t i = FibonacciSlot(token, shift_);
+    while (slots_[i].count != 0 && slots_[i].token != token) {
+      i = (i + 1) & mask;
+    }
+    slots_[i].token = token;
+    ++slots_[i].count;
+  }
+}
+
+size_t TokenBag::Find(TokenId token) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = FibonacciSlot(token, shift_);; i = (i + 1) & mask) {
+    if (slots_[i].count == 0) return slots_.size();
+    if (slots_[i].token == token) return i;
+  }
+}
+
+size_t TokenBag::Overlap(const std::vector<TokenId>& tokens) {
+  if (slots_.empty()) return 0;
+  size_t overlap = 0;
+  for (const TokenId token : tokens) {
+    const size_t i = Find(token);
+    if (i == slots_.size()) continue;
+    Slot& slot = slots_[i];
+    if (slot.used == 0) touched_.push_back(i);
+    if (slot.used < slot.count) {
+      ++slot.used;
+      ++overlap;
+    }
+  }
+  for (const size_t i : touched_) slots_[i].used = 0;
+  touched_.clear();
+  return overlap;
 }
 
 namespace {
@@ -243,6 +297,11 @@ void FineClustering::DetectSlots(Template& tmpl,
 
 namespace {
 
+// A scan skips its alignment only when ClaimCostLowerBound exceeds C(d)
+// by this fraction of C(d), far above the rounding of either side, so
+// rounding can never skip a document the alignment would admit.
+constexpr double kScanBoundMargin = 1e-9;
+
 // One seed of phase (a): the documents it claimed, the seed first and
 // then its admitted pool documents in pool order.
 struct ClaimedSeed {
@@ -318,6 +377,9 @@ ClusterClaims ClaimSeeds(
   // stamp[i] == cursor + 1 once seed `cursor` has gathered position i.
   std::vector<uint32_t> stamp(n, 0);
   std::vector<uint32_t> pool;
+  TokenBag seed_bag;
+  size_t aligned = 0;
+  size_t skipped = 0;
   AlignmentWorkspace workspace;
   for (size_t cursor = 0; cursor < n; ++cursor) {
     if (claimed[cursor]) continue;
@@ -356,26 +418,38 @@ ClusterClaims ClaimSeeds(
     // the empty-mask summary holds the integers a full DocEncoding would
     // count (DESIGN.md §10), so the cost bits are the same. Probes align
     // with the configured scoring, as the MSA and the consensus search do.
+    // A probe whose bag-of-words bound already fails the test skips its
+    // alignment: the document could never have been admitted.
     ClaimedSeed claim;
     claim.members.push_back(seed);
     claimed[cursor] = 1;
+    seed_bag.Assign(seed_tokens);
     for (uint32_t i : pool) {
       const std::vector<TokenId>& tokens = corpus.doc(doc_ids[i]).tokens;
+      const double unencoded = cm.UnencodedDocCost(tokens.size());
+      if (ClaimCostLowerBound(cm, seed_tokens.size(), tokens.size(),
+                              seed_bag.Overlap(tokens)) >=
+          unencoded + kScanBoundMargin * unencoded) {
+        ++skipped;
+        continue;
+      }
+      ++aligned;
       const Alignment alignment =
           NeedlemanWunsch(seed_tokens, tokens, scoring, &workspace);
       const double conditional = cm.EncodedDocCost(
           1, SummaryForSlotMask(BuildGapCostProfile(alignment), {}));
-      if (conditional < cm.UnencodedDocCost(tokens.size())) {
+      if (conditional < unencoded) {
         claim.members.push_back(doc_ids[i]);
         claimed[i] = 1;
       }
     }
-    claims.stats.alignments_computed += pool.size();
     for (DocId d : claim.members) {
       claim.unencoded += cm.UnencodedDocCost(corpus.doc(d).length());
     }
     claims.seeds.push_back(std::move(claim));
   }
+  claims.stats.alignments_computed = aligned;
+  claims.stats.scan_alignments_skipped = skipped;
   claims.stats.dp_cells = workspace.cells;
   return claims;
 }

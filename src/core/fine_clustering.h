@@ -29,6 +29,7 @@
 #ifndef INFOSHIELD_CORE_FINE_CLUSTERING_H_
 #define INFOSHIELD_CORE_FINE_CLUSTERING_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/template.h"
@@ -71,6 +72,10 @@ struct FineStageStats {
   // Full Needleman-Wunsch alignments computed (pool scans + consensus
   // evaluations).
   size_t alignments_computed = 0;
+  // Pool scans whose alignment was skipped because ClaimCostLowerBound
+  // proves the document cannot pass the claim test. Scan alignments
+  // computed + skipped is the scan count of the full-scan reference.
+  size_t scan_alignments_skipped = 0;
   // Consensus-search cost evaluations requested (distinct thresholds).
   size_t consensus_probes = 0;
   // Probes whose consensus was already evaluated under another
@@ -205,6 +210,43 @@ class FineClustering {
       const CostModel& cost_model, FineStageStats* stats) const;
 
   FineOptions options_;
+};
+
+// A lower bound on EncodedDocCost(1, ·) of every alignment of a document
+// of `doc_length` tokens against a slot-free template of `seed_length`
+// tokens, when the two share `overlap` tokens as multisets. An alignment
+// has at most `overlap` matches and at least L = max(doc_length,
+// seed_length) columns, and the cost never falls as columns, unmatched
+// columns or inserted words grow, so the summary {L, L - overlap,
+// doc_length - overlap} costs no more than any real one (DESIGN.md §10).
+double ClaimCostLowerBound(const CostModel& cost_model, size_t seed_length,
+                           size_t doc_length, size_t overlap);
+
+// One seed's tokens as a multiset, for ClaimCostLowerBound's overlap: an
+// open-addressing table of the seed's distinct tokens and their counts,
+// at most half full and sized by the seed, so a probe costs O(|d|) and
+// nothing is sized by the vocabulary. Reused from seed to seed.
+class TokenBag {
+ public:
+  // Makes the bag hold exactly `tokens`.
+  void Assign(const std::vector<TokenId>& tokens);
+
+  // The multiset overlap of the bag and `tokens`: the sum over tokens of
+  // the smaller of their two counts.
+  size_t Overlap(const std::vector<TokenId>& tokens);
+
+ private:
+  // The slot holding `token`, or slots_.size() if it is absent.
+  size_t Find(TokenId token) const;
+
+  struct Slot {
+    TokenId token = 0;
+    uint32_t count = 0;  // 0 marks an empty slot
+    uint32_t used = 0;   // matched by the running Overlap call
+  };
+  std::vector<Slot> slots_;  // a power of two
+  std::vector<size_t> touched_;
+  int shift_ = 64;
 };
 
 // Deep invariant audits (util/audit.h).

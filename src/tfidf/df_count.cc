@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -55,19 +56,33 @@ void CountDocumentFrequencies(const Corpus& corpus, size_t begin,
     }
   });
 
-  // Pass 2: one worker per partition sorts its hashes from every chunk,
-  // run-length counts them and folds the run.
+  // Pass 2: one worker per partition gathers its hashes from every chunk
+  // by a counting sort on the sub-range bits, sorts each sub-range,
+  // run-length counts them and folds the run. A partition's sub-ranges
+  // in index order are ascending hash ranges, so the sorted sub-ranges
+  // together are the partition's hashes in ascending order.
   ThreadPool::ParallelFor(threads, kDfPartitions, [&](size_t p) {
-    size_t total = 0;
-    for (const auto& chunk : buckets) total += chunk[p].size();
+    std::vector<size_t> offsets(kDfSubRanges + 1, 0);
+    for (const auto& chunk : buckets) {
+      for (const PhraseHash hash : chunk[p]) {
+        ++offsets[DfSubRangeOf(hash) + 1];
+      }
+    }
+    for (size_t s = 0; s < kDfSubRanges; ++s) offsets[s + 1] += offsets[s];
+    const size_t total = offsets[kDfSubRanges];
     if (total == 0) return;
-    std::vector<PhraseHash> hashes;
-    hashes.reserve(total);
+    std::vector<PhraseHash> hashes(total);
+    std::vector<size_t> next(offsets.begin(), offsets.end() - 1);
     for (auto& chunk : buckets) {
-      hashes.insert(hashes.end(), chunk[p].begin(), chunk[p].end());
+      for (const PhraseHash hash : chunk[p]) {
+        hashes[next[DfSubRangeOf(hash)]++] = hash;
+      }
       std::vector<PhraseHash>().swap(chunk[p]);
     }
-    std::sort(hashes.begin(), hashes.end());
+    for (size_t s = 0; s < kDfSubRanges; ++s) {
+      std::sort(hashes.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
+                hashes.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]));
+    }
     size_t distinct = 0;
     for (size_t i = 0; i < hashes.size(); ++i) {
       if (i == 0 || hashes[i] != hashes[i - 1]) ++distinct;

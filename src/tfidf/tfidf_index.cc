@@ -42,14 +42,21 @@ void TfidfIndex::AddDocuments(const Corpus& corpus, size_t begin, size_t end,
         once.Reserve(once.size() + run_once);
         size_t added = 0;
         for (const PhraseDf& entry : run) {
-          if (once.Erase(entry.hash)) {
-            // Seen in one earlier document: promote with the sum.
-            shared.Add(entry.hash, entry.df + 1);
-          } else if (entry.df > 1 || shared.Find(entry.hash) != 0) {
-            if (shared.Add(entry.hash, entry.df)) ++added;
-          } else {
-            once.Insert(entry.hash);
+          if (entry.df > 1) {
+            if (once.Erase(entry.hash)) {
+              // Seen in one earlier document: promote with the sum.
+              shared.Add(entry.hash, entry.df + 1);
+            } else if (shared.Add(entry.hash, entry.df)) {
+              ++added;
+            }
+          } else if (shared.Find(entry.hash) != 0) {
+            shared.Add(entry.hash, 1);
+          } else if (once.Insert(entry.hash)) {
             ++added;
+          } else {
+            // Seen in one earlier document: promote with df 2.
+            once.Erase(entry.hash);
+            shared.Add(entry.hash, 2);
           }
         }
         shared_[p] = std::move(shared);
@@ -73,31 +80,40 @@ double TfidfIndex::Score(PhraseHash phrase, size_t tf) const {
 }
 
 std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
-  // Term frequencies of the document's eligible phrases: sort the n-gram
-  // hashes, then each run of equal hashes is one phrase and its tf.
   const size_t min_n = std::min(options_.min_ngram, options_.max_ngram);
   std::vector<PhraseHash> grams;
   // No n-gram is longer than the document, however large max_ngram is.
   grams.reserve(doc.tokens.size() *
                 std::min(options_.max_ngram, doc.tokens.size()));
   AppendNgramHashes(doc, min_n, options_.max_ngram, &grams);
-  std::sort(grams.begin(), grams.end());
 
-  std::vector<ScoredPhrase> scored;
-  // One df lookup per phrase: the min_df filter and the score share it
-  // (Score(hash, tf) would redo the hash probe). Below min_df 2 it must
-  // see df-1 phrases too; otherwise the small map of phrases in two or
-  // more documents answers alone.
+  // Probe first: keep, in place, only the occurrences whose df passes
+  // the min_df filter, so the sort below sees the eligible phrases alone
+  // (a df-1 phrase is most of a document's n-grams and can never score
+  // under min_df >= 2). Below min_df 2 the probe must see df-1 phrases
+  // too; otherwise the small map of phrases in two or more documents
+  // answers alone.
   const bool probe_once = options_.min_df < 2;
+  auto df_of = [&](PhraseHash hash) -> size_t {
+    return probe_once ? DocumentFrequency(hash)
+                      : shared_[DfPartitionOf(hash)].Find(hash);
+  };
+  size_t eligible = 0;
+  for (const PhraseHash hash : grams) {
+    if (df_of(hash) >= options_.min_df) grams[eligible++] = hash;
+  }
+  grams.resize(eligible);
+
+  // Term frequencies: sort the eligible occurrences, then each run of
+  // equal hashes is one phrase and its tf; one more probe per phrase
+  // gives the df to score it with.
+  std::sort(grams.begin(), grams.end());
+  std::vector<ScoredPhrase> scored;
   for (size_t i = 0; i < grams.size();) {
     size_t j = i + 1;
     while (j < grams.size() && grams[j] == grams[i]) ++j;
-    const size_t df = probe_once
-                          ? DocumentFrequency(grams[i])
-                          : shared_[DfPartitionOf(grams[i])].Find(grams[i]);
-    if (df >= options_.min_df) {
-      scored.push_back(ScoredPhrase{grams[i], ScoreWithDf(df, j - i)});
-    }
+    scored.push_back(
+        ScoredPhrase{grams[i], ScoreWithDf(df_of(grams[i]), j - i)});
     i = j;
   }
 

@@ -129,9 +129,9 @@ class TfidfIndex {
   Status ValidateInvariants() const;
 
  private:
-  // tf-idf for a phrase whose df lookup the caller already did —
-  // TopPhrases' inner loop needs the df twice (min_df filter, then the
-  // score) and must not pay the hash lookup twice.
+  // tf-idf for a phrase whose df the caller already looked up —
+  // TopPhrases probes only the df map under min_df >= 2, where Score
+  // would probe the df-1 set too.
   double ScoreWithDf(size_t df, size_t tf) const;
 
   TfidfOptions options_;

@@ -208,8 +208,10 @@ TEST(DeterminismTest, FineFanOutMatchesSerialRunOnCluster) {
   // across all clusters, and acceptance. At any thread count each
   // cluster's result must equal a serial RunOnCluster field for field:
   // templates, members, noise, encoding and cost bits, and work counters,
-  // the DP cell count included (DiffFineResults leaves it out, since the
-  // reference fine stage re-aligns what production caches).
+  // the DP cell count and the computed and skipped scan alignments apart
+  // included (DiffFineResults compares their sum and leaves the DP cells
+  // out, since the reference fine stage re-aligns what production
+  // caches and skips).
   const FineInput inputs[] = {CoarseClustersOf(MakeCorpus(/*seed=*/7).corpus),
                               MakeChainClusters()};
   const FineClustering fine;
@@ -234,6 +236,12 @@ TEST(DeterminismTest, FineFanOutMatchesSerialRunOnCluster) {
             << in.corpus.size() << "-document corpus";
         EXPECT_GT(fanned[ci].stats.dp_cells, 0u);
         EXPECT_EQ(fanned[ci].stats.dp_cells, serial[ci].stats.dp_cells)
+            << "threads=" << threads << ", cluster " << ci;
+        EXPECT_EQ(fanned[ci].stats.alignments_computed,
+                  serial[ci].stats.alignments_computed)
+            << "threads=" << threads << ", cluster " << ci;
+        EXPECT_EQ(fanned[ci].stats.scan_alignments_skipped,
+                  serial[ci].stats.scan_alignments_skipped)
             << "threads=" << threads << ", cluster " << ci;
       }
     }

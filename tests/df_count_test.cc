@@ -4,7 +4,9 @@
 
 #include "tfidf/df_count.h"
 
+#include <algorithm>
 #include <array>
+#include <map>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -14,6 +16,7 @@
 
 #include "oracle/reference_coarse.h"
 #include "text/corpus.h"
+#include "text/ngram.h"
 
 namespace infoshield {
 namespace {
@@ -113,6 +116,90 @@ TEST(DfCountTest, CountsOnlyTheRequestedRange) {
   EXPECT_EQ(Flatten(CountRuns(c, 10, 25, 3, 4)).size(),
             reference.size());
   EXPECT_EQ(Flatten(CountRuns(c, 7, 7, 3, 4)).size(), 0u);
+}
+
+// Documents of two interned words [a, b] whose bigram lands in partition
+// `p`, chosen from every ordered pair of `vocab` words so that neither
+// unigram does: partition p then holds the chosen bigrams alone.
+// `want(subrange, taken)` says whether to take a bigram of that
+// sub-range, `taken` being how many of its sub-range are taken already.
+template <typename Want>
+Corpus BigramCorpus(size_t p, size_t vocab, Want want) {
+  Corpus c;
+  for (size_t w = 0; w < vocab; ++w) {
+    c.mutable_vocab().Intern("w" + std::to_string(w));
+  }
+  std::vector<size_t> taken(kDfSubRanges, 0);
+  for (TokenId a = 0; a < vocab; ++a) {
+    if (DfPartitionOf(HashNgram(&a, 1)) == p) continue;
+    for (TokenId b = 0; b < vocab; ++b) {
+      const TokenId pair[] = {a, b};
+      const PhraseHash hash = HashNgram(pair, 2);
+      if (DfPartitionOf(hash) != p ||
+          DfPartitionOf(HashNgram(&b, 1)) == p) {
+        continue;
+      }
+      const size_t s = DfSubRangeOf(hash);
+      if (!want(s, taken[s])) continue;
+      // One to three documents each, so the runs carry df 1, 2 and 3.
+      for (size_t copy = 0; copy <= taken[s] % 3; ++copy) {
+        c.AddTokens({a, b}, "");
+      }
+      ++taken[s];
+    }
+  }
+  return c;
+}
+
+// Every partition's run as a std::map count of each document's distinct
+// n-grams yields it.
+PartitionRuns MapCountRuns(const Corpus& c, size_t max_ngram) {
+  std::map<PhraseHash, uint32_t> df;
+  std::vector<PhraseHash> grams;
+  for (const Document& doc : c.docs()) {
+    grams.clear();
+    AppendNgramHashes(doc, 1, max_ngram, &grams);
+    std::sort(grams.begin(), grams.end());
+    grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
+    for (const PhraseHash hash : grams) ++df[hash];
+  }
+  PartitionRuns runs;
+  for (const auto& [hash, count] : df) {
+    runs[DfPartitionOf(hash)].push_back(PhraseDf{hash, count});
+  }
+  return runs;
+}
+
+TEST(DfCountTest, PartitionInOneSubRangeMatchesMapCount) {
+  // Partition 7 holds only bigrams of sub-range 100, so the gather puts
+  // every one of its hashes into a single sub-range to sort.
+  const Corpus c = BigramCorpus(
+      7, 1500, [](size_t s, size_t) { return s == 100; });
+  const PartitionRuns expected = MapCountRuns(c, 2);
+  ASSERT_GE(expected[7].size(), 8u);
+  for (const PhraseDf& entry : expected[7]) {
+    ASSERT_EQ(DfSubRangeOf(entry.hash), 100u);
+  }
+  for (size_t threads : {1u, 4u}) {
+    EXPECT_EQ(CountRuns(c, 0, c.size(), 2, threads), expected)
+        << "threads=" << threads;
+  }
+}
+
+TEST(DfCountTest, PartitionSpanningEverySubRangeMatchesMapCount) {
+  // Partition 42 holds two bigrams of each of the 2,048 sub-ranges.
+  const Corpus c = BigramCorpus(
+      42, 1500, [](size_t, size_t taken) { return taken < 2; });
+  const PartitionRuns expected = MapCountRuns(c, 2);
+  std::vector<size_t> per_subrange(kDfSubRanges, 0);
+  for (const PhraseDf& entry : expected[42]) {
+    ++per_subrange[DfSubRangeOf(entry.hash)];
+  }
+  ASSERT_EQ(per_subrange, std::vector<size_t>(kDfSubRanges, 2));
+  for (size_t threads : {1u, 4u}) {
+    EXPECT_EQ(CountRuns(c, 0, c.size(), 2, threads), expected)
+        << "threads=" << threads;
+  }
 }
 
 TEST(FlatDfMapTest, AddAccumulatesIntoExistingCounts) {

@@ -128,6 +128,24 @@ payload += bytes([0] * 10)
 payload += bounded(6, 12)
 write("pairwise", "tie_heavy_scoring", payload)
 
+# The claim scan's bag-of-words bound: sequences sharing one token, so
+# the bound exceeds the document's unencoded cost and a scan would skip
+# the alignment; and a document that is a subsequence of the seed, so
+# the overlap is the shorter length and the bound equals the cost.
+payload = bounded(0, 3)
+payload += token_seq([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+payload += token_seq([11, 12, 13, 1, 14, 15, 11, 12, 13, 14])
+payload += bytes([0] * 11)
+payload += bounded(0, 12)
+write("pairwise", "scan_bound_skips", payload)
+
+payload = bounded(0, 3)
+payload += token_seq([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+payload += token_seq([2, 3, 5, 6, 9])
+payload += bytes([0] * 11)
+payload += bounded(8, 12)
+write("pairwise", "scan_bound_tight", payload)
+
 # --- near-duplicate mode (fuzz/near_duplicate.h) ---------------------
 # The pairwise and poa harnesses read a head word first; the bit above
 # its old range selects this mode. Then an Rng seed, a base length and

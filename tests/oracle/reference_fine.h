@@ -86,7 +86,8 @@ std::string DiffTemplatesAgainstReference(
 // unencoded cost; the accepted templates' member base costs summed from
 // 0.0 in acceptance order (each template's own sum folded in member
 // order); lg T bits per encoded document. Stats count the work the
-// production fine stage counts.
+// production fine stage counts, but every scan alignment is computed:
+// the reference never skips one by its bag-of-words bound.
 FineResult ReferenceAcceptance(
     const Corpus& corpus, const std::vector<DocId>& doc_ids,
     const CostModel& cost_model, const FineOptions& options,
@@ -97,8 +98,9 @@ FineResult ReferenceAcceptance(
 // bits and slot words, the noise list, cost_before and cost_after bits,
 // and every FineStageStats counter but dp_cells, which the reference
 // does not reproduce: it re-aligns every probe production serves from
-// its consensus cache. Otherwise describes the first field that
-// differs.
+// its consensus cache. Alignments compare as alignments_computed +
+// scan_alignments_skipped, since the reference never skips a scan.
+// Otherwise describes the first field that differs.
 std::string DiffFineResults(const FineResult& actual,
                             const FineResult& expected);
 

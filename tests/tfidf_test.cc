@@ -1,6 +1,8 @@
 #include "tfidf/tfidf_index.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -354,6 +356,77 @@ TEST(TfidfTest, PhraseSeenAgainInALaterBatchBecomesATopPhrase) {
   EXPECT_EQ(top[0].hash, bigram);
   EXPECT_GT(top[0].score, 0.0);
   EXPECT_TRUE(index.ValidateInvariants().ok());
+}
+
+// TopPhrases as a sort of every n-gram occurrence: each run of equal
+// hashes is one phrase and its tf, probed for its df once, kept iff df
+// reaches min_df, then ranked by score desc, hash asc.
+std::vector<ScoredPhrase> SortEveryGramTopPhrases(const TfidfIndex& index,
+                                                  const Document& doc) {
+  const TfidfOptions& opts = index.options();
+  std::vector<PhraseHash> grams;
+  AppendNgramHashes(doc, std::min(opts.min_ngram, opts.max_ngram),
+                    opts.max_ngram, &grams);
+  std::sort(grams.begin(), grams.end());
+  std::vector<ScoredPhrase> scored;
+  for (size_t i = 0; i < grams.size();) {
+    size_t j = i;
+    while (j < grams.size() && grams[j] == grams[i]) ++j;
+    if (index.DocumentFrequency(grams[i]) >= opts.min_df) {
+      scored.push_back({grams[i], index.Score(grams[i], j - i)});
+    }
+    i = j;
+  }
+  std::sort(scored.begin(), scored.end(),
+            [](const ScoredPhrase& a, const ScoredPhrase& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.hash < b.hash;
+            });
+  size_t keep = static_cast<size_t>(
+      std::ceil(opts.top_fraction * static_cast<double>(scored.size())));
+  keep = std::min(std::max(keep, opts.min_phrases_per_doc), scored.size());
+  scored.resize(keep);
+  return scored;
+}
+
+TEST(TfidfTest, TopPhrasesMatchSortingEveryGram) {
+  // Probing each occurrence's df before the sort must select exactly
+  // what sorting every n-gram and probing each phrase once selects:
+  // phrases repeated within a document (tf > 1), documents shorter than
+  // max_ngram, and df 1, 2 and 3 against every min_df from 0 to 3.
+  Corpus c;
+  c.Add("call now call now call now for a good time");
+  c.Add("call now for a good time tonight");
+  c.Add("good time good time tonight only");
+  c.Add("hi");
+  c.Add("hi there");
+  c.Add("for a good time call now");
+  c.Add("a b a b a b a b");
+  for (size_t min_df = 0; min_df <= 3; ++min_df) {
+    for (size_t min_ngram : {1u, 2u}) {
+      TfidfOptions opts;
+      opts.min_df = min_df;
+      opts.min_ngram = min_ngram;
+      opts.top_fraction = 0.5;
+      TfidfIndex index;
+      index.Build(c, opts);
+      for (DocId d = 0; d < c.size(); ++d) {
+        const std::vector<ScoredPhrase> top = index.TopPhrases(c.doc(d));
+        const std::vector<ScoredPhrase> expected =
+            SortEveryGramTopPhrases(index, c.doc(d));
+        SCOPED_TRACE(testing::Message() << "min_df=" << min_df
+                                        << ", min_ngram=" << min_ngram
+                                        << ", doc " << d);
+        ASSERT_EQ(top.size(), expected.size());
+        for (size_t i = 0; i < top.size(); ++i) {
+          EXPECT_EQ(top[i].hash, expected[i].hash) << "phrase #" << i;
+          EXPECT_EQ(std::bit_cast<uint64_t>(top[i].score),
+                    std::bit_cast<uint64_t>(expected[i].score))
+              << "phrase #" << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(TfidfTest, EmptyCorpus) {

@@ -34,12 +34,23 @@ workers); same-thread lambdas do. Element writes through a subscript
 (`v_[i] = x`) are recorded as element accesses, not container writes:
 the repo's fork-join idiom gives each worker a disjoint index range, and
 the serial/parallel byte-identity oracles are the check on that claim.
+
+Captured locals: a launched lambda's write to a local of its enclosing
+function that it captures by reference (`[&]`, or `&name` in the
+capture list) is every worker writing one object, so it is recorded as
+a shared access keyed `<enclosing function>::<local>` with root
+'local'. A write is an assignment, a compound assignment, `++`/`--`, a
+MUTATING_METHODS call or an address-of; subscripted element writes and
+`std::atomic` locals stay exempt, as for fields. Only the launched
+lambda's own statements are checked, not same-thread lambdas nested in
+it.
 """
 
 import re
 
-from cpputil import Scope, extract_calls, type_head
-from model import (Block, ExprStmt, If, LocalClass, Loop, Return, VarDecl)
+from cpputil import Scope, extract_calls, split_top_level, type_head
+from model import (Block, ExprStmt, If, LocalClass, Loop, Return, VarDecl,
+                   iter_stmts)
 
 # Container entry points that mutate the container object itself (as
 # opposed to reading through it). A call `field_.push_back(x)` is a
@@ -70,17 +81,19 @@ class Access:
     assumed index-disjoint, see module docstring).
     root: 'this' (owner-field rooted), 'global', 'var' (through a
     local/capture), 'param' (through a pointer/reference parameter of
-    the enclosing function), or 'owned' (through a by-value local of
-    the current context).
+    the enclosing function), 'owned' (through a by-value local of
+    the current context), or 'local' (a launched lambda's write to a
+    local of its enclosing function captured by reference).
     """
 
-    __slots__ = ("key", "line", "kind", "root")
+    __slots__ = ("key", "line", "kind", "root", "decl_line")
 
-    def __init__(self, key, line, kind, root):
+    def __init__(self, key, line, kind, root, decl_line=None):
         self.key = key
         self.line = line
         self.kind = kind
         self.root = root
+        self.decl_line = decl_line  # declaration line of a 'local' key
 
     def __repr__(self):
         return f"Access({self.key}@{self.line} {self.kind} {self.root})"
@@ -115,6 +128,9 @@ class FnWalk:
         self.accesses = []             # [Access]
         self.callsites = []            # [CallSite]
         self.lambdas = []              # [FnWalk]
+        # Enclosing-function locals a launched lambda captures by
+        # reference: name -> declaration line.
+        self.shared_locals = {}
 
     def walks(self):
         """This walk and every nested lambda walk."""
@@ -201,6 +217,11 @@ class _AccessScanner:
             if re.match(r"\s*\[", after) and kind == "write" and \
                     not is_call:
                 kind = "elem"  # subscripted element write
+            if kind == "write" and not had_this and \
+                    obj_parts[0] in self.walk.shared_locals:
+                self.walk.accesses.append(Access(
+                    f"{self.walk.fn.qname}::{obj_parts[0]}", line, kind,
+                    "local", self.walk.shared_locals[obj_parts[0]]))
             self._record(obj_parts, had_this, kind, line)
 
     def _in_spans(self, start, end, spans, text):
@@ -310,23 +331,20 @@ def _top_level_compound(text):
 
 
 LAMBDA_OPEN_RE = re.compile(
-    r"\[[^\[\]]*\]\s*(?:\([^()]*\)\s*)?(?:mutable\s*)?"
-    r"(?:->\s*[\w:<>&*\s]+?\s*)?\{")
+    r"\[(?P<captures>[^\[\]]*)\]\s*(?:\((?P<params>[^()]*)\)\s*)?"
+    r"(?:mutable\s*)?(?:->\s*[\w:<>&*\s]+?\s*)?\{")
 
 
-def strip_lambda_bodies(text):
-    """Returns `text` with the bodies of inline lambdas emptied to `{}`.
-    Capture lists and the surrounding call survive (launch detection
-    still sees `ParallelFor(`), but the body statements do not leak into
-    the enclosing function's scan."""
-    spans = []
+def _top_level_lambdas(text):
+    """Yields (introducer match, body end) for each lambda at the top
+    level of a statement, in source order; the end is the index of the
+    body's closing brace, or len(text) when it is missing."""
     pos = 0
     while True:
         m = LAMBDA_OPEN_RE.search(text, pos)
         if m is None:
-            break
+            return
         depth = 0
-        end = None
         for i in range(m.end() - 1, len(text)):
             c = text[i]
             if c == "{":
@@ -334,13 +352,20 @@ def strip_lambda_bodies(text):
             elif c == "}":
                 depth -= 1
                 if depth == 0:
-                    end = i
                     break
-        if end is None:
-            spans.append((m.end(), len(text)))
-            break
-        spans.append((m.end(), end))
-        pos = end
+        else:
+            yield m, len(text)
+            return
+        yield m, i
+        pos = i
+
+
+def strip_lambda_bodies(text):
+    """Returns `text` with the bodies of inline lambdas emptied to `{}`.
+    Capture lists and the surrounding call survive (launch detection
+    still sees `ParallelFor(`), but the body statements do not leak into
+    the enclosing function's scan."""
+    spans = [(m.end(), end) for m, end in _top_level_lambdas(text)]
     if not spans:
         return text
     out = []
@@ -350,6 +375,56 @@ def strip_lambda_bodies(text):
         last = hi
     out.append(text[last:])
     return "".join(out)
+
+
+def lambda_introducers(text):
+    """(captures, params) texts of the lambdas at the top level of a
+    statement, in source order — the order the parser lists them as
+    the statement's children."""
+    return [(m.group("captures"), m.group("params") or "")
+            for m, _end in _top_level_lambdas(text)]
+
+
+def _declared_names(block):
+    """name -> line of every local declared in `block`'s subtree
+    (declarations and range-for bindings)."""
+    names = {}
+    for s in iter_stmts(block):
+        if isinstance(s, VarDecl):
+            names.setdefault(s.name, (s.type_text, s.line))
+        elif isinstance(s, Loop) and s.kind == "range_for":
+            m = re.search(r"([A-Za-z_]\w*)\s*$", s.binding)
+            if m and "[" not in s.binding:
+                names.setdefault(m.group(1), ("", s.line))
+    return names
+
+
+def _by_reference_locals(captures, params, body, fn_locals):
+    """name -> declaration line of the enclosing function's locals a
+    lambda with this capture list, parameter list and body captures by
+    reference, std::atomic locals excluded."""
+    default_ref = False
+    explicit_ref = set()
+    by_value = set()
+    for item in filter(None, map(str.strip, split_top_level(captures))):
+        if item == "&":
+            default_ref = True
+        elif item in ("=", "this", "*this"):
+            continue
+        elif item.startswith("&"):
+            if "=" not in item:  # `&r = expr` declares a new name
+                explicit_ref.add(item[1:].strip())
+        else:
+            by_value.add(item.split("=")[0].strip())
+    own = set(_declared_names(body))
+    for param in filter(None, map(str.strip, split_top_level(params))):
+        m = re.search(r"([A-Za-z_]\w*)\s*(?:=.*)?$", param)
+        if m:
+            own.add(m.group(1))
+    names = set(fn_locals) if default_ref else set()
+    names = (names | (explicit_ref & set(fn_locals))) - by_value - own
+    return {name: fn_locals[name][1] for name in names
+            if _is_shared_type(fn_locals[name][0])}
 
 
 def _is_ctor_dtor(fn, owner):
@@ -417,17 +492,22 @@ def walk_function(fn, tu, ctx, owner):
             return
         launched = bool(LAUNCH_RE.search(s.text)) or \
             _thread_vector_launch(s.text, scope, ctx)
-        for ch in s.children:
+        intros = lambda_introducers(s.text) if launched else []
+        for i, ch in enumerate(s.children):
             lam = FnWalk(fn, tu, owner,
                          f"{walk.node_id}#lambda@{ch.line}",
                          is_lambda=True, launched=launched,
                          in_ctor=walk.in_ctor and not launched)
+            if len(intros) == len(s.children):
+                lam.shared_locals = _by_reference_locals(
+                    intros[i][0], intros[i][1], ch, fn_locals)
             walk.lambdas.append(lam)
             # Launched lambdas run on another thread: no inherited
             # ownership (captured locals are shared).
             lam_owned = {} if launched else dict(owned)
             walk_block(lam, lam_owned, ch)
 
+    fn_locals = _declared_names(fn.body) if fn.body is not None else {}
     if fn.body is not None:
         # The locality map: name -> 'owned' | 'param'. Params are the
         # caller-owned bet; by-value class locals and safe aliases join

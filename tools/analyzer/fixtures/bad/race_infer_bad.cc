@@ -1,6 +1,6 @@
-// Fixture: five fields written from concurrent contexts that are neither
-// std::atomic nor a worker's own element slot — the seeded races the
-// race inference must catch. Self-contained (a stub static ParallelFor)
+// Fixture: five fields and two captured locals written from concurrent
+// contexts that are neither std::atomic nor a worker's own element slot
+// — the seeded races the race inference must catch. Self-contained (a stub static ParallelFor)
 // so the clang frontend can parse it too.
 #include <cstddef>
 #include <functional>
@@ -72,3 +72,15 @@ class Heartbeat {
  private:
   long beats_ = 0;
 };
+
+// Races 6 and 7: a local accumulator and a local vector, captured by
+// reference and written by every worker.
+long SumAndKeep(const std::vector<long>& v) {
+  long total = 0;
+  std::vector<long> seen;
+  ThreadPool::ParallelFor(4, v.size(), [&](size_t i) {
+    total += v[i];
+    seen.push_back(v[i]);
+  });
+  return total + static_cast<long>(seen.size());
+}

@@ -1,6 +1,7 @@
 // Fixture: the concurrent idioms the race inference must NOT flag —
-// fields written before launch or after the join, read-only sharing,
-// per-worker owned accumulators, disjoint element slots, and atomics.
+// fields and captured locals written before launch or after the join,
+// read-only sharing, per-worker owned accumulators, disjoint element
+// slots, and atomics.
 #include <atomic>
 #include <cstddef>
 #include <functional>
@@ -40,3 +41,22 @@ class CleanCounter {
   std::atomic<long> merged_{0};
   bool finished_ = false;
 };
+
+// The same idioms on locals the launched lambda captures by reference:
+// one element slot per index, an atomic total, a worker-local buffer,
+// and plain writes only before the launch or after the join.
+long SumBySlots(const std::vector<long>& v) {
+  long scale = 0;
+  scale = 3;  // before the launch
+  std::vector<long> out(v.size());
+  std::atomic<long> total{0};
+  ThreadPool::ParallelFor(4, v.size(), [&](size_t i) {
+    std::vector<long> scratch;
+    scratch.push_back(v[i] * scale);
+    out[i] = scratch.back();
+    total += out[i];
+  });
+  long sum = total.load();
+  for (long x : out) sum += x;  // after the join
+  return sum;
+}

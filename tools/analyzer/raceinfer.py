@@ -6,7 +6,9 @@ The library shares state between threads in exactly two ways
 (each worker writes only the elements its own indices name). The walker
 records neither as a plain write — atomic fields and globals are not
 recorded at all, and a subscripted element write has kind 'elem' — so
-any other concurrent write is a race. Verdicts per field
+any other concurrent write is a race. A local of the launching function
+that a launched lambda captures by reference and writes is analyzed
+like a field, keyed `<function>::<local>`. Verdicts per field
 (DESIGN.md §14):
 
   single-threaded  never touched from a concurrent context;
@@ -68,6 +70,8 @@ def infer(walks, graph, tus):
             level = levels.get(w.node_id, NONE)
             for a in w.accesses:
                 by_field[a.key].append((w.tu.path, a, level))
+                if a.root == "local":
+                    index.setdefault(a.key, (w.tu.path, a.decl_line))
 
     findings = []
     fields_out = []
