@@ -1,9 +1,6 @@
-// Ablation studies for the design decisions called out in DESIGN.md §5:
+// Ablation studies for the design decisions called out in DESIGN.md §5
+// (the ids start at A3: EXPERIMENTS.md keeps the retired A1 and A2):
 //
-//   A1  MSA backend: POA (paper's choice) vs. Barton–Sternberg profile —
-//       quality and compression on noisy campaigns (§II-D's comparison).
-//   A2  Consensus search: dichotomous (Algorithm 2) vs. exhaustive —
-//       identical results expected, fewer cost evaluations.
 //   A3  Candidate seeding: phrase-neighbor seeding vs. full scan —
 //       same quality, quasi-linear vs. quadratic fine stage.
 //   A4  Phrase eligibility: min n-gram length 2 vs. 1 — component
@@ -37,57 +34,6 @@ LabeledTweets MakeCorpus(size_t accounts, double edit_prob, uint64_t seed) {
 BinaryMetrics Score(const InfoShieldResult& r, const LabeledTweets& data) {
   std::vector<bool> truth(data.is_bot.begin(), data.is_bot.end());
   return bench::ScoreRun(r, truth);
-}
-
-void AblationMsaBackend() {
-  std::printf("\n--- A1: MSA backend (POA vs. profile) ---\n");
-  std::printf("%-10s %-12s %-8s %-8s %-8s %-10s\n", "backend", "edit_prob",
-              "prec", "rec", "f1", "templates");
-  for (double noise : {0.02, 0.10, 0.20}) {
-    LabeledTweets data = MakeCorpus(30, noise, 71);
-    for (MsaBackend backend : {MsaBackend::kPoa, MsaBackend::kProfile}) {
-      InfoShieldOptions options;
-      options.fine.msa_backend = backend;
-      InfoShield shield(options);
-      InfoShieldResult r = shield.Run(data.corpus);
-      BinaryMetrics m = Score(r, data);
-      std::printf("%-10s %-12.2f %-8.3f %-8.3f %-8.3f %-10zu\n",
-                  backend == MsaBackend::kPoa ? "poa" : "profile", noise,
-                  m.precision(), m.recall(), m.f1(), r.templates.size());
-    }
-  }
-  std::printf("expected: comparable at low noise; POA holds up better as\n"
-              "edits rise (profiles blur alternative branches, §II-D).\n");
-}
-
-void AblationSearchMode() {
-  std::printf("\n--- A2: consensus search (dichotomous vs. exhaustive) ---\n");
-  LabeledTweets data = MakeCorpus(30, 0.08, 73);
-  double costs[2];
-  double f1s[2];
-  int i = 0;
-  for (bool exhaustive : {false, true}) {
-    InfoShieldOptions options;
-    options.fine.exhaustive_consensus_search = exhaustive;
-    InfoShield shield(options);
-    WallTimer timer;
-    InfoShieldResult r = shield.Run(data.corpus);
-    double seconds = timer.ElapsedSeconds();
-    BinaryMetrics m = Score(r, data);
-    double total_cost = 0;
-    for (const ClusterStats& s : r.cluster_stats) total_cost += s.cost_after;
-    costs[i] = total_cost;
-    f1s[i] = m.f1();
-    ++i;
-    std::printf("%-12s f1=%.3f total_cost=%.0f bits time=%.2fs\n",
-                exhaustive ? "exhaustive" : "dichotomous", m.f1(),
-                total_cost, seconds);
-  }
-  std::printf("cost gap: %.2f bits (%.4f%%) — the dichotomous search\n"
-              "finds (near-)optimal thresholds at O(log n) probes.\n",
-              costs[0] - costs[1],
-              100.0 * (costs[0] - costs[1]) / std::max(costs[1], 1.0));
-  (void)f1s;
 }
 
 void AblationNeighborSeeding() {
@@ -192,8 +138,6 @@ void AblationVsTemplateMatching() {
 
 int main() {
   bench::PrintHeader("Ablations (DESIGN.md design decisions)");
-  AblationMsaBackend();
-  AblationSearchMode();
   AblationNeighborSeeding();
   AblationMinNgram();
   AblationVsTemplateMatching();

@@ -5,8 +5,7 @@
 //   * tf-idf index construction: the O(N l) coarse-stage term
 //   * cost model evaluation: the inner loop of consensus search
 //   * union-find: the coarse-stage clustering backbone
-//   * consensus search: dichotomous (Algorithm 2) vs. exhaustive — the
-//     ablation for DESIGN.md decision #1.
+//   * consensus search: the dichotomous search of Algorithm 2.
 //
 // Usage: bench_micro [output.json] [--benchmark_* flags]
 //   Prints the usual google-benchmark console table, then writes every
@@ -32,7 +31,6 @@
 #include "mdl/cost_model.h"
 #include "msa/pairwise.h"
 #include "msa/poa.h"
-#include "msa/profile_msa.h"
 #include "tfidf/tfidf_index.h"
 #include "util/random.h"
 
@@ -164,9 +162,9 @@ void BM_UnionFind(benchmark::State& state) {
 BENCHMARK(BM_UnionFind)->RangeMultiplier(4)->Range(1 << 10, 1 << 16)
     ->Complexity();
 
-// Ablation (DESIGN.md decision #1): dichotomous vs. exhaustive consensus
-// search on a realistic candidate set.
-void ConsensusSearchBench(benchmark::State& state, bool exhaustive) {
+// Algorithm 2's dichotomous consensus search on a realistic candidate
+// set.
+void BM_ConsensusSearchDichotomous(benchmark::State& state) {
   const size_t num_docs = static_cast<size_t>(state.range(0));
   Rng rng(6);
   auto base = RandomSeq(rng, 20, 500);
@@ -178,21 +176,12 @@ void ConsensusSearchBench(benchmark::State& state, bool exhaustive) {
     graph.AddSequence(docs.back());
   }
   CostModel cm(12.0);
-  FineOptions options;
-  options.exhaustive_consensus_search = exhaustive;
-  FineClustering fine(options);
+  FineClustering fine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(fine.SearchConsensus(graph, docs, cm).consensus);
   }
 }
-void BM_ConsensusSearchDichotomous(benchmark::State& state) {
-  ConsensusSearchBench(state, false);
-}
-void BM_ConsensusSearchExhaustive(benchmark::State& state) {
-  ConsensusSearchBench(state, true);
-}
 BENCHMARK(BM_ConsensusSearchDichotomous)->RangeMultiplier(2)->Range(4, 64);
-BENCHMARK(BM_ConsensusSearchExhaustive)->RangeMultiplier(2)->Range(4, 64);
 
 // Fine stage on one skewed cluster: the consensus-identity cache and
 // incremental slot costing on the shape that stresses them (DESIGN.md
@@ -223,29 +212,6 @@ void BM_FineStage(benchmark::State& state) {
   state.SetComplexityN(static_cast<int64_t>(num_docs));
 }
 BENCHMARK(BM_FineStage)->RangeMultiplier(2)->Range(8, 64);
-
-// MSA backend comparison (Ablation A1's runtime side).
-void BM_ProfileMsaAddSequence(benchmark::State& state) {
-  const size_t len = static_cast<size_t>(state.range(0));
-  Rng rng(7);
-  auto base = RandomSeq(rng, len, 1000);
-  for (auto _ : state) {
-    state.PauseTiming();
-    ProfileMsa msa(base);
-    std::vector<std::vector<TokenId>> variants;
-    for (int i = 0; i < 8; ++i) {
-      variants.push_back(Mutate(base, rng, 0.08, 1000));
-    }
-    state.ResumeTiming();
-    for (const auto& v : variants) msa.AddSequence(v);
-    benchmark::DoNotOptimize(msa.column_count());
-  }
-  state.SetComplexityN(static_cast<int64_t>(len));
-}
-BENCHMARK(BM_ProfileMsaAddSequence)
-    ->RangeMultiplier(2)
-    ->Range(8, 128)
-    ->Complexity();
 
 void BM_MinHashSignature(benchmark::State& state) {
   const size_t len = static_cast<size_t>(state.range(0));

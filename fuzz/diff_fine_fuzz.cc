@@ -17,7 +17,6 @@
 // noise, cost bits and work counters.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,8 @@
 #include "core/infoshield.h"
 #include "fuzz_util.h"
 #include "mdl/cost_model.h"
+#include "msa/pairwise.h"
+#include "msa/poa.h"
 #include "oracle/reference_fine.h"
 #include "synthetic_corpus.h"
 #include "text/corpus.h"
@@ -34,6 +35,7 @@
 
 namespace {
 
+using infoshield::AlignmentScoring;
 using infoshield::CoarseClustering;
 using infoshield::CoarseResult;
 using infoshield::CostModel;
@@ -44,8 +46,7 @@ using infoshield::FineResult;
 using infoshield::InfoShield;
 using infoshield::InfoShieldOptions;
 using infoshield::InfoShieldResult;
-using infoshield::MsaAligner;
-using infoshield::MsaBackend;
+using infoshield::PoaGraph;
 using infoshield::Status;
 using infoshield::TokenId;
 using infoshield::ValidateInfoShieldResult;
@@ -56,10 +57,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   infoshield::fuzz::FuzzInput in(data, size);
 
   InfoShieldOptions options;
+  // The option byte: 0x02 selects the tie-heavy scoring {1, 0, -1},
+  // whose free mismatches let substitution runs tie with shifted
+  // alignments; 0x04 makes unigrams eligible phrases; 0x01 stays
+  // unassigned so that the checked-in seeds keep their meaning.
   const uint8_t option_bits = in.TakeByte();
-  options.fine.exhaustive_consensus_search = (option_bits & 1) != 0;
-  options.fine.msa_backend =
-      (option_bits & 2) != 0 ? MsaBackend::kProfile : MsaBackend::kPoa;
+  if ((option_bits & 2) != 0) options.fine.scoring = AlignmentScoring{1, 0, -1};
   if ((option_bits & 4) != 0) options.coarse.tfidf.min_ngram = 1;
 
   const std::vector<std::string> texts =
@@ -83,12 +86,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (DocId d = 0; d < corpus.size(); ++d) {
     docs.push_back(corpus.doc(d).tokens);
   }
-  const std::unique_ptr<MsaAligner> graph =
+  const PoaGraph graph =
       infoshield::oracle::BuildCandidateAlignment(docs, options.fine);
   const std::string corpus_diff = infoshield::oracle::DiffConsensusChoice(
-      FineClustering(options.fine).SearchConsensus(*graph, docs, cost_model),
-      infoshield::oracle::ReferenceSearchConsensus(*graph, docs, cost_model,
-                                                   options.fine));
+      FineClustering(options.fine).SearchConsensus(graph, docs, cost_model),
+      infoshield::oracle::ReferenceSearchConsensus(
+          graph, docs, cost_model, options.fine,
+          infoshield::oracle::SearchMode::kDichotomous));
   CHECK(corpus_diff.empty())
       << "consensus search over the whole " << texts.size()
       << "-doc corpus diverged from the reference costing: " << corpus_diff;

@@ -1,4 +1,4 @@
-// Harness (d2): POA / profile MSA validity.
+// Harness (d2): POA graph validity.
 //
 // Input: the sequences, then a scoring index (exhausted input selects
 // the default scoring). The sequences are either short fuzzed ones or,
@@ -12,18 +12,14 @@
 //    the consensus, h = 0 selects every node, and h >= num_sequences
 //    selects nothing;
 //  * max_support never exceeds the number of fused sequences;
-//  * ProfileMsa (the alternative MsaAligner) obeys the same Sel(A, h)
-//    monotonicity on the same input — the fine stage may use either;
-//  * both equal their full-table references (tests/oracle/): the same
-//    node count, supports and Sel(A, h) for every h for POA, the same
-//    column count and Sel(A, h) for every h for the profile.
+//  * the graph equals its full-table reference (tests/oracle/): the same
+//    node count, supports and Sel(A, h) for every h.
 
 #include <cstdint>
 #include <vector>
 
 #include "fuzz_util.h"
 #include "msa/poa.h"
-#include "msa/profile_msa.h"
 #include "near_duplicate.h"
 #include "oracle/reference_msa.h"
 #include "text/vocabulary.h"
@@ -35,7 +31,6 @@ namespace {
 
 using infoshield::AlignmentScoring;
 using infoshield::PoaGraph;
-using infoshield::ProfileMsa;
 using infoshield::Status;
 using infoshield::TokenId;
 
@@ -67,25 +62,25 @@ std::vector<std::vector<TokenId>> TakeSequences(
   return seqs;
 }
 
-template <typename Aligner>
-void CheckConsensusMonotone(const Aligner& aligner) {
-  const size_t n = aligner.num_sequences();
-  size_t prev_size = aligner.ConsensusAtThreshold(0).size();
+void CheckConsensusMonotone(const PoaGraph& graph) {
+  const size_t n = graph.num_sequences();
+  size_t prev_size = graph.ConsensusAtThreshold(0).size();
   for (size_t h = 1; h <= n; ++h) {
-    const size_t cur_size = aligner.ConsensusAtThreshold(h).size();
+    const size_t cur_size = graph.ConsensusAtThreshold(h).size();
     CHECK(cur_size <= prev_size)
         << "Sel(A, h) grew when h rose to " << h;
     prev_size = cur_size;
   }
-  CHECK(aligner.ConsensusAtThreshold(n).empty())
+  CHECK(graph.ConsensusAtThreshold(n).empty())
       << "threshold >= num_sequences must select nothing";
 }
 
-template <typename Aligner, typename Reference>
-void CheckSameConsensus(const Aligner& aligner, const Reference& reference) {
-  CHECK(aligner.num_sequences() == reference.num_sequences());
-  for (size_t h = 0; h <= aligner.num_sequences(); ++h) {
-    CHECK(aligner.ConsensusAtThreshold(h) ==
+void CheckSameConsensus(
+    const PoaGraph& graph,
+    const infoshield::oracle::ReferencePoaGraph& reference) {
+  CHECK(graph.num_sequences() == reference.num_sequences());
+  for (size_t h = 0; h <= graph.num_sequences(); ++h) {
+    CHECK(graph.ConsensusAtThreshold(h) ==
           reference.ConsensusAtThreshold(h))
         << "Sel(A, " << h << ") differs from the full-table reference";
   }
@@ -121,16 +116,5 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   CHECK(graph.node_count() == reference_graph.node_count());
   CHECK(graph.SupportByTopoOrder() == reference_graph.SupportByTopoOrder());
   CheckSameConsensus(graph, reference_graph);
-
-  ProfileMsa profile(seqs[0], scoring);
-  infoshield::oracle::ReferenceProfileMsa reference_profile(seqs[0], scoring);
-  for (size_t i = 1; i < seqs.size(); ++i) {
-    profile.AddSequence(seqs[i]);
-    reference_profile.AddSequence(seqs[i]);
-  }
-  CHECK(profile.num_sequences() == seqs.size());
-  CheckConsensusMonotone(profile);
-  CHECK(profile.column_count() == reference_profile.column_count());
-  CheckSameConsensus(profile, reference_profile);
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "baselines/dbscan.h"
 #include "baselines/hdbscan.h"
 
 namespace infoshield {
@@ -10,21 +9,9 @@ namespace infoshield {
 BaselineResult ClusterEmbeddings(const std::vector<Vec>& embeddings,
                                  const EmbedClusterOptions& options) {
   BaselineResult result;
-  switch (options.algo) {
-    case ClusterAlgo::kHdbscan: {
-      HdbscanOptions ho;
-      ho.min_cluster_size = options.min_cluster_size;
-      result.labels = Hdbscan(embeddings, ho);
-      break;
-    }
-    case ClusterAlgo::kDbscan: {
-      DbscanOptions dopt;
-      dopt.eps = options.dbscan_eps;
-      dopt.min_pts = options.min_cluster_size;
-      result.labels = Dbscan(embeddings, dopt);
-      break;
-    }
-  }
+  HdbscanOptions ho;
+  ho.min_cluster_size = options.min_cluster_size;
+  result.labels = Hdbscan(embeddings, ho);
   result.suspicious.reserve(result.labels.size());
   std::unordered_set<int64_t> distinct;
   for (int64_t l : result.labels) {

@@ -13,15 +13,8 @@
 
 namespace infoshield {
 
-enum class ClusterAlgo {
-  kHdbscan = 0,  // the paper's choice
-  kDbscan = 1,
-};
-
 struct EmbedClusterOptions {
-  ClusterAlgo algo = ClusterAlgo::kHdbscan;
   size_t min_cluster_size = 3;  // paper baseline setting
-  double dbscan_eps = 0.2;
 };
 
 struct BaselineResult {

@@ -4,9 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <limits>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -138,7 +137,7 @@ FineClustering::ConsensusChoice FineClustering::EvaluateCandidate(
 }
 
 FineClustering::ConsensusChoice FineClustering::SearchConsensus(
-    const MsaAligner& alignment,
+    const PoaGraph& alignment,
     const std::vector<std::vector<TokenId>>& candidate_docs,
     const CostModel& cost_model, FineStageStats* stats) const {
   const size_t n = candidate_docs.size();
@@ -187,27 +186,23 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensus(
     }
   };
 
-  if (options_.exhaustive_consensus_search) {
-    for (int64_t h = 0; h <= h_max; ++h) consider(h);
-  } else {
-    // Dichotomous search (Algorithm 2), plus argmin over all probes.
-    int64_t lo = 0;
-    int64_t hi = h_max;
-    while (lo < hi) {
-      int64_t mid = (lo + hi) / 2;
-      double left = eval(mid - 1);
-      double right = eval(mid + 1);
-      consider(mid - 1);
-      consider(mid);
-      consider(mid + 1);
-      if (left <= right) {
-        hi = mid - 1;
-      } else {
-        lo = mid + 1;
-      }
+  // Dichotomous search (Algorithm 2), plus argmin over all probes.
+  int64_t lo = 0;
+  int64_t hi = h_max;
+  while (lo < hi) {
+    int64_t mid = (lo + hi) / 2;
+    double left = eval(mid - 1);
+    double right = eval(mid + 1);
+    consider(mid - 1);
+    consider(mid);
+    consider(mid + 1);
+    if (left <= right) {
+      hi = mid - 1;
+    } else {
+      lo = mid + 1;
     }
-    consider(lo);
   }
+  consider(lo);
 
   auto found = by_consensus.find(
       alignment.ConsensusAtThreshold(static_cast<size_t>(best_h)));
@@ -310,7 +305,7 @@ struct ClaimedSeed {
   double unencoded = 0.0;
 };
 
-// Phase (b)'s template for one claim that reaches min_template_support.
+// Phase (b)'s template for one claim that reaches kMinTemplateSupport.
 struct Candidate {
   // False when the consensus search found no non-empty consensus.
   bool found = false;
@@ -460,30 +455,19 @@ ClusterClaims ClaimSeeds(
 Candidate ProposeTemplate(const FineClustering& fine, const Corpus& corpus,
                           const std::vector<DocId>& members,
                           const CostModel& cm) {
-  const FineOptions& options = fine.options();
   Candidate candidate;
   std::vector<std::vector<TokenId>> member_docs;
   member_docs.reserve(members.size());
   for (DocId d : members) member_docs.push_back(corpus.doc(d).tokens);
-  std::unique_ptr<MsaAligner> graph;
-  const PoaGraph* poa = nullptr;
-  switch (options.msa_backend) {
-    case MsaBackend::kPoa:
-      graph = std::make_unique<PoaGraph>(member_docs[0], options.scoring);
-      poa = static_cast<const PoaGraph*>(graph.get());
-      break;
-    case MsaBackend::kProfile:
-      graph = std::make_unique<ProfileMsa>(member_docs[0], options.scoring);
-      break;
-  }
+  PoaGraph graph(member_docs[0], fine.options().scoring);
   for (size_t m = 1; m < member_docs.size(); ++m) {
-    graph->AddSequence(member_docs[m]);
+    graph.AddSequence(member_docs[m]);
   }
-  if (poa != nullptr) candidate.stats.dp_cells += poa->dp_cells();
+  candidate.stats.dp_cells += graph.dp_cells();
   // The winning probe already aligned every member and detected slots;
   // SearchConsensus hands all of it back, so nothing is recomputed.
   FineClustering::ConsensusChoice choice =
-      fine.SearchConsensus(*graph, member_docs, cm, &candidate.stats);
+      fine.SearchConsensus(graph, member_docs, cm, &candidate.stats);
   if (choice.consensus.empty()) return candidate;
   candidate.found = true;
   candidate.tmpl = std::move(choice.tmpl);
@@ -498,16 +482,15 @@ Candidate ProposeTemplate(const FineClustering& fine, const Corpus& corpus,
 
 // Phase (c): Algorithm 4's acceptance test, replayed in seed order.
 // `candidates` holds phase (b)'s result for each seed with at least
-// `min_support` members, in seed order. Undecided documents are carried
-// as unencoded in every total so that successive totals stay
+// kMinTemplateSupport members, in seed order. Undecided documents are
+// carried as unencoded in every total so that successive totals stay
 // comparable; as each seed's members are claimed by a template or
 // rejected as noise, their cost moves out of the pending pool. Takes its
 // inputs by value, so a cluster's claim and candidate state is freed as
 // soon as its result exists.
 FineResult AcceptTemplates(ClusterClaims claims,
                            std::vector<Candidate> candidates,
-                           size_t min_support, size_t num_docs,
-                           const CostModel& cm) {
+                           size_t num_docs, const CostModel& cm) {
   FineResult result;
   if (num_docs == 0) return result;
   result.stats = claims.stats;
@@ -521,7 +504,7 @@ FineResult AcceptTemplates(ClusterClaims claims,
   size_t next = 0;
   for (ClaimedSeed& seed : claims.seeds) {
     pending_token_cost -= seed.unencoded;
-    if (seed.members.size() >= min_support) {
+    if (seed.members.size() >= kMinTemplateSupport) {
       Candidate& candidate = candidates[next++];
       result.stats.MergeFrom(candidate.stats);
       if (candidate.found) {
@@ -593,7 +576,7 @@ std::vector<FineResult> FineClustering::RunOnClusters(
                             doc_top_phrases);
   });
 
-  // (b) Candidates: one task per claim that reaches min_template_support,
+  // (b) Candidates: one task per claim that reaches kMinTemplateSupport,
   // each depending only on its member list, so all clusters' candidates
   // form one fan-out. candidates[ci] lists cluster ci's in seed order;
   // tasks run heaviest first (member tokens x members) so the longest
@@ -609,7 +592,7 @@ std::vector<FineResult> FineClustering::RunOnClusters(
   for (size_t ci = 0; ci < k; ++ci) {
     for (size_t s = 0; s < claims[ci].seeds.size(); ++s) {
       const std::vector<DocId>& members = claims[ci].seeds[s].members;
-      if (members.size() < options_.min_template_support) continue;
+      if (members.size() < kMinTemplateSupport) continue;
       size_t tokens = 0;
       for (DocId d : members) tokens += corpus.doc(d).length();
       tasks.push_back({ci, s, candidates[ci].size(), tokens * members.size()});
@@ -629,9 +612,9 @@ std::vector<FineResult> FineClustering::RunOnClusters(
   // (c) Acceptance per cluster; each consumes its claims and candidates.
   std::vector<FineResult> results(k);
   ThreadPool::ParallelFor(num_threads, k, [&](size_t ci) {
-    results[ci] = AcceptTemplates(
-        std::move(claims[ci]), std::move(candidates[ci]),
-        options_.min_template_support, clusters[ci].size(), cm);
+    results[ci] = AcceptTemplates(std::move(claims[ci]),
+                                  std::move(candidates[ci]),
+                                  clusters[ci].size(), cm);
     INFOSHIELD_AUDIT_INVARIANTS(
         ValidateFineResult(results[ci], corpus, clusters[ci], &cm));
   });

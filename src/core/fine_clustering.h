@@ -34,10 +34,8 @@
 
 #include "core/template.h"
 #include "mdl/cost_model.h"
-#include "msa/aligner.h"
 #include "msa/pairwise.h"
 #include "msa/poa.h"
-#include "msa/profile_msa.h"
 #include "text/corpus.h"
 #include "text/ngram.h"
 #include "text/vocabulary.h"
@@ -45,22 +43,13 @@
 
 namespace infoshield {
 
-// Which MSA implementation builds the candidate alignment (§IV-B: the
-// fine stage co-works with any MSA; POA is the paper's choice).
-enum class MsaBackend {
-  kPoa = 0,      // partial order alignment (paper default)
-  kProfile = 1,  // Barton-Sternberg-style profile alignment (ablation)
-};
+// Templates describe at least this many documents (paper: "each
+// template is expected to encode at least two documents"); a smaller
+// claim is noise without an MSA.
+inline constexpr size_t kMinTemplateSupport = 2;
 
 struct FineOptions {
   AlignmentScoring scoring;
-  // Templates must describe at least this many documents (paper: "each
-  // template is expected to encode at least two documents").
-  size_t min_template_support = 2;
-  // Ablation switch: evaluate every threshold instead of the dichotomous
-  // search of Algorithm 2.
-  bool exhaustive_consensus_search = false;
-  MsaBackend msa_backend = MsaBackend::kPoa;
 };
 
 // Hot-path counters for one fine-stage run (summed over seeds for one
@@ -182,7 +171,7 @@ class FineClustering {
   // each cache hit skips one alignment+slot-detection pass over all
   // candidate documents.
   ConsensusChoice SearchConsensus(
-      const MsaAligner& alignment,
+      const PoaGraph& alignment,
       const std::vector<std::vector<TokenId>>& candidate_docs,
       const CostModel& cost_model, FineStageStats* stats = nullptr) const;
 

@@ -1,6 +1,5 @@
-// The global-alignment dynamic program shared by NeedlemanWunsch
-// (integer scores) and ProfileMsa (expected column scores in double).
-// Private to src/msa/.
+// The global-alignment dynamic program behind NeedlemanWunsch (integer
+// scores). Private to src/msa/.
 //
 // Recurrence over rows i = 0..n and columns j = 0..m with a linear gap:
 //
@@ -19,8 +18,7 @@
 // [max(0, i + dlo), min(m, i + dhi)]. NwBand::Full is the band that
 // covers the whole table; it runs the same loops with lo(i) = 0 and
 // hi(i) = m, so no cell pays a range test. NeedlemanWunsch picks the
-// band and certifies it (DESIGN.md §18); ProfileMsa always passes the
-// full band.
+// band and certifies it (DESIGN.md §18).
 //
 // Memory: two rolling band rows of width()+1 scores (the extra entry is
 // an -inf sentinel), and a 2-bit move per cell packed four to a byte per

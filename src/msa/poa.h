@@ -30,14 +30,13 @@
 #include <utility>
 #include <vector>
 
-#include "msa/aligner.h"
 #include "msa/pairwise.h"
 #include "text/vocabulary.h"
 #include "util/status.h"
 
 namespace infoshield {
 
-class PoaGraph : public MsaAligner {
+class PoaGraph {
  public:
   // The graph must be seeded with a first sequence; an empty sequence is
   // allowed and yields an empty graph.
@@ -45,13 +44,13 @@ class PoaGraph : public MsaAligner {
                     const AlignmentScoring& scoring = {});
 
   // Aligns `seq` against the current graph and fuses it in.
-  void AddSequence(const std::vector<TokenId>& seq) override;
+  void AddSequence(const std::vector<TokenId>& seq);
 
   // Tokens of all nodes with support > h, in topological order. h = 0
   // returns every node; h >= num_sequences() returns an empty sequence.
-  std::vector<TokenId> ConsensusAtThreshold(size_t h) const override;
+  std::vector<TokenId> ConsensusAtThreshold(size_t h) const;
 
-  size_t num_sequences() const override { return num_sequences_; }
+  size_t num_sequences() const { return num_sequences_; }
   size_t node_count() const { return nodes_.size(); }
 
   // DP cells (node row, column >= 1) filled by every AddSequence so far,

@@ -21,6 +21,7 @@
 #include "io/json_writer.h"
 #include "oracle/reference_coarse.h"
 #include "oracle/reference_fine.h"
+#include "oracle/reference_msa.h"
 
 namespace infoshield {
 namespace {
@@ -253,14 +254,14 @@ TEST(DeterminismTest, FineAcceptanceMatchesReference) {
   // gap profiles and tests acceptance on running sums; the reference
   // claims through ordered maps and full encodings and recomputes every
   // acceptance total from the whole accepted list. Accepted templates,
-  // noise and cost bits must agree, with neighbor seeding and without.
+  // noise and cost bits must agree, with neighbor seeding and without,
+  // under every differential scoring (the first is the default).
   const FineInput inputs[] = {CoarseClustersOf(MakeCorpus(/*seed=*/7).corpus),
                               CoarseClustersOf(MakeSkewedCorpus().corpus),
                               MakeChainClusters()};
-  FineOptions profile_exhaustive;
-  profile_exhaustive.msa_backend = MsaBackend::kProfile;
-  profile_exhaustive.exhaustive_consensus_search = true;
-  for (const FineOptions& options : {FineOptions{}, profile_exhaustive}) {
+  for (const AlignmentScoring& scoring : oracle::kDifferentialScorings) {
+    FineOptions options;
+    options.scoring = scoring;
     const FineClustering fine(options);
     for (const FineInput& in : inputs) {
       const CostModel cm = CostModel::ForVocabulary(in.corpus.vocab());
@@ -273,7 +274,8 @@ TEST(DeterminismTest, FineAcceptanceMatchesReference) {
                                                   &in.top_phrases)),
                   "")
             << "cluster " << ci << " of " << in.corpus.size()
-            << "-document corpus";
+            << "-document corpus, scoring {" << scoring.match << ", "
+            << scoring.mismatch << ", " << scoring.gap << "}";
       }
     }
   }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,21 +171,31 @@ TEST(FineClusteringTest, NearDuplicatesWithEditsStillCluster) {
   EXPECT_EQ(r.templates[0].members.size(), 4u);
 }
 
+// Empty when production's dichotomous SearchConsensus over `set`
+// equals the oracle's exhaustive search, which probes every threshold:
+// the same consensus, slots, alignments and cost bits.
+std::string DiffFromExhaustiveSearch(const Corpus& c,
+                                     const std::vector<DocId>& set,
+                                     const CostModel& cm) {
+  std::vector<std::vector<TokenId>> docs;
+  for (DocId d : set) docs.push_back(c.doc(d).tokens);
+  const FineOptions options;
+  const PoaGraph graph = oracle::BuildCandidateAlignment(docs, options);
+  return oracle::DiffConsensusChoice(
+      FineClustering(options).SearchConsensus(graph, docs, cm),
+      oracle::ReferenceSearchConsensus(graph, docs, cm, options,
+                                       oracle::SearchMode::kExhaustive));
+}
+
 TEST(FineClusteringTest, ConsensusSearchExhaustiveMatchesDichotomous) {
   Corpus c;
   for (int i = 0; i < 6; ++i) {
     c.Add("identical text for consensus search testing purposes here");
   }
   CostModel cm = CostModel::ForVocabulary(c.vocab());
-
-  FineOptions dicho;
-  FineOptions exhaustive;
-  exhaustive.exhaustive_consensus_search = true;
-  FineResult r1 = FineClustering(dicho).RunOnCluster(c, AllDocs(c), cm);
-  FineResult r2 = FineClustering(exhaustive).RunOnCluster(c, AllDocs(c), cm);
-  ASSERT_EQ(r1.templates.size(), 1u);
-  ASSERT_EQ(r2.templates.size(), 1u);
-  EXPECT_DOUBLE_EQ(r1.cost_after, r2.cost_after);
+  FineResult r = FineClustering().RunOnCluster(c, AllDocs(c), cm);
+  ASSERT_EQ(r.templates.size(), 1u);
+  EXPECT_EQ(DiffFromExhaustiveSearch(c, AllDocs(c), cm), "");
 }
 
 TEST(FineClusteringTest, CostNeverIncreases) {
@@ -210,30 +220,6 @@ TEST(FineClusteringTest, RelativeLengthRespectsLowerBound) {
   const double bound =
       RelativeLengthLowerBound(1, 10, cm.lg_vocab());
   EXPECT_GE(r.relative_length(), bound * 0.999);
-}
-
-TEST(FineClusteringTest, ProfileBackendFindsSameDuplicates) {
-  Corpus c;
-  for (int i = 0; i < 5; ++i) {
-    c.Add("buy cheap watches now great deal online store");
-  }
-  std::vector<DocId> cluster = AllDocs(c);
-  PadVocabulary(c, 300);
-  CostModel cm = CostModel::ForVocabulary(c.vocab());
-
-  FineOptions poa_opts;
-  poa_opts.msa_backend = MsaBackend::kPoa;
-  FineOptions profile_opts;
-  profile_opts.msa_backend = MsaBackend::kProfile;
-  FineResult poa = FineClustering(poa_opts).RunOnCluster(c, cluster, cm);
-  FineResult profile =
-      FineClustering(profile_opts).RunOnCluster(c, cluster, cm);
-  ASSERT_EQ(poa.templates.size(), 1u);
-  ASSERT_EQ(profile.templates.size(), 1u);
-  EXPECT_EQ(poa.templates[0].members, profile.templates[0].members);
-  // On exact duplicates both backends recover the identical consensus.
-  EXPECT_EQ(poa.templates[0].tmpl.tokens, profile.templates[0].tmpl.tokens);
-  EXPECT_DOUBLE_EQ(poa.cost_after, profile.cost_after);
 }
 
 TEST(FineClusteringTest, NeighborSeedingMatchesFullScanOnCampaign) {
@@ -387,52 +373,42 @@ TEST(FineClusteringTest, ScanBoundSkipsOnlyAlignmentsTheReferenceRejects) {
 
 TEST(FineClusteringTest, NaiveCostingMatchesOptimizedExactly) {
   // The consensus cache, alignment reuse and GapCostProfile slot probes
-  // must be exact: on every candidate set, under both MSA backends and
-  // both search modes, SearchConsensus equals the test-only re-align /
-  // re-encode reference field for field, cost bits included.
+  // must be exact: on every candidate set, SearchConsensus equals the
+  // test-only re-align / re-encode reference field for field, cost bits
+  // included.
   std::vector<DocId> ids;
   Corpus c = MixedCluster(&ids);
   CostModel cm = CostModel::ForVocabulary(c.vocab());
   // The campaign, the variant family, and the whole mixed cluster.
   const std::vector<std::vector<DocId>> candidate_sets = {
       {0, 1, 2, 3}, {4, 5, 6}, ids};
-  for (MsaBackend backend : {MsaBackend::kPoa, MsaBackend::kProfile}) {
-    for (bool exhaustive : {false, true}) {
-      SCOPED_TRACE(testing::Message()
-                   << "profile=" << (backend == MsaBackend::kProfile)
-                   << " exhaustive=" << exhaustive);
-      FineOptions opts;
-      opts.msa_backend = backend;
-      opts.exhaustive_consensus_search = exhaustive;
-      const FineClustering fine(opts);
-      FineStageStats fast;
-      FineStageStats slow;
-      for (const std::vector<DocId>& set : candidate_sets) {
-        std::vector<std::vector<TokenId>> docs;
-        for (DocId d : set) docs.push_back(c.doc(d).tokens);
-        const std::unique_ptr<MsaAligner> graph =
-            oracle::BuildCandidateAlignment(docs, opts);
-        EXPECT_EQ(oracle::DiffConsensusChoice(
-                      fine.SearchConsensus(*graph, docs, cm, &fast),
-                      oracle::ReferenceSearchConsensus(*graph, docs, cm,
-                                                       opts, &slow)),
-                  "");
-      }
-      // The optimized path must actually be doing less work.
-      EXPECT_LT(fast.alignments_computed, slow.alignments_computed);
-      EXPECT_EQ(fast.consensus_probes, slow.consensus_probes);
-      EXPECT_GT(fast.consensus_probes, 0u);
-      EXPECT_EQ(slow.consensus_cache_hits, 0u);
-
-      // And the templates RunOnCluster accepts reproduce from their
-      // member lists.
-      const FineResult r = fine.RunOnCluster(c, ids, cm);
-      EXPECT_FALSE(r.templates.empty());
-      EXPECT_EQ(oracle::DiffTemplatesAgainstReference(r.templates, c, cm,
-                                                      opts),
-                "");
-    }
+  const FineOptions opts;
+  const FineClustering fine(opts);
+  FineStageStats fast;
+  FineStageStats slow;
+  for (const std::vector<DocId>& set : candidate_sets) {
+    std::vector<std::vector<TokenId>> docs;
+    for (DocId d : set) docs.push_back(c.doc(d).tokens);
+    const PoaGraph graph = oracle::BuildCandidateAlignment(docs, opts);
+    EXPECT_EQ(oracle::DiffConsensusChoice(
+                  fine.SearchConsensus(graph, docs, cm, &fast),
+                  oracle::ReferenceSearchConsensus(
+                      graph, docs, cm, opts, oracle::SearchMode::kDichotomous,
+                      &slow)),
+              "");
   }
+  // The optimized path must actually be doing less work.
+  EXPECT_LT(fast.alignments_computed, slow.alignments_computed);
+  EXPECT_EQ(fast.consensus_probes, slow.consensus_probes);
+  EXPECT_GT(fast.consensus_probes, 0u);
+  EXPECT_EQ(slow.consensus_cache_hits, 0u);
+
+  // And the templates RunOnCluster accepts reproduce from their member
+  // lists.
+  const FineResult r = fine.RunOnCluster(c, ids, cm);
+  EXPECT_FALSE(r.templates.empty());
+  EXPECT_EQ(oracle::DiffTemplatesAgainstReference(r.templates, c, cm, opts),
+            "");
 }
 
 TEST(FineClusteringTest, SearchConsensusReturnsWinnerEvaluation) {
@@ -493,23 +469,23 @@ TEST(FineClusteringTest, ConsensusCacheHitsOnNearDuplicates) {
 }
 
 TEST(FineClusteringTest, ExhaustiveMatchesDichotomousOnVariedCluster) {
-  // The original equivalence test used identical documents; with probe
-  // caching in place, re-check it on a cluster whose cost curve actually
-  // varies with the threshold.
+  // The identical documents above give a flat cost curve; re-check on
+  // candidate sets whose cost actually varies with the threshold. The
+  // dichotomous search probes fewer thresholds, but on each of these it
+  // finds the exhaustive search's winner.
   std::vector<DocId> ids;
   Corpus c = MixedCluster(&ids);
   CostModel cm = CostModel::ForVocabulary(c.vocab());
-  FineOptions dicho;
-  FineOptions exhaustive;
-  exhaustive.exhaustive_consensus_search = true;
-  FineResult r1 = FineClustering(dicho).RunOnCluster(c, ids, cm);
-  FineResult r2 = FineClustering(exhaustive).RunOnCluster(c, ids, cm);
-  ASSERT_EQ(r1.templates.size(), r2.templates.size());
-  // Dichotomous search may legitimately probe fewer thresholds, but on
-  // this cluster both find the same model.
-  EXPECT_EQ(r1.cost_after, r2.cost_after);
-  for (size_t t = 0; t < r1.templates.size(); ++t) {
-    EXPECT_EQ(r1.templates[t].tmpl.tokens, r2.templates[t].tmpl.tokens);
+  std::vector<std::vector<DocId>> candidate_sets = {{0, 1, 2, 3}, {4, 5, 6},
+                                                    ids};
+  const FineResult r = FineClustering().RunOnCluster(c, ids, cm);
+  ASSERT_FALSE(r.templates.empty());
+  for (const TemplateCluster& tc : r.templates) {
+    candidate_sets.push_back(tc.members);
+  }
+  for (const std::vector<DocId>& set : candidate_sets) {
+    EXPECT_EQ(DiffFromExhaustiveSearch(c, set, cm), "")
+        << "candidate set of " << set.size() << " documents";
   }
 }
 

@@ -257,8 +257,11 @@ two_families = [
 ]
 noise = [[(0x01, 3), (0x00, 5)], [(0x01, 7)]]
 
+# diff_fine's option byte: 0x02 selects the tie-heavy scoring {1, 0, -1},
+# 0x04 unigram phrases; 0x01 is unused, so exhaustive_search, named for
+# the consensus search it once selected, now runs the default options.
 write("diff_fine", "two_families", synthetic(0x00, two_families, noise))
-write("diff_fine", "profile_backend", synthetic(0x02, two_families, []))
+write("diff_fine", "tie_heavy_scoring", synthetic(0x02, two_families, []))
 write("diff_fine", "exhaustive_search",
       synthetic(0x01, [([2, 4, 6, 8, 10], [[0] * 5, [0] * 5])], noise))
 # Three families with deletions over the shared 16-word vocabulary. As

@@ -9,8 +9,6 @@
 #include <utility>
 
 #include "mdl/universal_code.h"
-#include "msa/poa.h"
-#include "msa/profile_msa.h"
 #include "util/logging.h"
 
 namespace infoshield::oracle {
@@ -96,10 +94,10 @@ void ReferenceDetectSlots(Template& tmpl,
 }
 
 FineClustering::ConsensusChoice ReferenceSearchConsensus(
-    const MsaAligner& alignment,
+    const PoaGraph& alignment,
     const std::vector<std::vector<TokenId>>& candidate_docs,
     const CostModel& cost_model, const FineOptions& options,
-    FineStageStats* stats) {
+    SearchMode mode, FineStageStats* stats) {
   const size_t n = candidate_docs.size();
   CHECK_GE(n, 1u);
   const int64_t h_max = static_cast<int64_t>(n) - 1;
@@ -128,7 +126,7 @@ FineClustering::ConsensusChoice ReferenceSearchConsensus(
     }
   };
 
-  if (options.exhaustive_consensus_search) {
+  if (mode == SearchMode::kExhaustive) {
     for (int64_t h = 0; h <= h_max; ++h) consider(h);
   } else {
     int64_t lo = 0;
@@ -182,20 +180,12 @@ std::string DiffConsensusChoice(
   return "";
 }
 
-std::unique_ptr<MsaAligner> BuildCandidateAlignment(
+PoaGraph BuildCandidateAlignment(
     const std::vector<std::vector<TokenId>>& docs,
     const FineOptions& options) {
   CHECK(!docs.empty());
-  std::unique_ptr<MsaAligner> graph;
-  switch (options.msa_backend) {
-    case MsaBackend::kPoa:
-      graph = std::make_unique<PoaGraph>(docs[0], options.scoring);
-      break;
-    case MsaBackend::kProfile:
-      graph = std::make_unique<ProfileMsa>(docs[0], options.scoring);
-      break;
-  }
-  for (size_t i = 1; i < docs.size(); ++i) graph->AddSequence(docs[i]);
+  PoaGraph graph(docs[0], options.scoring);
+  for (size_t i = 1; i < docs.size(); ++i) graph.AddSequence(docs[i]);
   return graph;
 }
 
@@ -208,12 +198,12 @@ std::string DiffTemplatesAgainstReference(
     const std::string where = "template " + std::to_string(t) + ": ";
     std::vector<std::vector<TokenId>> docs;
     for (DocId d : cluster.members) docs.push_back(corpus.doc(d).tokens);
-    const std::unique_ptr<MsaAligner> graph =
-        BuildCandidateAlignment(docs, options);
+    const PoaGraph graph = BuildCandidateAlignment(docs, options);
     const FineClustering::ConsensusChoice choice =
-        fine.SearchConsensus(*graph, docs, cost_model);
+        fine.SearchConsensus(graph, docs, cost_model);
     const std::string diff = DiffConsensusChoice(
-        choice, ReferenceSearchConsensus(*graph, docs, cost_model, options));
+        choice, ReferenceSearchConsensus(graph, docs, cost_model, options,
+                                         SearchMode::kDichotomous));
     if (!diff.empty()) return where + diff;
     if (choice.tmpl.tokens != cluster.tmpl.tokens ||
         choice.tmpl.SlotGaps() != cluster.tmpl.SlotGaps()) {
@@ -326,13 +316,12 @@ FineResult ReferenceAcceptance(
     }
     pending_token_cost -= members_unencoded;
 
-    if (members.size() >= options.min_template_support) {
+    if (members.size() >= kMinTemplateSupport) {
       std::vector<std::vector<TokenId>> docs;
       for (DocId d : members) docs.push_back(corpus.doc(d).tokens);
-      const std::unique_ptr<MsaAligner> graph =
-          BuildCandidateAlignment(docs, options);
+      const PoaGraph graph = BuildCandidateAlignment(docs, options);
       const FineClustering::ConsensusChoice choice =
-          fine.SearchConsensus(*graph, docs, cost_model, &result.stats);
+          fine.SearchConsensus(graph, docs, cost_model, &result.stats);
       if (!choice.consensus.empty()) {
         TemplateCluster cluster;
         cluster.tmpl = choice.tmpl;

@@ -10,15 +10,14 @@
 #ifndef INFOSHIELD_TESTS_ORACLE_REFERENCE_FINE_H_
 #define INFOSHIELD_TESTS_ORACLE_REFERENCE_FINE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/fine_clustering.h"
 #include "core/template.h"
 #include "mdl/cost_model.h"
-#include "msa/aligner.h"
 #include "msa/pairwise.h"
+#include "msa/poa.h"
 #include "text/corpus.h"
 #include "text/ngram.h"
 
@@ -34,18 +33,26 @@ void ReferenceDetectSlots(Template& tmpl,
                           const CostModel& cost_model,
                           FineStageStats* stats = nullptr);
 
+// Which thresholds ReferenceSearchConsensus probes.
+enum class SearchMode {
+  // Algorithm 2's dichotomous search, in the production probe order.
+  kDichotomous,
+  // Every threshold h in [0, |Di|-1], ascending: the naive search the
+  // dichotomous one is checked against.
+  kExhaustive,
+};
+
 // Algorithm 2 with no consensus cache: every threshold probe (memoized
-// per threshold only, in the production probe order) re-aligns every
-// candidate against Sel(A, h), runs ReferenceDetectSlots and scores
-// TemplateCost first, then each document's base cost in order. The
-// winner is rebuilt from scratch: re-aligned, slots re-detected, cost
-// taken from its probe. Reads options.scoring and
-// options.exhaustive_consensus_search.
+// per threshold only) re-aligns every candidate against Sel(A, h), runs
+// ReferenceDetectSlots and scores TemplateCost first, then each
+// document's base cost in order. The winner, the cheapest probe and the
+// lowest threshold among equal costs, is rebuilt from scratch:
+// re-aligned, slots re-detected, cost taken from its probe.
 FineClustering::ConsensusChoice ReferenceSearchConsensus(
-    const MsaAligner& alignment,
+    const PoaGraph& alignment,
     const std::vector<std::vector<TokenId>>& candidate_docs,
     const CostModel& cost_model, const FineOptions& options,
-    FineStageStats* stats = nullptr);
+    SearchMode mode, FineStageStats* stats = nullptr);
 
 // Empty when `actual` equals `expected` field for field: consensus,
 // template tokens and slot gaps, every alignment's ops, and the cost's
@@ -55,16 +62,17 @@ std::string DiffConsensusChoice(
     const FineClustering::ConsensusChoice& expected);
 
 // The candidate alignment RunOnCluster builds for a seed and its
-// admitted candidates: docs[0] seeds options.msa_backend's aligner and
-// the rest are added in order.
-std::unique_ptr<MsaAligner> BuildCandidateAlignment(
+// admitted candidates: docs[0] seeds a POA graph under options.scoring
+// and the rest are fused in order.
+PoaGraph BuildCandidateAlignment(
     const std::vector<std::vector<TokenId>>& docs, const FineOptions& options);
 
 // Checks accepted templates against the oracle. A template's member
 // list is exactly the candidate set SearchConsensus saw (seed first, in
 // admission order), so the candidate alignment is rebuilt from it;
-// SearchConsensus must then equal ReferenceSearchConsensus field for
-// field, and reproduce the template and every member encoding.
+// SearchConsensus must then equal the dichotomous
+// ReferenceSearchConsensus field for field, and reproduce the template
+// and every member encoding.
 // `cost_model` and `options` must be the ones the templates were found
 // with. Empty on agreement, else the first mismatch.
 std::string DiffTemplatesAgainstReference(
@@ -76,7 +84,7 @@ std::string DiffTemplatesAgainstReference(
 // scan pool through an ordered phrase -> documents map (or take every
 // later unclaimed document), admit each pool document whose full
 // DocEncoding against the seed costs less than the document alone,
-// claim the members, fuse them into options.msa_backend's aligner, run
+// claim the members, fuse them into a POA graph, run
 // FineClustering::SearchConsensus (checked against
 // ReferenceSearchConsensus separately) and encode the members. The
 // acceptance test recomputes the cluster total from the full accepted

@@ -348,170 +348,4 @@ std::vector<uint32_t> ReferencePoaGraph::SupportByTopoOrder() const {
   return out;
 }
 
-uint32_t ReferenceProfileMsa::Column::CountOf(TokenId t) const {
-  auto it = counts.find(t);
-  return it == counts.end() ? 0 : it->second;
-}
-
-std::pair<TokenId, uint32_t> ReferenceProfileMsa::Column::Dominant() const {
-  TokenId best_token = kInvalidToken;
-  uint32_t best_count = 0;
-  // determinism: argmax with a total tie-break (count desc, token asc).
-  for (const auto& [token, count] : counts) {
-    if (count > best_count ||
-        (count == best_count && token < best_token)) {
-      best_token = token;
-      best_count = count;
-    }
-  }
-  return {best_token, best_count};
-}
-
-uint32_t ReferenceProfileMsa::Column::Occupancy() const {
-  uint32_t total = 0;
-  // determinism: commutative integer sum; order cannot matter.
-  for (const auto& [token, count] : counts) total += count;
-  return total;
-}
-
-ReferenceProfileMsa::ReferenceProfileMsa(const std::vector<TokenId>& first,
-                                         const AlignmentScoring& scoring)
-    : scoring_(scoring) {
-  columns_.reserve(first.size());
-  for (TokenId t : first) {
-    Column col;
-    col.counts.emplace(t, 1);
-    columns_.push_back(std::move(col));
-  }
-  num_sequences_ = 1;
-}
-
-double ReferenceProfileMsa::ColumnScore(const Column& col,
-                                        TokenId token) const {
-  const uint32_t matches = col.CountOf(token);
-  const uint32_t occupancy = col.Occupancy();
-  const uint32_t mismatches = occupancy - matches;
-  const uint32_t gaps = static_cast<uint32_t>(num_sequences_) - occupancy;
-  const double total = static_cast<double>(num_sequences_);
-  return (static_cast<double>(matches) * scoring_.match +
-          static_cast<double>(mismatches) * scoring_.mismatch +
-          static_cast<double>(gaps) * scoring_.gap) /
-         total;
-}
-
-void ReferenceProfileMsa::AddSequence(const std::vector<TokenId>& seq) {
-  const size_t n = columns_.size();
-  const size_t m = seq.size();
-  ++num_sequences_;
-  if (m == 0) return;
-  if (n == 0) {
-    for (TokenId t : seq) {
-      Column col;
-      col.counts.emplace(t, 1);
-      columns_.push_back(std::move(col));
-    }
-    return;
-  }
-
-  // NW over (profile columns) x (sequence positions).
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  enum Move : uint8_t { kDiagMove = 0, kUp = 1, kLeft = 2, kNone = 3 };
-  std::vector<double> score((n + 1) * (m + 1), kNegInf);
-  std::vector<uint8_t> move((n + 1) * (m + 1), kNone);
-  auto at = [m](size_t i, size_t j) { return i * (m + 1) + j; };
-
-  score[at(0, 0)] = 0.0;
-  for (size_t i = 1; i <= n; ++i) {
-    score[at(i, 0)] = score[at(i - 1, 0)] + scoring_.gap;
-    move[at(i, 0)] = kUp;
-  }
-  for (size_t j = 1; j <= m; ++j) {
-    score[at(0, j)] = score[at(0, j - 1)] + scoring_.gap;
-    move[at(0, j)] = kLeft;
-  }
-  for (size_t i = 1; i <= n; ++i) {
-    for (size_t j = 1; j <= m; ++j) {
-      const double diag =
-          score[at(i - 1, j - 1)] + ColumnScore(columns_[i - 1], seq[j - 1]);
-      const double up = score[at(i - 1, j)] + scoring_.gap;
-      const double left = score[at(i, j - 1)] + scoring_.gap;
-      double best = diag;
-      uint8_t mv = kDiagMove;
-      if (up > best) {
-        best = up;
-        mv = kUp;
-      }
-      if (left > best) {
-        best = left;
-        mv = kLeft;
-      }
-      score[at(i, j)] = best;
-      move[at(i, j)] = mv;
-    }
-  }
-
-  // Backtrace into per-column actions, then rebuild the profile.
-  struct Action {
-    uint8_t move;
-    size_t col;
-    size_t pos;
-  };
-  std::vector<Action> actions;
-  size_t i = n;
-  size_t j = m;
-  while (i > 0 || j > 0) {
-    const uint8_t mv = move[at(i, j)];
-    CHECK_NE(mv, kNone);
-    switch (mv) {
-      case kDiagMove:
-        actions.push_back({mv, i - 1, j - 1});
-        --i;
-        --j;
-        break;
-      case kUp:
-        actions.push_back({mv, i - 1, 0});
-        --i;
-        break;
-      case kLeft:
-        actions.push_back({mv, 0, j - 1});
-        --j;
-        break;
-    }
-  }
-  std::reverse(actions.begin(), actions.end());
-
-  std::vector<Column> next;
-  next.reserve(n + m);
-  for (const Action& a : actions) {
-    switch (a.move) {
-      case kDiagMove: {
-        Column col = std::move(columns_[a.col]);
-        ++col.counts[seq[a.pos]];
-        next.push_back(std::move(col));
-        break;
-      }
-      case kUp:
-        next.push_back(std::move(columns_[a.col]));
-        break;
-      case kLeft: {
-        Column col;
-        col.counts.emplace(seq[a.pos], 1);
-        next.push_back(std::move(col));
-        break;
-      }
-    }
-  }
-  columns_ = std::move(next);
-}
-
-std::vector<TokenId> ReferenceProfileMsa::ConsensusAtThreshold(
-    size_t h) const {
-  std::vector<TokenId> out;
-  for (const Column& col : columns_) {
-    auto [token, count] = col.Dominant();
-    if (token != kInvalidToken && count > h) out.push_back(token);
-  }
-  return out;
-}
-
 }  // namespace infoshield::oracle

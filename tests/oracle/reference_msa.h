@@ -1,22 +1,18 @@
-// Test-only full-table alignment kernels: Needleman–Wunsch, the POA
-// graph and the profile MSA as they were before src/msa/ moved to
-// bounded-memory DPs (DESIGN.md §18). Each keeps its whole
-// (n+1)(m+1) score table, a move per cell and, for POA, the source row
-// per cell, and walks those back. The production kernels keep two score
-// rows and 2-bit moves (NW, ProfileMsa) or only the score table (POA),
-// and must reproduce these byte for byte: the same alignments, the same
-// graphs, the same profiles. The unit tests and the pairwise and poa
-// fuzzers link them as their oracle.
+// Test-only full-table alignment kernels: Needleman–Wunsch and the POA
+// graph as they were before src/msa/ moved to bounded-memory DPs
+// (DESIGN.md §18). Each keeps its whole (n+1)(m+1) score table, a move
+// per cell and, for POA, the source row per cell, and walks those back.
+// The production kernels keep two score rows and 2-bit moves (NW) or
+// only a band of the score table (POA), and must reproduce these byte
+// for byte: the same alignments and the same graphs. The unit tests and
+// the pairwise and poa fuzzers link them as their oracle.
 
 #ifndef INFOSHIELD_TESTS_ORACLE_REFERENCE_MSA_H_
 #define INFOSHIELD_TESTS_ORACLE_REFERENCE_MSA_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "msa/aligner.h"
 #include "msa/pairwise.h"
 #include "text/vocabulary.h"
 #include "util/random.h"
@@ -44,14 +40,14 @@ Alignment ReferenceNeedlemanWunsch(const std::vector<TokenId>& a,
 
 // PoaGraph with the full score, move and source-row tables
 // ((nodes+1)(m+1) cells at 9 bytes each).
-class ReferencePoaGraph : public MsaAligner {
+class ReferencePoaGraph {
  public:
   explicit ReferencePoaGraph(const std::vector<TokenId>& first,
                              const AlignmentScoring& scoring = {});
 
-  void AddSequence(const std::vector<TokenId>& seq) override;
-  std::vector<TokenId> ConsensusAtThreshold(size_t h) const override;
-  size_t num_sequences() const override { return num_sequences_; }
+  void AddSequence(const std::vector<TokenId>& seq);
+  std::vector<TokenId> ConsensusAtThreshold(size_t h) const;
+  size_t num_sequences() const { return num_sequences_; }
   size_t node_count() const { return nodes_.size(); }
 
   // Support of each node, indexed by topological order.
@@ -73,33 +69,6 @@ class ReferencePoaGraph : public MsaAligner {
   std::vector<Node> nodes_;
   std::vector<uint32_t> topo_order_;
   std::vector<uint32_t> topo_rank_;
-  size_t num_sequences_ = 0;
-};
-
-// ProfileMsa with full (n+1)(m+1) double score and move tables.
-class ReferenceProfileMsa : public MsaAligner {
- public:
-  explicit ReferenceProfileMsa(const std::vector<TokenId>& first,
-                               const AlignmentScoring& scoring = {});
-
-  void AddSequence(const std::vector<TokenId>& seq) override;
-  std::vector<TokenId> ConsensusAtThreshold(size_t h) const override;
-  size_t num_sequences() const override { return num_sequences_; }
-  size_t column_count() const { return columns_.size(); }
-
- private:
-  struct Column {
-    std::unordered_map<TokenId, uint32_t> counts;
-
-    uint32_t CountOf(TokenId t) const;
-    std::pair<TokenId, uint32_t> Dominant() const;
-    uint32_t Occupancy() const;
-  };
-
-  double ColumnScore(const Column& col, TokenId token) const;
-
-  AlignmentScoring scoring_;
-  std::vector<Column> columns_;
   size_t num_sequences_ = 0;
 };
 

@@ -43,7 +43,7 @@ TEST_P(PipelinePropertyTest, StructuralInvariantsHold) {
   std::vector<int> seen(data.corpus.size(), 0);
   for (size_t t = 0; t < r.templates.size(); ++t) {
     const TemplateCluster& tc = r.templates[t];
-    EXPECT_GE(tc.members.size(), 2u);  // min_template_support
+    EXPECT_GE(tc.members.size(), kMinTemplateSupport);
     EXPECT_EQ(tc.members.size(), tc.encodings.size());
     for (size_t i = 1; i < tc.members.size(); ++i) {
       EXPECT_LT(tc.members[i - 1], tc.members[i]);
