@@ -23,11 +23,11 @@
 #include "io/json_writer.h"
 
 #include "baselines/hdbscan.h"
-#include "baselines/template_matching.h"
 #include "coarse/coarse_clustering.h"
 #include "core/fine_clustering.h"
 #include "datagen/twitter_gen.h"
 #include "graph/union_find.h"
+#include "lsh/minhash.h"
 #include "mdl/cost_model.h"
 #include "msa/pairwise.h"
 #include "msa/poa.h"
@@ -217,9 +217,9 @@ void BM_MinHashSignature(benchmark::State& state) {
   const size_t len = static_cast<size_t>(state.range(0));
   Rng rng(8);
   auto seq = RandomSeq(rng, len, 5000);
+  const MinHashFamily family(MinHashParams{64, 3, 0x5eed});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        internal::MinHashSignature(seq, 3, 64, 0x5eed));
+    benchmark::DoNotOptimize(family.Signature(seq));
   }
   state.SetComplexityN(static_cast<int64_t>(len));
 }

@@ -1,57 +1,16 @@
 #include "baselines/template_matching.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
+#include <utility>
 
 #include "graph/connected_components.h"
 #include "graph/union_find.h"
-#include "text/ngram.h"
+#include "lsh/lsh_index.h"
+#include "lsh/minhash.h"
 #include "util/logging.h"
-#include "util/random.h"
 
 namespace infoshield {
-
-namespace internal {
-
-std::vector<uint64_t> MinHashSignature(const std::vector<TokenId>& tokens,
-                                       size_t shingle_size,
-                                       size_t num_hashes, uint64_t seed) {
-  // Hash parameters derived deterministically from the seed.
-  std::vector<uint64_t> mult(num_hashes);
-  std::vector<uint64_t> add(num_hashes);
-  uint64_t sm = seed;
-  for (size_t h = 0; h < num_hashes; ++h) {
-    mult[h] = SplitMix64(sm) | 1;  // odd multiplier
-    add[h] = SplitMix64(sm);
-  }
-
-  std::vector<uint64_t> signature(num_hashes,
-                                  0xFFFFFFFFFFFFFFFFull);
-  if (tokens.empty()) return signature;
-  const size_t n = std::min(shingle_size, tokens.size());
-  for (size_t begin = 0; begin + n <= tokens.size(); ++begin) {
-    const uint64_t shingle = HashNgram(tokens.data() + begin, n);
-    for (size_t h = 0; h < num_hashes; ++h) {
-      const uint64_t v = shingle * mult[h] + add[h];
-      signature[h] = std::min(signature[h], v);
-    }
-  }
-  return signature;
-}
-
-double SignatureSimilarity(const std::vector<uint64_t>& a,
-                           const std::vector<uint64_t>& b) {
-  CHECK_EQ(a.size(), b.size());
-  if (a.empty()) return 0.0;
-  size_t agree = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == b[i]) ++agree;
-  }
-  return static_cast<double>(agree) / static_cast<double>(a.size());
-}
-
-}  // namespace internal
 
 TemplateMatchingResult TemplateMatching(
     const Corpus& corpus, const TemplateMatchingOptions& options) {
@@ -62,51 +21,41 @@ TemplateMatchingResult TemplateMatching(
   if (n == 0) return result;
   CHECK_GT(options.bands, 0u);
   CHECK_EQ(options.num_hashes % options.bands, 0u);
-  const size_t rows = options.num_hashes / options.bands;
 
-  // Signatures.
-  std::vector<std::vector<uint64_t>> signatures;
+  // Signatures; an empty document's is empty and occupies no bucket.
+  const MinHashParams minhash{options.num_hashes, options.shingle_size,
+                              options.seed};
+  const MinHashFamily family(minhash);
+  std::vector<MinHashSignature> signatures;
   signatures.reserve(n);
   for (const Document& doc : corpus.docs()) {
-    signatures.push_back(internal::MinHashSignature(
-        doc.tokens, options.shingle_size, options.num_hashes,
-        options.seed));
+    signatures.push_back(family.Signature(doc.tokens));
   }
 
-  // LSH banding: documents whose band-slice hashes collide become
-  // candidate pairs (verified before unioning).
-  UnionFind uf(n);
-  std::unordered_set<uint64_t> seen_pairs;
-  for (size_t band = 0; band < options.bands; ++band) {
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
-    for (size_t i = 0; i < n; ++i) {
-      if (corpus.doc(static_cast<DocId>(i)).tokens.empty()) continue;
-      uint64_t h = 0xcbf29ce484222325ULL ^ band;
-      for (size_t r = 0; r < rows; ++r) {
-        h ^= signatures[i][band * rows + r];
-        h *= 0x100000001b3ULL;
-      }
-      buckets[h].push_back(static_cast<uint32_t>(i));
+  // LSH banding: each document is paired with the first member of every
+  // bucket it shares (transitive closure via union-find keeps this linear
+  // in bucket size). A pair sharing several bands is proposed once.
+  LshIndex index(minhash,
+                 LshParams{options.bands, options.num_hashes / options.bands});
+  index.Build(signatures, 1);
+  std::vector<std::pair<DocId, DocId>> pairs;
+  index.ForEachBucket([&pairs](std::span<const DocId> docs) {
+    for (size_t k = 1; k < docs.size(); ++k) {
+      pairs.emplace_back(docs[0], docs[k]);
     }
-    // determinism: the (docs[0], docs[k]) pair set per bucket is fixed by
-    // the deterministic bucket contents; union order only moves roots,
-    // and ExtractComponents canonicalizes component emission.
-    for (const auto& [hash, docs] : buckets) {
-      if (docs.size() < 2) continue;
-      // Verify each doc against the bucket's first member (transitive
-      // closure via union-find keeps this linear in bucket size).
-      for (size_t k = 1; k < docs.size(); ++k) {
-        const uint64_t pair_key =
-            (static_cast<uint64_t>(docs[0]) << 32) | docs[k];
-        if (!seen_pairs.insert(pair_key).second) continue;
-        ++result.candidate_pairs;
-        if (internal::SignatureSimilarity(signatures[docs[0]],
-                                          signatures[docs[k]]) >=
-            options.jaccard_threshold) {
-          ++result.verified_pairs;
-          uf.Union(docs[0], docs[k]);
-        }
-      }
+  });
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  result.candidate_pairs = pairs.size();
+
+  // Verification: a candidate pair is unioned iff its estimated Jaccard
+  // similarity reaches the threshold.
+  UnionFind uf(n);
+  for (const auto& [first, other] : pairs) {
+    if (EstimateJaccard(signatures[first], signatures[other]) >=
+        options.jaccard_threshold) {
+      ++result.verified_pairs;
+      uf.Union(first, other);
     }
   }
 

@@ -3,10 +3,12 @@
 // 2018), the paper's unsupervised anti-HT predecessor ([10], Table I).
 //
 // Pipeline: MinHash signatures over token shingles -> LSH banding to
-// propose candidate near-duplicate pairs -> exact Jaccard verification
-// -> union-find connected components as clusters. Scalable and
-// unsupervised, but (as Table I notes) with limited interpretability: it
-// yields clusters, not templates with slots.
+// propose candidate near-duplicate pairs -> Jaccard verification on the
+// signatures -> union-find connected components as clusters. The first
+// two steps are src/lsh's MinHashFamily and LshIndex, the standard
+// MinHash/LSH dedup the coarse stage's LSH backend runs too. Scalable
+// and unsupervised, but (as Table I notes) with limited
+// interpretability: it yields clusters, not templates with slots.
 
 #ifndef INFOSHIELD_BASELINES_TEMPLATE_MATCHING_H_
 #define INFOSHIELD_BASELINES_TEMPLATE_MATCHING_H_
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "text/corpus.h"
-#include "text/vocabulary.h"
 
 namespace infoshield {
 
@@ -50,16 +51,6 @@ struct TemplateMatchingResult {
 
 TemplateMatchingResult TemplateMatching(const Corpus& corpus,
                                         const TemplateMatchingOptions& options);
-
-namespace internal {
-// Exposed for tests: MinHash signature of a token sequence.
-std::vector<uint64_t> MinHashSignature(const std::vector<TokenId>& tokens,
-                                       size_t shingle_size,
-                                       size_t num_hashes, uint64_t seed);
-// Fraction of agreeing signature positions (Jaccard estimate).
-double SignatureSimilarity(const std::vector<uint64_t>& a,
-                           const std::vector<uint64_t>& b);
-}  // namespace internal
 
 }  // namespace infoshield
 

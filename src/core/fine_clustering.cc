@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -147,32 +145,35 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensus(
   // Distinct thresholds frequently select the same sub-alignment
   // (supports are integers in [0, n); near-duplicate candidate sets
   // concentrate them at the extremes), so probe results are cached at
-  // two levels: per threshold, and per distinct consensus sequence. A
+  // two levels: per threshold, and per distinct consensus. Sel(A, h)
+  // keeps the nodes with support > h, so the node sets shrink as h
+  // grows: two consensuses of one graph have equal length only when they
+  // are the same node set, and the length identifies the consensus. A
   // consensus-level hit reuses every member alignment and the detected
-  // slots. The map is ordered to keep the code free of hash-order
-  // pitfalls; it is lookup-only either way.
-  std::map<std::vector<TokenId>, ConsensusChoice> by_consensus;
-  std::unordered_map<int64_t, double> cache;
+  // slots.
+  std::vector<ConsensusChoice> evaluated;
+  std::vector<int32_t> choice_at(static_cast<size_t>(n), -1);
   auto eval = [&](int64_t h) -> double {
     h = std::clamp<int64_t>(h, 0, h_max);
-    auto it = cache.find(h);
-    if (it != cache.end()) return it->second;
+    int32_t& choice = choice_at[static_cast<size_t>(h)];
+    if (choice >= 0) return evaluated[static_cast<size_t>(choice)].cost;
     std::vector<TokenId> consensus =
         alignment.ConsensusAtThreshold(static_cast<size_t>(h));
     if (stats != nullptr) ++stats->consensus_probes;
-    double cost;
-    auto found = by_consensus.find(consensus);
-    if (found != by_consensus.end()) {
-      if (stats != nullptr) ++stats->consensus_cache_hits;
-      cost = found->second.cost;
-    } else {
-      ConsensusChoice evaluated =
-          EvaluateCandidate(consensus, candidate_docs, cost_model, stats);
-      cost = evaluated.cost;
-      by_consensus.emplace(std::move(consensus), std::move(evaluated));
+    for (size_t k = 0; k < evaluated.size(); ++k) {
+      if (evaluated[k].consensus.size() == consensus.size()) {
+        choice = static_cast<int32_t>(k);
+        break;
+      }
     }
-    cache.emplace(h, cost);
-    return cost;
+    if (choice >= 0) {
+      if (stats != nullptr) ++stats->consensus_cache_hits;
+    } else {
+      choice = static_cast<int32_t>(evaluated.size());
+      evaluated.push_back(
+          EvaluateCandidate(consensus, candidate_docs, cost_model, stats));
+    }
+    return evaluated[static_cast<size_t>(choice)].cost;
   };
 
   int64_t best_h = 0;
@@ -204,10 +205,9 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensus(
   }
   consider(lo);
 
-  auto found = by_consensus.find(
-      alignment.ConsensusAtThreshold(static_cast<size_t>(best_h)));
-  CHECK(found != by_consensus.end());
-  return std::move(found->second);
+  const int32_t winner = choice_at[static_cast<size_t>(best_h)];
+  CHECK_GE(winner, 0);
+  return std::move(evaluated[static_cast<size_t>(winner)]);
 }
 
 namespace {

@@ -1,5 +1,6 @@
 #include "incremental/incremental_infoshield.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "coarse/coarse_clustering.h"
@@ -60,15 +61,14 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
   components.doc_top_phrases = SelectTopPhrases(index_, corpus_, threads);
   stats.rescore_seconds = timer.ElapsedSeconds();
 
-  // --- stamp the old documents whose top phrases changed: the fine
-  // stage reads them (seed pools), so a cluster with such a member is
-  // dirty even when its member list did not change.
+  // --- the documents whose top phrases changed since the last ingest
+  // (every new document counts as changed): the fine stage reads them
+  // (seed pools), so a cluster with such a member is dirty even when its
+  // member list did not change.
   timer.Restart();
-  doc_changed_gen_.resize(new_size, generation_);
+  std::vector<char> phrases_changed(new_size, 1);
   for (size_t d = 0; d < old_size; ++d) {
-    if (components.doc_top_phrases[d] != doc_top_phrases_[d]) {
-      doc_changed_gen_[d] = generation_;
-    }
+    phrases_changed[d] = components.doc_top_phrases[d] != doc_top_phrases_[d];
   }
 
   // --- graph and components, exactly as the batch coarse stage builds
@@ -81,70 +81,59 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
   // --- fine stage over dirty components only.
   timer.Restart();
   const CostModel cost_model = CostModel::ForVocabulary(corpus_.vocab());
-  if (cost_model.lg_vocab() != last_lg_vocab_) {
-    // lg V enters every MDL cost comparison, so a vocabulary-size step
-    // can flip accept/reject decisions in ANY cluster: drop everything.
-    stats.vocab_grew = !fine_cache_.empty();
-    fine_cache_.clear();
-    last_lg_vocab_ = cost_model.lg_vocab();
-  }
+  // lg V enters every MDL cost comparison, so a vocabulary-size step
+  // can flip accept/reject decisions in ANY cluster: reuse nothing.
+  const bool same_lg_vocab = cost_model.lg_vocab() == lg_vocab_;
+  stats.vocab_grew = !same_lg_vocab && !fine_.empty();
 
+  // A cluster is clean when the last ingest had the same member list and
+  // none of its members' top phrases changed. Both cluster lists come
+  // out in smallest-member order, so one merge finds the last ingest's
+  // cluster with the same smallest member.
   const size_t num_clusters = components.clusters.size();
-  std::vector<FineResult> fine_results(num_clusters);
-  std::vector<uint64_t> result_generation(num_clusters, generation_);
+  std::vector<FineResult> fine(num_clusters);
   std::vector<size_t> dirty;
+  std::vector<std::vector<DocId>> dirty_clusters;
   dirty.reserve(num_clusters);
+  dirty_clusters.reserve(num_clusters);
+  size_t last = 0;
   for (size_t ci = 0; ci < num_clusters; ++ci) {
     const std::vector<DocId>& members = components.clusters[ci];
-    auto it = fine_cache_.find(members.front());
-    bool reusable = it != fine_cache_.end() && it->second.members == members;
-    if (reusable) {
-      for (DocId d : members) {
-        if (doc_changed_gen_[d] > it->second.generation) {
-          reusable = false;
-          break;
-        }
-      }
+    while (last < clusters_.size() &&
+           clusters_[last].front() < members.front()) {
+      ++last;
     }
-    if (reusable) {
-      fine_results[ci] = it->second.result;
-      result_generation[ci] = it->second.generation;
+    const bool clean =
+        same_lg_vocab && last < clusters_.size() &&
+        clusters_[last] == members &&
+        std::none_of(members.begin(), members.end(),
+                     [&](DocId d) { return phrases_changed[d] != 0; });
+    if (clean) {
+      fine[ci] = std::move(fine_[last]);
       ++stats.reused_clusters;
     } else {
       dirty.push_back(ci);
+      dirty_clusters.push_back(members);
       ++stats.dirty_clusters;
       stats.dirty_cluster_docs += members.size();
     }
   }
-  std::vector<std::vector<DocId>> dirty_clusters;
-  dirty_clusters.reserve(dirty.size());
-  for (size_t ci : dirty) dirty_clusters.push_back(components.clusters[ci]);
   std::vector<FineResult> dirty_results =
       FineClustering(options_.fine)
           .RunOnClusters(corpus_, dirty_clusters, cost_model,
                          &components.doc_top_phrases, options_.num_threads);
   for (size_t i = 0; i < dirty.size(); ++i) {
-    fine_results[dirty[i]] = std::move(dirty_results[i]);
+    fine[dirty[i]] = std::move(dirty_results[i]);
   }
 
-  // Refresh the cache: every current cluster is stored with the
-  // generation its result was computed at (carried over for reused
-  // entries so the dirtiness predicate keeps working); vanished
-  // clusters drop out.
-  fine_cache_.clear();
-  fine_cache_.reserve(num_clusters);
-  for (size_t ci = 0; ci < num_clusters; ++ci) {
-    CachedFine entry;
-    entry.members = components.clusters[ci];
-    entry.result = fine_results[ci];
-    entry.generation = result_generation[ci];
-    fine_cache_.emplace(entry.members.front(), std::move(entry));
-  }
-
-  // --- assemble exactly as the batch pipeline does.
-  result_ = AssembleResult(corpus_.size(), components, std::move(fine_results),
-                           cost_model.lg_vocab());
+  // --- assemble exactly as the batch pipeline does (from a copy: the
+  // results are kept for the next ingest), then keep this ingest's state.
+  result_ =
+      AssembleResult(corpus_.size(), components, fine, cost_model.lg_vocab());
   doc_top_phrases_ = std::move(components.doc_top_phrases);
+  clusters_ = std::move(components.clusters);
+  fine_ = std::move(fine);
+  lg_vocab_ = cost_model.lg_vocab();
   stats.fine_seconds = timer.ElapsedSeconds();
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
   return stats;
@@ -157,42 +146,29 @@ Status IncrementalInfoShield::ValidateInvariants() const {
   a.Expect(doc_top_phrases_.size() == n,
            StrFormat("doc_top_phrases has %zu entries for %zu documents",
                      doc_top_phrases_.size(), n));
-  a.Expect(doc_changed_gen_.size() == n,
-           StrFormat("doc_changed_gen has %zu entries for %zu documents",
-                     doc_changed_gen_.size(), n));
   a.Expect(index_.num_documents() == n,
            StrFormat("df index counts %zu documents but the corpus holds "
                      "%zu",
                      index_.num_documents(), n));
-  for (size_t d = 0; d < doc_changed_gen_.size(); ++d) {
-    if (doc_changed_gen_[d] > generation_) {
-      a.Expect(false,
-               StrFormat("document %zu changed at generation %llu, beyond "
-                         "the engine's %llu",
-                         d,
-                         static_cast<unsigned long long>(doc_changed_gen_[d]),
-                         static_cast<unsigned long long>(generation_)));
+  a.Expect(fine_.size() == clusters_.size(),
+           StrFormat("%zu fine results for %zu clusters", fine_.size(),
+                     clusters_.size()));
+  for (size_t ci = 0; ci < clusters_.size(); ++ci) {
+    if (clusters_[ci].empty() ||
+        (ci > 0 && clusters_[ci - 1].front() >= clusters_[ci].front())) {
+      a.Expect(false, StrFormat("cluster %zu is empty or out of "
+                                "smallest-member order",
+                                ci));
     }
-  }
-  // determinism: validation only; each entry is checked independently.
-  for (const auto& [key, entry] : fine_cache_) {
-    a.Expect(!entry.members.empty() && entry.members.front() == key,
-             StrFormat("cache entry %u does not start with its key", key));
-    for (DocId d : entry.members) {
-      if (d >= n) {
-        a.Expect(false,
-                 StrFormat("cache entry %u holds out-of-corpus member %u",
-                           key, d));
-      }
-    }
-    a.Expect(entry.generation <= generation_,
-             StrFormat("cache entry %u computed at generation %llu, beyond "
-                       "the engine's %llu",
-                       key,
-                       static_cast<unsigned long long>(entry.generation),
-                       static_cast<unsigned long long>(generation_)));
   }
   INFOSHIELD_RETURN_IF_ERROR(a.Finish());
+  // Each kept result against its cluster, under the lg V it was
+  // computed for (the last ingest's).
+  const CostModel cost_model(lg_vocab_);
+  for (size_t ci = 0; ci < clusters_.size(); ++ci) {
+    INFOSHIELD_RETURN_IF_ERROR(
+        ValidateFineResult(fine_[ci], corpus_, clusters_[ci], &cost_model));
+  }
   return ValidateInfoShieldResult(result_, corpus_);
 }
 

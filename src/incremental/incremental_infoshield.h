@@ -23,14 +23,17 @@
 //                 the replay is O(edges) and cheap next to one fine
 //                 cluster.
 //   fine stage  — the expensive part (MDL + alignment) is skipped for
-//                 every CLEAN component: identical member list, no
-//                 member's top phrases changed since the cached result,
-//                 and an unchanged lg V (a vocabulary-size step shifts
-//                 every cost comparison, so it clears the whole cache).
+//                 every CLEAN component: the last ingest had the same
+//                 member list, no member's top phrases changed since
+//                 then, and lg V did not move (a vocabulary-size step
+//                 shifts every cost comparison, so nothing is reused).
 //                 FineClustering::RunOnClusters' result for a cluster
 //                 reads nothing but its members' tokens, their
-//                 top-phrase lists, and the cost model, so the cached
-//                 FineResult is exact.
+//                 top-phrase lists, and the cost model, so the last
+//                 ingest's FineResult is exact. Every kept result is
+//                 valid for the last ingest's state, so only this
+//                 ingest's changes decide; a result reused now stays
+//                 valid for the next ingest the same way.
 //
 // Only the tf-idf coarse backend is supported: IngestBatch rejects
 // CoarseBackend::kMinhashLsh.
@@ -45,7 +48,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fine_clustering.h"
@@ -68,11 +70,11 @@ struct IngestStats {
   // True for every non-empty batch: each ingest replays the whole
   // doc–phrase graph (perfbench reports the share).
   bool graph_rebuilt = false;
-  // True when vocabulary growth moved lg V and invalidated every cached
-  // fine result.
+  // True when vocabulary growth moved lg V and invalidated every fine
+  // result of the last ingest.
   bool vocab_grew = false;
   // Coarse components after this ingest, split into fine re-runs and
-  // cache hits (dirty + reused == total clusters).
+  // reused results (dirty + reused == total clusters).
   size_t num_coarse_clusters = 0;
   size_t dirty_clusters = 0;
   size_t reused_clusters = 0;
@@ -111,38 +113,27 @@ class IncrementalInfoShield {
   const InfoShieldOptions& options() const { return options_; }
 
   // Deep invariant audit (util/audit.h): the df index validates and
-  // covers exactly the corpus, per-document state arrays line up, every
-  // cached fine entry's members exist, and the assembled result
-  // validates against the corpus. Returns OK or an Internal status
-  // listing every violation.
+  // covers exactly the corpus, per-document and per-cluster state arrays
+  // line up, the kept clusters are in smallest-member order, every kept
+  // fine result validates against its cluster (ValidateFineResult), and
+  // the assembled result validates against the corpus. Returns OK or an
+  // Internal status listing every violation.
   Status ValidateInvariants() const;
 
  private:
-  // One cached fine-stage output. `generation` is the ingest the result
-  // was computed at; the entry is reusable while every member's
-  // doc_changed_gen_ stays <= it (and lg V holds still).
-  struct CachedFine {
-    std::vector<DocId> members;
-    FineResult result;
-    uint64_t generation = 0;
-  };
-
   InfoShieldOptions options_;
   Corpus corpus_;
   TfidfIndex index_;
   // Non-empty ingests so far.
   uint64_t generation_ = 0;
 
-  // Per-document state, indexed by DocId: the top phrases as of the last
-  // ingest, and the ingest at which they last changed.
+  // The last ingest's state, which every kept fine result is valid for:
+  // the top phrases per DocId, the coarse clusters in smallest-member
+  // order, the fine result per cluster, and lg V.
   std::vector<std::vector<PhraseHash>> doc_top_phrases_;
-  std::vector<uint64_t> doc_changed_gen_;
-
-  // Fine-result cache keyed by a cluster's smallest member (clusters
-  // partition the documents, so within one generation the key is
-  // unique; the stored member list disambiguates across generations).
-  std::unordered_map<DocId, CachedFine> fine_cache_;
-  double last_lg_vocab_ = 0.0;
+  std::vector<std::vector<DocId>> clusters_;
+  std::vector<FineResult> fine_;
+  double lg_vocab_ = 0.0;
 
   InfoShieldResult result_;
 };

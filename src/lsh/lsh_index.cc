@@ -120,14 +120,11 @@ std::vector<DocId> LshIndex::Query(const MinHashSignature& sig) const {
 
 LshIndex::Stats LshIndex::ComputeStats() const {
   Stats stats;
-  for (const Partition& part : partitions_) {
-    stats.num_buckets += part.keys.size();
-    for (size_t i = 0; i < part.keys.size(); ++i) {
-      const size_t size = part.offsets[i + 1] - part.offsets[i];
-      stats.max_bucket = std::max(stats.max_bucket, size);
-      stats.candidate_pairs += size * (size - 1) / 2;
-    }
-  }
+  ForEachBucket([&stats](std::span<const DocId> docs) {
+    ++stats.num_buckets;
+    stats.max_bucket = std::max(stats.max_bucket, docs.size());
+    stats.candidate_pairs += docs.size() * (docs.size() - 1) / 2;
+  });
   return stats;
 }
 

@@ -14,9 +14,11 @@
 // pairs by the key's top bits, then one worker per partition sorts its
 // pairs and cuts them into buckets. Every bucket therefore lists its
 // documents in ascending order whatever the thread count. Query returns
-// the sorted candidate set for a probe signature; the coarse backend
-// never reads the index for its canonical edge replay (lsh_coarse.cc
-// replays doc-major band keys instead).
+// the sorted candidate set for a probe signature, and ForEachBucket walks
+// every bucket (ComputeStats, and the Template Matching baseline's
+// candidate pairs); the coarse backend never reads the index for its
+// canonical edge replay (lsh_coarse.cc replays doc-major band keys
+// instead).
 
 #ifndef INFOSHIELD_LSH_LSH_INDEX_H_
 #define INFOSHIELD_LSH_LSH_INDEX_H_
@@ -24,6 +26,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lsh/minhash.h"
@@ -85,6 +88,19 @@ class LshIndex {
 
   // Aggregate bucket statistics (scans all partitions; call after Build).
   Stats ComputeStats() const;
+
+  // Calls fn(docs) once per bucket, docs a std::span<const DocId> of the
+  // bucket's documents in ascending order, partition by partition and by
+  // ascending key within each: the same order at any thread count.
+  template <typename Fn>
+  void ForEachBucket(Fn&& fn) const {
+    for (const Partition& part : partitions_) {
+      for (size_t i = 0; i < part.keys.size(); ++i) {
+        fn(std::span<const DocId>(part.docs.data() + part.offsets[i],
+                                  part.offsets[i + 1] - part.offsets[i]));
+      }
+    }
+  }
 
   const MinHashParams& minhash_params() const { return minhash_; }
   const LshParams& params() const { return params_; }

@@ -212,14 +212,21 @@ write("poa", "near_dup_unrelated",
 
 # --- diff_fine / diff_coarse: option byte + synthetic families -------
 def family(base, docs):
-    """One template family: base phrase + per-doc mutation bytes."""
+    """One template family: base phrase + per-doc mutations, one per
+    base word. A mutation is a byte, or a (byte, word, ...) tuple whose
+    word ids follow the byte as the decoder reads them: the substituted
+    word for 0x02, then the inserted word for 0x10."""
     out = bounded(len(base) - 3, 9)
     for w in base:
         out += bounded(w, 15)
     out += bounded(len(docs) - 2, 3)
     for mutations in docs:
         assert len(mutations) >= len(base)
-        out += bytes(mutations[:len(base)])
+        for mutation in mutations[:len(base)]:
+            m, *words = mutation if isinstance(mutation, tuple) else (mutation,)
+            out += byte(m)
+            for w in words:
+                out += bounded(w, 15)
     return out
 
 def synthetic(option_bits, families, noise_docs):
@@ -281,6 +288,17 @@ three_families = [
 ]
 write("diff_fine", "three_families_acceptance",
       synthetic(0x00, three_families, []))
+# Two adjacent words swapped in three of five documents. The tie-heavy
+# scoring aligns a swapped pair as two free mismatches, the default one
+# as a deletion and an insertion around a match, so the two fuse
+# different POA graphs and the whole corpus as one cluster accepts
+# different template tokens: the seed fails if the fine stage's POA
+# ignores FineOptions::scoring.
+swap_base = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+swapped = [0, 0, 0, 0, (2, 6), (2, 5), 0, 0, 0, 0, 0]
+write("diff_fine", "tie_heavy_swaps",
+      synthetic(0x02, [(swap_base, [[0] * 11, [0] * 11, swapped, swapped,
+                                    swapped])], []))
 
 write("diff_coarse", "two_families", synthetic(0x00, two_families, noise))
 write("diff_coarse", "unigrams_and_degree_cap",

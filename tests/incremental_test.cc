@@ -150,7 +150,7 @@ TEST(IncrementalTest, SmallUpdatesToALargeBaseMatchBatchRun) {
   // A 1,149-document base, then six batches of four copies of one base
   // document each: every update touches about one coarse component of a
   // full-size corpus and adds no new word, the regime in which the
-  // engine reuses cached fine results.
+  // engine reuses the last ingest's fine results.
   TraffickingGenOptions o;
   o.num_benign = 800;
   o.num_spam_clusters = 6;
@@ -193,7 +193,7 @@ TEST(IncrementalTest, UntouchedComponentsReuseCachedFineResults) {
   // pattern (same df for every B phrase, so idf growth rescales all B
   // scores by one positive factor and the top-phrase ORDER holds), its
   // component membership is unchanged, and no new words arrive — so
-  // family B's fine result must come from the cache.
+  // family B's fine result must be reused.
   const std::string a = "sweet asian girls new in town call five five five";
   const std::string b = "grand opening best massage downtown walk ins welcome";
   std::vector<std::string> first_batch;
@@ -212,14 +212,55 @@ TEST(IncrementalTest, UntouchedComponentsReuseCachedFineResults) {
   EXPECT_FALSE(s2->vocab_grew);
   EXPECT_TRUE(s2->graph_rebuilt);
   ASSERT_EQ(s2->num_coarse_clusters, 2u);
-  EXPECT_EQ(s2->reused_clusters, 1u) << "family B should be a cache hit";
+  EXPECT_EQ(s2->reused_clusters, 1u) << "family B should be reused";
   EXPECT_EQ(s2->dirty_clusters, 1u);
   EXPECT_EQ(s2->dirty_cluster_docs, 8u);  // family A now has 8 members
 
-  // And the oracle still holds, cached results included.
+  // And the oracle still holds, reused results included.
   std::vector<std::string> all = first_batch;
   all.insert(all.end(), {a, a, a});
   EXPECT_EQ(IncrementalJson(engine), BatchJson(all, all.size(), options));
+}
+
+TEST(IncrementalTest, ReuseCarriesAcrossThreeIngests) {
+  // Each ingest reuses what the one before it kept, whichever ingest
+  // computed it: family A's result from ingest 2 is reused at ingest 3,
+  // after family B's reuse at ingest 2 carried B's ingest-1 result
+  // forward. Disjoint wording keeps each family's top phrases in order
+  // (see UntouchedComponentsReuseCachedFineResults) and lg V fixed.
+  const std::string a = "sweet asian girls new in town call five five five";
+  const std::string b = "grand opening best massage downtown walk ins welcome";
+  std::vector<std::string> first_batch;
+  for (int i = 0; i < 5; ++i) first_batch.push_back(a);
+  for (int i = 0; i < 5; ++i) first_batch.push_back(b);
+  struct Ingest {
+    std::vector<std::string> batch;
+    size_t reused;
+    size_t dirty_docs;
+  };
+  const std::vector<Ingest> ingests = {
+      {first_batch, 0, 10},  // first sight: both families are dirty
+      {{a, a, a}, 1, 8},     // A (8 members) re-fines, B is reused
+      {{b}, 1, 6},           // A reuses ingest 2's result, B (6) re-fines
+  };
+
+  InfoShieldOptions options;
+  IncrementalInfoShield engine(options);
+  std::vector<std::string> all;
+  for (const Ingest& ingest : ingests) {
+    all.insert(all.end(), ingest.batch.begin(), ingest.batch.end());
+    Result<IngestStats> stats = engine.IngestBatch(ingest.batch);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_FALSE(stats->vocab_grew);
+    ASSERT_EQ(stats->num_coarse_clusters, 2u);
+    EXPECT_EQ(stats->reused_clusters, ingest.reused)
+        << "after " << all.size() << " documents";
+    EXPECT_EQ(stats->dirty_clusters, 2u - ingest.reused);
+    EXPECT_EQ(stats->dirty_cluster_docs, ingest.dirty_docs);
+    EXPECT_EQ(IncrementalJson(engine), BatchJson(all, all.size(), options))
+        << "after " << all.size() << " documents";
+  }
+  EXPECT_TRUE(engine.ValidateInvariants().ok());
 }
 
 TEST(IncrementalTest, ChangedTopPhrasesDirtyAnUnchangedCluster) {
@@ -227,7 +268,7 @@ TEST(IncrementalTest, ChangedTopPhrasesDirtyAnUnchangedCluster) {
   // phrases while its coarse cluster keeps exactly its members and lg V
   // holds still. The fine stage seeds candidate pools from the members'
   // top phrases, so that cluster must re-fine rather than come from the
-  // cache: only the per-document change stamps can tell.
+  // last ingest: only comparing the members' top phrases can tell.
   const std::vector<std::string> texts = GeneratedTexts(/*seed=*/28);
   InfoShieldOptions options;
   IncrementalInfoShield engine(options);
@@ -267,7 +308,7 @@ TEST(IncrementalTest, NewVocabularyClearsTheFineCache) {
   IncrementalInfoShield engine(options);
   ASSERT_TRUE(engine.IngestBatch(first_batch).ok());
 
-  // Batch with a brand-new word: lg V moves, every cached cost
+  // Batch with a brand-new word: lg V moves, every kept cost
   // comparison is stale, everything re-fines.
   Result<IngestStats> stats =
       engine.IngestBatch({"totally novel wording zzyzx"});

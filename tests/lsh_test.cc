@@ -73,6 +73,13 @@ TEST(MinHashTest, JaccardEstimateConverges) {
     EXPECT_NEAR(estimate, exact, tolerance)
         << "cut=" << cut << " exact J=" << exact;
   }
+
+  // Short disjoint documents under a narrow family (64 hashes over
+  // 3-shingles, as the Template Matching baseline draws) estimate near 0.
+  const MinHashFamily narrow(MinHashParams{64, 3, 7});
+  EXPECT_LT(EstimateJaccard(narrow.Signature({1, 2, 3, 4, 5, 6}),
+                            narrow.Signature({10, 20, 30, 40, 50, 60})),
+            0.2);
 }
 
 TEST(MinHashTest, IdenticalDocumentsEstimateOne) {

@@ -2,48 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "datagen/twitter_gen.h"
+
 namespace infoshield {
 namespace {
-
-using internal::MinHashSignature;
-using internal::SignatureSimilarity;
-
-TEST(MinHashTest, IdenticalSequencesIdenticalSignatures) {
-  std::vector<TokenId> seq = {1, 2, 3, 4, 5, 6};
-  auto a = MinHashSignature(seq, 3, 64, 7);
-  auto b = MinHashSignature(seq, 3, 64, 7);
-  EXPECT_EQ(a, b);
-  EXPECT_DOUBLE_EQ(SignatureSimilarity(a, b), 1.0);
-}
-
-TEST(MinHashTest, DisjointSequencesDisagree) {
-  std::vector<TokenId> a_seq = {1, 2, 3, 4, 5, 6};
-  std::vector<TokenId> b_seq = {10, 20, 30, 40, 50, 60};
-  auto a = MinHashSignature(a_seq, 3, 64, 7);
-  auto b = MinHashSignature(b_seq, 3, 64, 7);
-  EXPECT_LT(SignatureSimilarity(a, b), 0.2);
-}
-
-TEST(MinHashTest, SimilarityTracksOverlap) {
-  // 9 shared shingle positions out of ~12.
-  std::vector<TokenId> base = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
-  std::vector<TokenId> variant = base;
-  variant[11] = 99;
-  auto a = MinHashSignature(base, 3, 128, 3);
-  auto b = MinHashSignature(variant, 3, 128, 3);
-  double sim = SignatureSimilarity(a, b);
-  EXPECT_GT(sim, 0.5);
-  EXPECT_LT(sim, 1.0);
-}
-
-TEST(MinHashTest, ShortSequencesHandled) {
-  std::vector<TokenId> tiny = {5};
-  auto sig = MinHashSignature(tiny, 3, 32, 1);
-  EXPECT_EQ(sig.size(), 32u);
-  // Shingle width clamps to the sequence length, so a second identical
-  // single-token doc matches.
-  EXPECT_EQ(sig, MinHashSignature(tiny, 3, 32, 1));
-}
 
 TEST(TemplateMatchingTest, ClustersNearDuplicates) {
   Corpus c;
@@ -114,6 +76,34 @@ TEST(TemplateMatchingTest, PairCountersPopulated) {
   EXPECT_GT(r.candidate_pairs, 0u);
   EXPECT_GT(r.verified_pairs, 0u);
   EXPECT_LE(r.verified_pairs, r.candidate_pairs);
+}
+
+TEST(TemplateMatchingTest, PinnedOutputOnAblationCorpora) {
+  // The ablation bench's A5 corpora (bench_ablation: 40 genuine + 40 bot
+  // accounts, seed 89) under the default options. The counts pin the
+  // whole path: signatures, banding, pair deduplication, verification
+  // and components.
+  struct Expected {
+    double bot_edit_prob;
+    size_t clusters;
+    size_t candidate_pairs;
+    size_t verified_pairs;
+  };
+  for (const Expected& e :
+       {Expected{0.02, 30, 1125, 566}, Expected{0.10, 22, 768, 213}}) {
+    TwitterGenOptions o;
+    o.num_genuine_accounts = 40;
+    o.num_bot_accounts = 40;
+    o.bot_edit_prob = e.bot_edit_prob;
+    const LabeledTweets data = TwitterGenerator(o).Generate(89);
+    const TemplateMatchingResult r =
+        TemplateMatching(data.corpus, TemplateMatchingOptions{});
+    EXPECT_EQ(r.num_clusters, e.clusters) << "edit prob " << e.bot_edit_prob;
+    EXPECT_EQ(r.candidate_pairs, e.candidate_pairs)
+        << "edit prob " << e.bot_edit_prob;
+    EXPECT_EQ(r.verified_pairs, e.verified_pairs)
+        << "edit prob " << e.bot_edit_prob;
+  }
 }
 
 TEST(TemplateMatchingDeathTest, BandsMustDivideHashes) {

@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
 """AST-grounded project analyzer — drives the checks over every TU in
-src/, tools/, and fuzz/ and enforces the suppression + baseline
-contract.
+src/, tools/, and fuzz/ and enforces the suppression contract.
 
 Usage (normally via `cmake --build build --target analyze` or
 `tools/check.sh --analyze` / `--races`):
 
   analyze.py [--repo-root DIR] [--roots src tools fuzz ...]
              [--frontend auto|clang|internal] [--checks a,b,...]
-             [--baseline FILE | --no-baseline] [--write-baseline]
              [--race-report FILE] [--lifetime-report FILE]
              [--cache-dir DIR] [--cache-cap N] [--quiet]
 
@@ -21,12 +19,8 @@ discarded Status or Result is the compiler's to reject
 Suppression: `// analyzer: allow(<check>[, ...]) -- <reason>` on the
 finding line or in the unbroken //-comment run directly above it — the
 same geometry unordered-iter uses for `determinism:` markers. The reason
-is mandatory; an allow without one is itself reported.
-
-Baseline: tools/analyzer/baseline.json maps "<path>:<check>" to a
-finding count. Counts may only shrink: a count above baseline fails
-(new findings), and a count below baseline also fails until the
-baseline is re-shrunk with --write-baseline — the ratchet never slips.
+is mandatory; an allow without one is itself reported. Every other
+finding fails the run: there is no grandfathering baseline.
 
 Exit status is capped at 1 (a raw count would wrap modulo 256).
 """
@@ -44,7 +38,6 @@ import checks as checks_mod                                  # noqa: E402
 import lifetimes as lifetimes_mod                            # noqa: E402
 import parser as parser_mod                                  # noqa: E402
 import raceinfer                                             # noqa: E402
-import ratchet                                               # noqa: E402
 from model import Finding, comment_run_covers                # noqa: E402
 
 SKIP_DIR_NAMES = {"fixtures", "lint_fixtures", "corpus", "third_party",
@@ -142,11 +135,6 @@ def apply_suppressions(findings, tus_by_path):
     return active, suppressed
 
 
-# Shrink-only baseline semantics live in ratchet.py (shared helper);
-# this alias keeps the historical import path working.
-check_baseline = ratchet.check
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     here = os.path.dirname(os.path.abspath(__file__))
@@ -157,14 +145,7 @@ def main():
                     default="auto")
     ap.add_argument("--checks", default="",
                     help="comma-separated subset of checks to enforce "
-                         "(default: all); the baseline is filtered to "
-                         "the same subset")
-    ap.add_argument("--baseline", default=os.path.join(here,
-                                                       "baseline.json"))
-    ap.add_argument("--no-baseline", action="store_true",
-                    help="ignore the baseline file (fixture/selftest runs)")
-    ap.add_argument("--write-baseline", action="store_true",
-                    help="rewrite the baseline to the current counts")
+                         "(default: all)")
     ap.add_argument("--race-report", default="",
                     help="write the race-inference report as JSON "
                          "(schema: infoshield-race-report/1)")
@@ -250,32 +231,15 @@ def main():
         active = [f for f in active
                   if f.check in selected or f.check == "allow-syntax"]
 
-    baseline = {}
-    if not args.no_baseline:
-        baseline = ratchet.filter_to_checks(ratchet.load(args.baseline),
-                                            selected)
-
-    if args.write_baseline:
-        total = ratchet.write(args.baseline, active)
-        print(f"analyze: wrote baseline with {total} "
-              f"finding(s) to {args.baseline}")
-        return 0
-
-    new, stale, baselined = ratchet.check(active, baseline)
-
-    for f in sorted(new, key=lambda f: (f.path, f.line, f.check)):
+    for f in sorted(active, key=lambda f: (f.path, f.line, f.check)):
         print(f"{f.path}:{f.line}: [{f.check}] {f.message}")
-    for key in stale:
-        print(f"analyze: stale baseline entry {key!r}: fewer findings than "
-              "baselined — shrink tools/analyzer/baseline.json "
-              "(--write-baseline) so the ratchet holds")
 
-    tally = (f"analyze: {len(files)} TU(s), {len(new)} finding(s), "
-             f"{len(baselined)} baselined, {len(suppressed)} suppressed")
-    if not args.quiet or new or stale:
+    tally = (f"analyze: {len(files)} TU(s), {len(active)} finding(s), "
+             f"{len(suppressed)} suppressed")
+    if not args.quiet or active:
         print(tally)
     # Cap at 1: a raw count would wrap modulo 256 on POSIX.
-    return 1 if (new or stale) else 0
+    return 1 if active else 0
 
 
 if __name__ == "__main__":

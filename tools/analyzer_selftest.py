@@ -10,9 +10,6 @@ and over the real tree, asserting:
    reasoned allow() suppressions, the lock-free concurrent idioms —
    trip nothing, and a clean tree exits 0;
  * an allow() without a `-- reason` is itself reported;
- * baseline semantics: matching counts pass, counts above baseline
-   fail, counts below baseline fail as stale (the ratchet only
-   shrinks), and --write-baseline round-trips;
  * the race inference (DESIGN.md §14): the seeded races (a
    launched-lambda write, a helper-chain write, a shared container
    grown by workers, a plain global, two std::threads) carry verdict
@@ -31,9 +28,6 @@ and over the real tree, asserting:
    loops, reasoned borrows() contracts) stay silent; and — when a
    clang driver exists — the seeded dangling views are caught under
    clang lowering too;
- * the shrink-only ratchet helper (tools/analyzer/ratchet.py) at the
-   unit level: grandfather counts, stale detection, check filtering,
-   and the load/write round-trip;
  * AST-dump cache eviction: stale keys pruned, stray .tmp files
    cleaned, live entries LRU-capped;
  * the real tree has zero unsuppressed findings, and its race report
@@ -112,7 +106,7 @@ def main():
 
     # --- bad fixtures: every check fires, run fails (capped exit) ------
     proc, findings = run_analyze(
-        ["--repo-root", FIXTURES, "--roots", "bad", "--no-baseline"])
+        ["--repo-root", FIXTURES, "--roots", "bad"])
     expect(proc.returncode == 1,
            f"bad tree: expected exit 1 (capped), got {proc.returncode}")
     for key, want in EXPECTED.items():
@@ -124,7 +118,7 @@ def main():
 
     # --- clean fixtures: nothing fires -------------------------------
     proc, findings = run_analyze(
-        ["--repo-root", FIXTURES, "--roots", "clean", "--no-baseline"])
+        ["--repo-root", FIXTURES, "--roots", "clean"])
     expect(proc.returncode == 0,
            f"clean tree: expected exit 0, got {proc.returncode}")
     expect(not findings,
@@ -136,7 +130,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         report_path = os.path.join(tmp, "race_report.json")
         proc, findings = run_analyze(
-            ["--repo-root", FIXTURES, "--roots", "bad", "--no-baseline",
+            ["--repo-root", FIXTURES, "--roots", "bad",
              "--race-report", report_path,
              "--checks", "race-infer,unordered-output-flow"])
         expect(proc.returncode == 1,
@@ -171,7 +165,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         report_path = os.path.join(tmp, "lifetime_report.json")
         proc, findings = run_analyze(
-            ["--repo-root", FIXTURES, "--roots", "bad", "--no-baseline",
+            ["--repo-root", FIXTURES, "--roots", "bad",
              "--lifetime-report", report_path,
              "--checks", "dangling-view,iter-invalidation,view-escape"])
         expect(proc.returncode == 1,
@@ -211,7 +205,7 @@ def main():
 
     # --- clean fixtures under the lifetime checks: FP guards hold -----
     proc, findings = run_analyze(
-        ["--repo-root", FIXTURES, "--roots", "clean", "--no-baseline",
+        ["--repo-root", FIXTURES, "--roots", "clean",
          "--checks", "dangling-view,iter-invalidation,view-escape"])
     expect(proc.returncode == 0 and not findings,
            "clean tree under lifetime checks: expected silence (param/"
@@ -221,7 +215,7 @@ def main():
 
     # --- clean fixtures under the race checks: FP guards hold ---------
     proc, findings = run_analyze(
-        ["--repo-root", FIXTURES, "--roots", "clean", "--no-baseline",
+        ["--repo-root", FIXTURES, "--roots", "clean",
          "--checks", "race-infer,unordered-output-flow"])
     expect(proc.returncode == 0 and not findings,
            "clean tree under race checks: expected silence (pre-launch "
@@ -237,7 +231,7 @@ def main():
               "skipping the clang-frontend race and lifetime legs")
     else:
         proc, findings = run_analyze(
-            ["--repo-root", FIXTURES, "--roots", "bad", "--no-baseline",
+            ["--repo-root", FIXTURES, "--roots", "bad",
              "--checks", "race-infer"],
             frontend="clang")
         expect(findings.get(("race_infer_bad.cc", "race-infer")) ==
@@ -245,7 +239,7 @@ def main():
                "clang frontend: seeded races must be caught under clang "
                f"lowering too, got {dict(findings)}")
         proc, findings = run_analyze(
-            ["--repo-root", FIXTURES, "--roots", "bad", "--no-baseline",
+            ["--repo-root", FIXTURES, "--roots", "bad",
              "--checks", "dangling-view"],
             frontend="clang")
         expect(findings.get(("dangling_view_bad.cc",
@@ -281,80 +275,6 @@ def main():
         expect(left == [f"live{i}{suffix}" for i in range(2, 6)],
                f"evict_cache: expected the 4 newest live entries, got "
                f"{left}")
-
-    # --- ratchet helper: shrink-only semantics at the unit level ------
-    import ratchet
-    from model import Finding
-    acts = [Finding("a.cc", line, "x", "m") for line in (1, 5, 9)]
-    new, stale, base = ratchet.check(acts, {"a.cc:x": 2})
-    expect([f.line for f in new] == [9] and not stale and
-           [f.line for f in base] == [1, 5],
-           "ratchet.check: the newest finding above baseline should "
-           f"escape, got new={[f.line for f in new]} stale={stale}")
-    new, stale, base = ratchet.check(acts[:1], {"a.cc:x": 2})
-    expect(stale == ["a.cc:x"] and not new,
-           f"ratchet.check: below-baseline count must be stale, got "
-           f"{stale} / {[f.line for f in new]}")
-    expect(ratchet.filter_to_checks(
-               {"a.cc:x": 1, "b.cc:y": 2}, {"y"}) == {"b.cc:y": 2} and
-           ratchet.filter_to_checks({"a.cc:x": 1}, set()) == {"a.cc:x": 1},
-           "ratchet.filter_to_checks: subset filtering regressed")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "b.json")
-        expect(ratchet.load(path) == {},
-               "ratchet.load: a missing baseline should read as empty")
-        total = ratchet.write(path, acts)
-        expect(total == 3 and ratchet.load(path) == {"a.cc:x": 3},
-               f"ratchet write/load round-trip failed: {total} / "
-               f"{ratchet.load(path)}")
-
-    # --- baseline semantics -------------------------------------------
-    with tempfile.TemporaryDirectory() as tmp:
-        baseline = os.path.join(tmp, "baseline.json")
-        # --write-baseline captures the bad tree, then a normal run with
-        # that baseline passes with everything baselined.
-        proc, _ = run_analyze(["--repo-root", FIXTURES, "--roots", "bad",
-                               "--baseline", baseline, "--write-baseline"])
-        expect(proc.returncode == 0,
-               f"write-baseline: expected exit 0, got {proc.returncode}")
-        with open(baseline, encoding="utf-8") as f:
-            captured = json.load(f)
-        expect(sum(captured.values()) == sum(EXPECTED.values()),
-               f"write-baseline: expected {sum(EXPECTED.values())} "
-               f"entries, captured {sum(captured.values())}")
-        proc, findings = run_analyze(
-            ["--repo-root", FIXTURES, "--roots", "bad",
-             "--baseline", baseline])
-        expect(proc.returncode == 0 and not findings,
-               "baselined run: expected exit 0 with no printed findings, "
-               f"got {proc.returncode} / {dict(findings)}")
-
-        # Growth: shrink one baseline entry — the newest finding escapes
-        # the baseline and fails the run.
-        grown = dict(captured)
-        key = "bad/hot_alloc_bad.cc:hot-loop-alloc"
-        grown[key] = grown[key] - 1
-        with open(baseline, "w", encoding="utf-8") as f:
-            json.dump(grown, f)
-        proc, findings = run_analyze(
-            ["--repo-root", FIXTURES, "--roots", "bad",
-             "--baseline", baseline])
-        expect(proc.returncode == 1 and
-               findings.get(("hot_alloc_bad.cc", "hot-loop-alloc")) == 1,
-               "baseline growth: expected exactly the one above-baseline "
-               f"finding to fail, got {proc.returncode} / {dict(findings)}")
-
-        # Staleness: inflate an entry — fewer findings than baselined
-        # must fail until the baseline is re-shrunk.
-        stale = dict(captured)
-        stale[key] = stale[key] + 2
-        with open(baseline, "w", encoding="utf-8") as f:
-            json.dump(stale, f)
-        proc, _ = run_analyze(
-            ["--repo-root", FIXTURES, "--roots", "bad",
-             "--baseline", baseline])
-        expect(proc.returncode == 1 and "stale baseline" in proc.stdout,
-               f"stale baseline: expected failure, got {proc.returncode}")
 
     # --- real tree: zero unsuppressed findings, no racy field ---------
     with tempfile.TemporaryDirectory() as tmp:
@@ -398,8 +318,8 @@ def main():
         for f in failures:
             print(f"analyzer_selftest: FAIL: {f}")
         return 1
-    print("analyzer_selftest: all check fixtures, baseline semantics, and "
-          "the real-tree gate behaved as expected")
+    print("analyzer_selftest: all check fixtures and the real-tree gate "
+          "behaved as expected")
     return 0
 
 

@@ -89,7 +89,7 @@ export TSAN_OPTIONS="suppressions=$SUPP_DIR/tsan.supp:halt_on_error=1:second_dea
 step() { printf '\n=== %s ===\n' "$*"; }
 
 # The AST-grounded analyzer (DESIGN.md §13, §14, §17): every check over
-# every TU in src/, tools/, and fuzz/, the allow()/baseline ratchet,
+# every TU in src/, tools/, and fuzz/, reasoned allow() suppressions,
 # and the race/lifetime reports. Uses clang ASTs when clang++ is
 # installed, the built-in frontend otherwise.
 run_analyzer() {
@@ -101,9 +101,8 @@ run_analyzer() {
     --lifetime-report "$ROOT/build/lifetime_report.json"
 }
 
-# --races: only the race legs (DESIGN.md §14). The baseline is filtered
-# to the same checks, so race findings gate here without retesting the
-# §13 checks.
+# --races: only the race legs (DESIGN.md §14), so race findings gate
+# here without retesting the §13 checks.
 run_races() {
   step "race inference (race-infer, unordered-output-flow)"
   mkdir -p build
@@ -118,9 +117,8 @@ if [[ "$ANALYZE_ONLY" == "1" ]]; then
   exit 0
 fi
 
-# --lifetimes: only the interprocedural lifetime legs (DESIGN.md §17).
-# The baseline is filtered to the same checks, so lifetime findings
-# gate here without retesting the §13/§14 checks.
+# --lifetimes: only the interprocedural lifetime legs (DESIGN.md §17),
+# so lifetime findings gate here without retesting the §13/§14 checks.
 run_lifetimes() {
   step "lifetime analysis (dangling-view, iter-invalidation, view-escape)"
   mkdir -p build
