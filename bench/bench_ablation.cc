@@ -2,7 +2,9 @@
 // (the ids start at A3: EXPERIMENTS.md keeps the retired A1 and A2):
 //
 //   A3  Candidate seeding: phrase-neighbor seeding vs. full scan —
-//       same quality, quasi-linear vs. quadratic fine stage.
+//       same quality; the full scan costs more only once a component
+//       over-merges, and since the claim scan's bag-of-words bound skips
+//       hopeless alignments, by a modest factor rather than a square.
 //   A4  Phrase eligibility: min n-gram length 2 vs. 1 — component
 //       structure of the coarse graph (percolation through shared rare
 //       words).
@@ -74,8 +76,9 @@ void AblationNeighborSeeding() {
                 data.corpus.size(), largest, seconds[0], seconds[1], f1[0],
                 f1[1]);
   }
-  std::printf("expected: matching F1; full-scan time grows quadratically\n"
-              "on over-merged components, neighbor seeding stays linear.\n");
+  std::printf("expected: matching F1; the arms within noise while the\n"
+              "largest component is small, the full scan slower (about\n"
+              "1.2-1.4x at 8,086 tweets) once it over-merges.\n");
 }
 
 void AblationMinNgram() {

@@ -4,7 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -297,14 +300,6 @@ namespace {
 // rounding can never skip a document the alignment would admit.
 constexpr double kScanBoundMargin = 1e-9;
 
-// One seed of phase (a): the documents it claimed, the seed first and
-// then its admitted pool documents in pool order.
-struct ClaimedSeed {
-  std::vector<DocId> members;
-  // Σ UnencodedDocCost over members, folded from 0.0 in member order.
-  double unencoded = 0.0;
-};
-
 // Phase (b)'s template for one claim that reaches kMinTemplateSupport.
 struct Candidate {
   // False when the consensus search found no non-empty consensus.
@@ -319,8 +314,15 @@ struct Candidate {
 
 // Everything one cluster carries from phase (a) to phase (c).
 struct ClusterClaims {
-  // In seed (cursor) order.
-  std::vector<ClaimedSeed> seeds;
+  // Every document of the cluster, claim by claim: seed s owns
+  // members[offsets[s], offsets[s + 1]), the seed first and then its
+  // admitted pool documents in pool order. Sized to the cluster before
+  // the walk, so a published claim never moves.
+  std::vector<DocId> members;
+  std::vector<uint32_t> offsets;
+  // Per seed, Σ UnencodedDocCost over its claim, folded from 0.0 in
+  // member order.
+  std::vector<double> seed_unencoded;
   // Σ UnencodedDocCost over the cluster, folded in cluster order.
   double unencoded = 0.0;
   // The candidate scans' alignments.
@@ -331,17 +333,21 @@ struct ClusterClaims {
 // seed, in cluster order, gathers its scan pool, aligns the seed against
 // every pool document and claims itself plus each document that encodes
 // more cheaply against the seed than alone. Acceptance never un-claims
-// a document, so this fixes every seed's member list. Documents are
-// addressed by cluster position, so all state is flat and O(cluster).
-ClusterClaims ClaimSeeds(
-    const Corpus& corpus, const std::vector<DocId>& doc_ids,
-    const CostModel& cm, const AlignmentScoring& scoring,
-    const std::vector<std::vector<PhraseHash>>* doc_top_phrases) {
-  ClusterClaims claims;
+// a document, so a claim is final once its seed's scan ends: the walk
+// then hands each claim that reaches kMinTemplateSupport to publish.
+// Documents are addressed by cluster position, so all state is flat and
+// O(cluster); `claims` is filled in place.
+void ClaimSeeds(const Corpus& corpus, const std::vector<DocId>& doc_ids,
+                const CostModel& cm, const AlignmentScoring& scoring,
+                const std::vector<std::vector<PhraseHash>>* doc_top_phrases,
+                ClusterClaims* claims,
+                const std::function<void(std::span<const DocId>)>& publish) {
   const size_t n = doc_ids.size();
   for (DocId id : doc_ids) {
-    claims.unencoded += cm.UnencodedDocCost(corpus.doc(id).length());
+    claims->unencoded += cm.UnencodedDocCost(corpus.doc(id).length());
   }
+  claims->members.resize(n);
+  claims->offsets.assign(1, 0);
 
   // Phrase -> cluster positions as CSR, built from sorted (phrase,
   // position) pairs: positions[offsets[k], offsets[k+1]) hold phrases[k]'s
@@ -375,6 +381,7 @@ ClusterClaims ClaimSeeds(
   TokenBag seed_bag;
   size_t aligned = 0;
   size_t skipped = 0;
+  size_t filled = 0;  // members claimed so far
   AlignmentWorkspace workspace;
   for (size_t cursor = 0; cursor < n; ++cursor) {
     if (claimed[cursor]) continue;
@@ -415,8 +422,8 @@ ClusterClaims ClaimSeeds(
     // with the configured scoring, as the MSA and the consensus search do.
     // A probe whose bag-of-words bound already fails the test skips its
     // alignment: the document could never have been admitted.
-    ClaimedSeed claim;
-    claim.members.push_back(seed);
+    const size_t begin = filled;
+    claims->members[filled++] = seed;
     claimed[cursor] = 1;
     seed_bag.Assign(seed_tokens);
     for (uint32_t i : pool) {
@@ -434,26 +441,30 @@ ClusterClaims ClaimSeeds(
       const double conditional = cm.EncodedDocCost(
           1, SummaryForSlotMask(BuildGapCostProfile(alignment), {}));
       if (conditional < unencoded) {
-        claim.members.push_back(doc_ids[i]);
+        claims->members[filled++] = doc_ids[i];
         claimed[i] = 1;
       }
     }
-    for (DocId d : claim.members) {
-      claim.unencoded += cm.UnencodedDocCost(corpus.doc(d).length());
+    const std::span<const DocId> claim(claims->members.data() + begin,
+                                       filled - begin);
+    double claim_unencoded = 0.0;
+    for (DocId d : claim) {
+      claim_unencoded += cm.UnencodedDocCost(corpus.doc(d).length());
     }
-    claims.seeds.push_back(std::move(claim));
+    claims->seed_unencoded.push_back(claim_unencoded);
+    claims->offsets.push_back(static_cast<uint32_t>(filled));
+    if (claim.size() >= kMinTemplateSupport) publish(claim);
   }
-  claims.stats.alignments_computed = aligned;
-  claims.stats.scan_alignments_skipped = skipped;
-  claims.stats.dp_cells = workspace.cells;
-  return claims;
+  claims->stats.alignments_computed = aligned;
+  claims->stats.scan_alignments_skipped = skipped;
+  claims->stats.dp_cells = workspace.cells;
 }
 
 // Phase (b) for one claim: steps 1 (the MSA), 2 and 3 of the header
 // comment. The MSA fuses the members in claim order, exactly as the
 // scan admitted them.
 Candidate ProposeTemplate(const FineClustering& fine, const Corpus& corpus,
-                          const std::vector<DocId>& members,
+                          std::span<const DocId> members,
                           const CostModel& cm) {
   Candidate candidate;
   std::vector<std::vector<TokenId>> member_docs;
@@ -480,17 +491,32 @@ Candidate ProposeTemplate(const FineClustering& fine, const Corpus& corpus,
   return candidate;
 }
 
+// One claim that reaches kMinTemplateSupport, from its walk to its
+// acceptance: the claim's span of its cluster's member array, and the
+// candidate phase (b) makes of it.
+struct CandidateTask {
+  // analyzer: borrows(members) -- its cluster's ClusterClaims::members,
+  // sized before the walk and never resized, which lives until the
+  // cluster's acceptance, after the fork-join in which ProposeTemplate,
+  // the span's one reader, runs.
+  std::span<const DocId> members;
+  // Held by pointer: the table is sized by the bound in RunOnClusters,
+  // which most clusters stay far below, so most entries stay empty.
+  std::unique_ptr<Candidate> candidate;
+};
+
 // Phase (c): Algorithm 4's acceptance test, replayed in seed order.
-// `candidates` holds phase (b)'s result for each seed with at least
+// `tasks` is the cluster's part of the task table: its first entries
+// hold phase (b)'s result for each seed with at least
 // kMinTemplateSupport members, in seed order. Undecided documents are
 // carried as unencoded in every total so that successive totals stay
 // comparable; as each seed's members are claimed by a template or
-// rejected as noise, their cost moves out of the pending pool. Takes its
-// inputs by value, so a cluster's claim and candidate state is freed as
-// soon as its result exists.
+// rejected as noise, their cost moves out of the pending pool. Takes the
+// claims by value and each candidate from its task, so a cluster's claim
+// and candidate state is freed as soon as its result exists.
 FineResult AcceptTemplates(ClusterClaims claims,
-                           std::vector<Candidate> candidates,
-                           size_t num_docs, const CostModel& cm) {
+                           std::span<CandidateTask> tasks, size_t num_docs,
+                           const CostModel& cm) {
   FineResult result;
   if (num_docs == 0) return result;
   result.stats = claims.stats;
@@ -502,18 +528,22 @@ FineResult AcceptTemplates(ClusterClaims claims,
   double encoded_base_sum = 0.0;
   size_t num_encoded = 0;
   size_t next = 0;
-  for (ClaimedSeed& seed : claims.seeds) {
-    pending_token_cost -= seed.unencoded;
-    if (seed.members.size() >= kMinTemplateSupport) {
-      Candidate& candidate = candidates[next++];
-      result.stats.MergeFrom(candidate.stats);
-      if (candidate.found) {
+  for (size_t s = 0; s < claims.seed_unencoded.size(); ++s) {
+    const std::span<const DocId> members(
+        claims.members.data() + claims.offsets[s],
+        claims.offsets[s + 1] - claims.offsets[s]);
+    pending_token_cost -= claims.seed_unencoded[s];
+    if (members.size() >= kMinTemplateSupport) {
+      const std::unique_ptr<Candidate> candidate =
+          std::move(tasks[next++].candidate);
+      result.stats.MergeFrom(candidate->stats);
+      if (candidate->found) {
         const double new_template_cost_sum =
-            template_cost_sum + cm.TemplateCost(candidate.tmpl.length(),
-                                                candidate.tmpl.num_slots());
+            template_cost_sum + cm.TemplateCost(candidate->tmpl.length(),
+                                                candidate->tmpl.num_slots());
         const double new_encoded_base_sum =
-            encoded_base_sum + candidate.encoded_base;
-        const size_t new_num_encoded = num_encoded + seed.members.size();
+            encoded_base_sum + candidate->encoded_base;
+        const size_t new_num_encoded = num_encoded + members.size();
         const double candidate_total =
             TotalCost(num_docs, result.templates.size() + 1,
                       new_template_cost_sum, new_encoded_base_sum,
@@ -523,20 +553,20 @@ FineResult AcceptTemplates(ClusterClaims claims,
           template_cost_sum = new_template_cost_sum;
           encoded_base_sum = new_encoded_base_sum;
           num_encoded = new_num_encoded;
-          result.templates.push_back({std::move(candidate.tmpl),
-                                      std::move(seed.members),
-                                      std::move(candidate.encodings)});
+          result.templates.push_back(
+              {std::move(candidate->tmpl),
+               std::vector<DocId>(members.begin(), members.end()),
+               std::move(candidate->encodings)});
           continue;
         }
       }
     }
     // Rejection keeps the total unchanged: the members' unencoded cost
     // simply moves from the pending pool to the noise term.
-    result.noise.insert(result.noise.end(), seed.members.begin(),
-                        seed.members.end());
-    noise_token_cost += seed.unencoded;
+    result.noise.insert(result.noise.end(), members.begin(), members.end());
+    noise_token_cost += claims.seed_unencoded[s];
   }
-  CHECK_EQ(next, candidates.size());
+  CHECK_LE(next, tasks.size());
   result.cost_after = best_total;
   // Canonical emission order: rejected documents accumulate in seed-scan
   // order, which depends on how earlier templates carved up the cluster;
@@ -563,58 +593,54 @@ std::vector<FineResult> FineClustering::RunOnClusters(
     size_t num_threads) const {
   const size_t k = clusters.size();
 
-  // (a) Claims, largest cluster first: its serial walk is the longest.
+  // Claim walks run largest cluster first: its serial walk is the longest.
   std::vector<size_t> by_size(k);
   for (size_t ci = 0; ci < k; ++ci) by_size[ci] = ci;
   std::stable_sort(by_size.begin(), by_size.end(), [&](size_t a, size_t b) {
     return clusters[a].size() > clusters[b].size();
   });
-  std::vector<ClusterClaims> claims(k);
-  ThreadPool::ParallelFor(num_threads, k, [&](size_t i) {
-    const size_t ci = by_size[i];
-    claims[ci] = ClaimSeeds(corpus, clusters[ci], cm, options_.scoring,
-                            doc_top_phrases);
-  });
-
-  // (b) Candidates: one task per claim that reaches kMinTemplateSupport,
-  // each depending only on its member list, so all clusters' candidates
-  // form one fan-out. candidates[ci] lists cluster ci's in seed order;
-  // tasks run heaviest first (member tokens x members) so the longest
-  // start earliest, and each writes only its own element.
-  struct Task {
-    size_t cluster;
-    size_t seed;
-    size_t candidate;
-    size_t weight;
-  };
-  std::vector<Task> tasks;
-  std::vector<std::vector<Candidate>> candidates(k);
+  // A claim that reaches kMinTemplateSupport takes that many of its
+  // cluster's documents, so cluster ci has at most |ci| /
+  // kMinTemplateSupport of them: its j-th in seed order is
+  // tasks[first_task[ci] + j].
+  std::vector<size_t> first_task(k + 1, 0);
   for (size_t ci = 0; ci < k; ++ci) {
-    for (size_t s = 0; s < claims[ci].seeds.size(); ++s) {
-      const std::vector<DocId>& members = claims[ci].seeds[s].members;
-      if (members.size() < kMinTemplateSupport) continue;
-      size_t tokens = 0;
-      for (DocId d : members) tokens += corpus.doc(d).length();
-      tasks.push_back({ci, s, candidates[ci].size(), tokens * members.size()});
-      candidates[ci].emplace_back();
-    }
+    first_task[ci + 1] =
+        first_task[ci] + clusters[ci].size() / kMinTemplateSupport;
   }
-  std::stable_sort(tasks.begin(), tasks.end(),
-                   [](const Task& a, const Task& b) {
-                     return a.weight > b.weight;
+  std::vector<CandidateTask> tasks(first_task[k]);
+  std::vector<ClusterClaims> claims(k);
+
+  // (a) and (b) in one fork-join: each walk publishes a claim as soon as
+  // its seed's scan ends, and a worker with no walk left proposes that
+  // claim's template while the walks go on. Each candidate depends only
+  // on its member list, so the order they run in changes nothing, and
+  // each task writes only its own slot.
+  ThreadPool::ParallelForPublishing(
+      num_threads, k, first_task[k],
+      [&](size_t i, const ThreadPool::Publish& publish) {
+        const size_t ci = by_size[i];
+        size_t next = first_task[ci];
+        ClaimSeeds(corpus, clusters[ci], cm, options_.scoring,
+                   doc_top_phrases, &claims[ci],
+                   [&](std::span<const DocId> members) {
+                     tasks[next].members = members;
+                     publish(next++);
                    });
-  ThreadPool::ParallelFor(num_threads, tasks.size(), [&](size_t i) {
-    const auto [ci, seed, slot, weight] = tasks[i];
-    candidates[ci][slot] =
-        ProposeTemplate(*this, corpus, claims[ci].seeds[seed].members, cm);
-  });
+      },
+      [&](size_t t) {
+        tasks[t].candidate = std::make_unique<Candidate>(
+            ProposeTemplate(*this, corpus, tasks[t].members, cm));
+      });
 
   // (c) Acceptance per cluster; each consumes its claims and candidates.
   std::vector<FineResult> results(k);
   ThreadPool::ParallelFor(num_threads, k, [&](size_t ci) {
-    results[ci] = AcceptTemplates(std::move(claims[ci]),
-                                  std::move(candidates[ci]),
-                                  clusters[ci].size(), cm);
+    results[ci] = AcceptTemplates(
+        std::move(claims[ci]),
+        std::span(tasks).subspan(first_task[ci],
+                                 first_task[ci + 1] - first_task[ci]),
+        clusters[ci].size(), cm);
     INFOSHIELD_AUDIT_INVARIANTS(
         ValidateFineResult(results[ci], corpus, clusters[ci], &cm));
   });

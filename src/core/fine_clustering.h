@@ -19,10 +19,13 @@
 // Acceptance never changes which documents a seed claims (a rejected
 // candidate set is still claimed, as noise), so the loop runs as three
 // exact phases (DESIGN.md §10): (a) claims — step 1's serial seed walk
-// without the POA, fixing every seed's member list; (b) candidates —
-// step 1's POA and steps 2 and 3 per member list, independent of each
-// other and fanned out across all clusters; (c) acceptance — step 4
-// replayed in seed order on running sums, O(1) per seed.
+// without the POA, which fixes each seed's member list when that seed's
+// scan ends; (b) candidates — step 1's POA and steps 2 and 3 per member
+// list, independent of each other. (a) and (b) share one fork-join
+// across all clusters: each walk publishes a claim as soon as it is
+// final, and free workers run its candidate while the walks go on.
+// (c) acceptance — step 4 replayed in seed order on running sums, O(1)
+// per seed.
 //
 // Parameter-free: every choice above is made by cost comparison.
 
@@ -131,10 +134,12 @@ class FineClustering {
           nullptr) const;
 
   // Runs Algorithm 4 on every cluster across `num_threads` workers (0 =
-  // hardware concurrency): (a) each cluster's claims, largest cluster
-  // first; (b) one fan-out over the candidate sets of all clusters,
-  // heaviest first (member tokens x members), so a giant cluster's
-  // consensus searches spread over every worker; (c) each cluster's
+  // hardware concurrency), in two fork-joins. The first runs (a) each
+  // cluster's claim walk, largest cluster first, and (b) the candidate
+  // set of every claim that reaches kMinTemplateSupport, in the order the
+  // walks publish them: a claim is published as soon as its seed's scan
+  // ends, so a giant cluster's consensus searches spread over every
+  // worker while its walk continues. The second runs (c) each cluster's
   // acceptance. Element i equals RunOnCluster(corpus, clusters[i], ...)
   // field for field, cost bits and FineStageStats included, at any
   // thread count.

@@ -4,8 +4,10 @@
 // single laptop; multicore shortens it proportionally).
 //
 // ParallelFor starts its workers, lets them claim indices from one atomic
-// counter and joins them before it returns. Nothing outlives a call, so
-// there is no pool object and no lock; ThreadPool only scopes the three
+// counter and joins them before it returns. ParallelForPublishing does the
+// same for calls that publish further items while they run, and runs
+// those items on whichever workers are free. Nothing outlives a call, so
+// there is no pool object and no lock; ThreadPool only scopes the four
 // static functions below.
 
 #ifndef INFOSHIELD_UTIL_THREAD_POOL_H_
@@ -36,6 +38,26 @@ class ThreadPool {
   // be safe to call concurrently for distinct i.
   static void ParallelFor(size_t num_threads, size_t count,
                           const std::function<void(size_t)>& fn);
+
+  // What ParallelForPublishing hands each fn call: publish(item) queues
+  // `item` for consume.
+  using Publish = std::function<void(size_t item)>;
+
+  // Runs fn(i, publish) for i in [0, count), as ParallelFor does, and
+  // consume(item) once for every item those calls publish, at most
+  // `max_items` in all. A worker takes the next i while any is left, then
+  // the published items in publish order, so items run while later fn
+  // calls are still publishing; a worker with nothing published blocks
+  // until a call publishes or the last call returns. consume(item) sees
+  // every write its publisher made before publishing it. Workers number
+  // min(ResolveNumThreads(num_threads), count + max_items); one means the
+  // calling thread: every fn call in index order, then every item in
+  // publish order. fn must be safe to call concurrently for distinct i,
+  // and consume for distinct items.
+  static void ParallelForPublishing(
+      size_t num_threads, size_t count, size_t max_items,
+      const std::function<void(size_t, const Publish&)>& fn,
+      const std::function<void(size_t)>& consume);
 
   // Splits items [0, count) into contiguous chunks of about equal total
   // weight(i) for ParallelFor: one chunk for one worker, else at most 4

@@ -204,49 +204,112 @@ TEST(DeterminismTest, CoarseMatchesSerialOracleAtEveryThreadCount) {
   }
 }
 
-TEST(DeterminismTest, FineFanOutMatchesSerialRunOnCluster) {
-  // RunOnClusters splits every cluster into claims, one candidate fan-out
-  // across all clusters, and acceptance. At any thread count each
-  // cluster's result must equal a serial RunOnCluster field for field:
-  // templates, members, noise, encoding and cost bits, and work counters,
-  // the DP cell count and the computed and skipped scan alignments apart
-  // included (DiffFineResults compares their sum and leaves the DP cells
-  // out, since the reference fine stage re-aligns what production
-  // caches and skips).
-  const FineInput inputs[] = {CoarseClustersOf(MakeCorpus(/*seed=*/7).corpus),
-                              MakeChainClusters()};
+// RunOnClusters runs every cluster's claim walk and its candidates in
+// one fork-join, each candidate as soon as its walk publishes the claim,
+// then acceptance. At 1, 2, 4 and 8 threads each cluster's result must
+// equal a serial RunOnCluster field for field: templates, members,
+// noise, encoding and cost bits, and work counters, the DP cell count
+// and the computed and skipped scan alignments apart included
+// (DiffFineResults compares their sum and leaves the DP cells out, since
+// the reference fine stage re-aligns what production caches and skips).
+// Returns the serial results.
+std::vector<FineResult> ExpectFanOutMatchesSerial(const FineInput& in) {
   const FineClustering fine;
-  for (const FineInput& in : inputs) {
-    const CostModel cm = CostModel::ForVocabulary(in.corpus.vocab());
-    std::vector<FineResult> serial;
-    size_t templates = 0;
-    for (const std::vector<DocId>& cluster : in.clusters) {
-      serial.push_back(
-          fine.RunOnCluster(in.corpus, cluster, cm, &in.top_phrases));
-      templates += serial.back().templates.size();
-    }
-    ASSERT_GT(in.clusters.size(), 1u);
-    ASSERT_GE(templates, in.clusters.size());
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      const std::vector<FineResult> fanned = fine.RunOnClusters(
-          in.corpus, in.clusters, cm, &in.top_phrases, threads);
-      ASSERT_EQ(fanned.size(), serial.size());
-      for (size_t ci = 0; ci < serial.size(); ++ci) {
-        EXPECT_EQ(oracle::DiffFineResults(fanned[ci], serial[ci]), "")
-            << "threads=" << threads << ", cluster " << ci << " of "
-            << in.corpus.size() << "-document corpus";
-        EXPECT_GT(fanned[ci].stats.dp_cells, 0u);
-        EXPECT_EQ(fanned[ci].stats.dp_cells, serial[ci].stats.dp_cells)
-            << "threads=" << threads << ", cluster " << ci;
-        EXPECT_EQ(fanned[ci].stats.alignments_computed,
-                  serial[ci].stats.alignments_computed)
-            << "threads=" << threads << ", cluster " << ci;
-        EXPECT_EQ(fanned[ci].stats.scan_alignments_skipped,
-                  serial[ci].stats.scan_alignments_skipped)
-            << "threads=" << threads << ", cluster " << ci;
-      }
+  const CostModel cm = CostModel::ForVocabulary(in.corpus.vocab());
+  std::vector<FineResult> serial;
+  for (const std::vector<DocId>& cluster : in.clusters) {
+    serial.push_back(fine.RunOnCluster(in.corpus, cluster, cm,
+                                       &in.top_phrases));
+  }
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    const std::vector<FineResult> fanned = fine.RunOnClusters(
+        in.corpus, in.clusters, cm, &in.top_phrases, threads);
+    EXPECT_EQ(fanned.size(), serial.size()) << "threads=" << threads;
+    for (size_t ci = 0; ci < std::min(serial.size(), fanned.size()); ++ci) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << ", cluster " << ci << " of "
+                   << in.corpus.size() << "-document corpus");
+      EXPECT_EQ(oracle::DiffFineResults(fanned[ci], serial[ci]), "");
+      EXPECT_EQ(fanned[ci].stats.dp_cells, serial[ci].stats.dp_cells);
+      EXPECT_EQ(fanned[ci].stats.alignments_computed,
+                serial[ci].stats.alignments_computed);
+      EXPECT_EQ(fanned[ci].stats.scan_alignments_skipped,
+                serial[ci].stats.scan_alignments_skipped);
     }
   }
+  return serial;
+}
+
+TEST(DeterminismTest, FineFanOutMatchesSerialRunOnCluster) {
+  // Coarse clusters, and a chain-shaped giant component whose walk
+  // publishes while the small clusters' candidates already run.
+  const FineInput inputs[] = {CoarseClustersOf(MakeCorpus(/*seed=*/7).corpus),
+                              MakeChainClusters()};
+  for (const FineInput& in : inputs) {
+    ASSERT_GT(in.clusters.size(), 1u);
+    const std::vector<FineResult> serial = ExpectFanOutMatchesSerial(in);
+    size_t templates = 0;
+    for (const FineResult& result : serial) {
+      EXPECT_GT(result.stats.dp_cells, 0u);
+      templates += result.templates.size();
+    }
+    EXPECT_GE(templates, in.clusters.size());
+  }
+}
+
+TEST(DeterminismTest, FineFanOutOfNoClustersIsEmpty) {
+  // No walk ever starts, so none can end and release a waiting worker.
+  FineInput in = MakeChainClusters();
+  in.clusters.clear();
+  EXPECT_TRUE(ExpectFanOutMatchesSerial(in).empty());
+}
+
+TEST(DeterminismTest, FineFanOutWhenNoClaimReachesTwoMembers) {
+  // Every document of a cluster shares one top phrase and two words with
+  // the rest, and its other ten words are its own, so each seed scans
+  // the others and claims none: no walk publishes a candidate, and the
+  // last walk to end must release every waiting worker. Cluster sizes
+  // 7, 4, 1 and 0.
+  FineInput in;
+  const size_t sizes[] = {7, 4, 1, 0};
+  for (size_t c = 0; c < std::size(sizes); ++c) {
+    in.clusters.emplace_back();
+    for (size_t d = 0; d < sizes[c]; ++d) {
+      std::string text = "shared" + std::to_string(c) + " common" +
+                         std::to_string(c);
+      for (size_t w = 0; w < 10; ++w) {
+        text += " own" + std::to_string(c) + "x" + std::to_string(d) + "x" +
+                std::to_string(w);
+      }
+      in.clusters.back().push_back(in.corpus.Add(text));
+    }
+  }
+  in.top_phrases.resize(in.corpus.size());
+  for (size_t c = 0; c < in.clusters.size(); ++c) {
+    for (DocId d : in.clusters[c]) in.top_phrases[d] = {0xc1a5ULL + c};
+  }
+  const std::vector<FineResult> serial = ExpectFanOutMatchesSerial(in);
+  ASSERT_EQ(serial.size(), in.clusters.size());
+  size_t scans = 0;
+  for (size_t c = 0; c < serial.size(); ++c) {
+    EXPECT_TRUE(serial[c].templates.empty()) << "cluster " << c;
+    EXPECT_EQ(serial[c].noise.size(), in.clusters[c].size());
+    scans += serial[c].stats.alignments_computed +
+             serial[c].stats.scan_alignments_skipped;
+  }
+  EXPECT_EQ(scans, 7u * 6 / 2 + 4u * 3 / 2);
+}
+
+TEST(DeterminismTest, FineFanOutWithMoreThreadsThanClusters) {
+  // One walk, then the chain and one small cluster: at 4 and 8 threads
+  // most workers have no walk and wait for published claims.
+  FineInput in = MakeChainClusters();
+  in.clusters.resize(1);
+  EXPECT_FALSE(ExpectFanOutMatchesSerial(in).front().templates.empty());
+  FineInput two = MakeChainClusters();
+  two.clusters.resize(2);
+  const std::vector<FineResult> serial = ExpectFanOutMatchesSerial(two);
+  EXPECT_FALSE(serial[1].templates.empty());
 }
 
 TEST(DeterminismTest, FineAcceptanceMatchesReference) {

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -120,6 +122,129 @@ TEST(ParallelForTest, ResultsMatchSequential) {
   ThreadPool::ParallelFor(8, n, [&](size_t i) { parallel[i] = work(i); });
   for (size_t i = 0; i < n; ++i) sequential[i] = work(i);
   EXPECT_EQ(parallel, sequential);
+}
+
+// The worker counts ParallelForPublishing is checked at: 1, 2, 4, 8, and
+// more than twice the CPUs the caller may use, so workers outnumber
+// CPUs and wait on one another.
+std::vector<size_t> PublishingWorkerCounts() {
+  return {1, 2, 4, 8, 2 * ThreadPool::ResolveNumThreads(0) + 1};
+}
+
+// Call i publishes i % 5 items (none when i is a multiple of 5) into its
+// own range of ids, filling each item's payload before publishing it.
+// Every published item must run exactly once and read its publisher's
+// payload, and no other id may run.
+TEST(ParallelForPublishingTest, EveryPublishedItemRunsOnceAfterItsWrites) {
+  const size_t calls = 60;
+  const size_t per_call = 4;
+  for (size_t threads : PublishingWorkerCounts()) {
+    for (int round = 0; round < 5; ++round) {
+      std::vector<uint64_t> payload(calls * per_call, 0);
+      std::vector<uint64_t> read(calls * per_call, 0);
+      std::vector<std::atomic<int>> runs(calls * per_call);
+      size_t published = 0;
+      for (size_t i = 0; i < calls; ++i) published += i % 5;
+      ThreadPool::ParallelForPublishing(
+          threads, calls, published,
+          [&](size_t i, const ThreadPool::Publish& publish) {
+            for (size_t k = 0; k < i % 5; ++k) {
+              const size_t item = i * per_call + k;
+              payload[item] = 1000 * i + k + 1;
+              publish(item);
+            }
+          },
+          [&](size_t item) {
+            runs[item].fetch_add(1);
+            read[item] = payload[item];
+          });
+      for (size_t item = 0; item < calls * per_call; ++item) {
+        const size_t i = item / per_call;
+        const size_t k = item % per_call;
+        const bool was_published = k < i % 5;
+        SCOPED_TRACE(testing::Message() << threads << " workers, round "
+                                        << round << ", item " << item);
+        EXPECT_EQ(runs[item].load(), was_published ? 1 : 0);
+        EXPECT_EQ(read[item], was_published ? 1000 * i + k + 1 : 0u);
+      }
+    }
+  }
+}
+
+// With no calls nothing runs, whatever the bound; calls that publish
+// nothing each run once and no item runs. Either way every worker that
+// waits for an item must be released.
+TEST(ParallelForPublishingTest, NoCallsAndCallsThatPublishNothing) {
+  for (size_t threads : PublishingWorkerCounts()) {
+    SCOPED_TRACE(testing::Message() << threads << " workers");
+    ThreadPool::ParallelForPublishing(
+        threads, 0, 5,
+        [](size_t, const ThreadPool::Publish&) { FAIL(); },
+        [](size_t) { FAIL(); });
+    for (size_t bound : {0, 7}) {
+      std::vector<std::atomic<int>> calls(12);
+      ThreadPool::ParallelForPublishing(
+          threads, calls.size(), bound,
+          [&](size_t i, const ThreadPool::Publish&) { calls[i].fetch_add(1); },
+          [](size_t) { FAIL(); });
+      for (size_t i = 0; i < calls.size(); ++i) {
+        EXPECT_EQ(calls[i].load(), 1) << "bound " << bound << ", call " << i;
+      }
+    }
+  }
+}
+
+// More workers than calls and items: one call publishing two items, and
+// two calls publishing one between them, under a looser bound.
+TEST(ParallelForPublishingTest, MoreWorkersThanCallsAndItems) {
+  for (size_t threads : PublishingWorkerCounts()) {
+    SCOPED_TRACE(testing::Message() << threads << " workers");
+    std::vector<std::atomic<int>> runs(3);
+    ThreadPool::ParallelForPublishing(
+        threads, 1, 2,
+        [&](size_t, const ThreadPool::Publish& publish) {
+          publish(0);
+          publish(2);
+        },
+        [&](size_t item) { runs[item].fetch_add(1); });
+    EXPECT_EQ(runs[0].load(), 1);
+    EXPECT_EQ(runs[1].load(), 0);
+    EXPECT_EQ(runs[2].load(), 1);
+    std::vector<std::atomic<int>> second(2);
+    ThreadPool::ParallelForPublishing(
+        threads, 2, 3,
+        [&](size_t i, const ThreadPool::Publish& publish) {
+          if (i == 1) publish(1);
+        },
+        [&](size_t item) { second[item].fetch_add(1); });
+    EXPECT_EQ(second[0].load(), 0);
+    EXPECT_EQ(second[1].load(), 1);
+  }
+}
+
+// One worker is the calling thread: every call in index order, then every
+// item in publish order.
+TEST(ParallelForPublishingTest, OneWorkerRunsCallsThenItemsInPublishOrder) {
+  std::vector<std::string> order;
+  std::vector<std::thread::id> ran_on;
+  ThreadPool::ParallelForPublishing(
+      1, 3, 6,
+      [&](size_t i, const ThreadPool::Publish& publish) {
+        order.push_back("call " + std::to_string(i));
+        ran_on.push_back(std::this_thread::get_id());
+        publish(10 * i + 2);
+        if (i != 1) publish(10 * i + 1);
+      },
+      [&](size_t item) {
+        order.push_back("item " + std::to_string(item));
+        ran_on.push_back(std::this_thread::get_id());
+      });
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "call 0", "call 1", "call 2", "item 2", "item 1",
+                       "item 12", "item 22", "item 21"}));
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 TEST(BalancedChunksTest, ContiguousNonEmptyChunksWithinTheLimits) {

@@ -9,8 +9,9 @@ prove one, and nested lambda walks.
 Modeling decisions:
 
   * Lambda bodies become child FnWalks. A lambda is `launched` when its
-    statement hands it to a thread boundary: ThreadPool::ParallelFor, a
-    std::thread constructor, or an emplace into a
+    statement hands it to a thread boundary: ThreadPool::ParallelFor or
+    ThreadPool::ParallelForPublishing, a std::thread constructor, or an
+    emplace into a
     std::vector<std::thread>. Launched lambdas are the thread roots of
     the race inference (callgraph.py).
   * Constructors/destructors are walked (their calls are real) but
@@ -62,7 +63,7 @@ MUTATING_METHODS = {"push_back", "emplace_back", "push_front",
                     "Union", "Increment", "MergeFrom"}
 
 # Thread-boundary spellings that launch a lambda onto another thread.
-LAUNCH_RE = re.compile(r"\bParallelFor\s*\(|\bstd::thread\b")
+LAUNCH_RE = re.compile(r"\bParallelFor(?:Publishing)?\s*\(|\bstd::thread\b")
 
 CHAIN_RE = re.compile(
     r"(?:this\s*->\s*)?[A-Za-z_]\w*(?:\s*(?:\.|->)\s*[A-Za-z_]\w*)*")
