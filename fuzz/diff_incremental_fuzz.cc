@@ -25,15 +25,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   infoshield::fuzz::FuzzInput in(data, size);
 
   infoshield::InfoShieldOptions options;
+  // The option byte; 0x20 stays unassigned so that the checked-in seeds
+  // keep their meaning.
   const uint8_t option_bits = in.TakeByte();
   if ((option_bits & 1) != 0) options.coarse.tfidf.min_ngram = 1;
   if ((option_bits & 2) != 0) options.coarse.tfidf.max_ngram = 3;
   if ((option_bits & 4) != 0) options.coarse.max_phrase_degree = 4;
   if ((option_bits & 8) != 0) options.coarse.min_cluster_size = 3;
   if ((option_bits & 16) != 0) options.num_threads = 4;
-  // Under min_df 1 a df-1 phrase a later batch promotes is scored before
-  // and after; under the default it becomes eligible only then.
-  if ((option_bits & 32) != 0) options.coarse.tfidf.min_df = 1;
 
   const std::vector<std::string> texts =
       infoshield::fuzz::DecodeSyntheticTexts(in, /*max_docs=*/12);

@@ -1,15 +1,18 @@
 // Harness (a): tokenizer UTF-8 robustness.
 //
-// Properties, for every option combination and arbitrary byte input:
+// Properties, for arbitrary byte input to the one fixed tokenizer:
 //  * Tokenize never crashes (ASan/UBSan enforce memory safety);
 //  * no emitted token is empty;
-//  * no token contains a separator the options asked to split on;
+//  * no token contains ASCII whitespace;
 //  * if the input was well-formed UTF-8, every token is well-formed
 //    UTF-8 (malformed input may degrade bytes, valid input must not);
 //  * fixed point: joining the tokens with single spaces and re-tokenizing
 //    reproduces the token list exactly — tokenization is idempotent;
 //  * differential: the tokens equal those of oracle::ReferenceTokenize,
-//    the per-character reference tokenizer, under the same options.
+//    the per-character reference tokenizer.
+//
+// The input's first byte is read and ignored, so that the checked-in
+// seeds, which each begin with such a byte, keep their text.
 
 #include <cstdint>
 #include <string>
@@ -22,20 +25,15 @@
 
 using infoshield::IsValidUtf8;
 using infoshield::Tokenizer;
-using infoshield::TokenizerOptions;
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   infoshield::fuzz::FuzzInput in(data, size);
-  const uint8_t opt_bits = in.TakeByte();
-  TokenizerOptions options;
-  options.lowercase = (opt_bits & 1) != 0;
-  options.strip_punctuation = (opt_bits & 2) != 0;
-  options.keep_digits = (opt_bits & 4) != 0;
-  const Tokenizer tokenizer(options);
+  in.TakeByte();  // the ignored option byte
+  const Tokenizer tokenizer;
 
   const std::string text = in.TakeRest();
   const std::vector<std::string> tokens = tokenizer.Tokenize(text);
-  CHECK(tokens == infoshield::oracle::ReferenceTokenize(text, options))
+  CHECK(tokens == infoshield::oracle::ReferenceTokenize(text))
       << "tokens differ from the reference tokenizer's";
 
   const bool input_valid_utf8 = IsValidUtf8(text);

@@ -103,6 +103,9 @@ const char* SlotContentKindToString(SlotContentKind kind) {
 
 namespace {
 
+// Example fills kept per slot profile.
+constexpr size_t kMaxSlotExamples = 5;
+
 bool IsDigitRun(const std::string& w, size_t min_len) {
   if (w.size() < min_len) return false;
   for (char c : w) {
@@ -229,8 +232,7 @@ SlotContentKind ClassifyFills(const std::vector<std::string>& fills) {
 }  // namespace internal
 
 std::vector<SlotProfile> AnalyzeSlots(const TemplateCluster& cluster,
-                                      const Corpus& corpus,
-                                      const SlotAnalysisOptions& options) {
+                                      const Corpus& corpus) {
   const std::vector<size_t> gaps = cluster.tmpl.SlotGaps();
   std::vector<SlotProfile> profiles(gaps.size());
   const Vocabulary& vocab = corpus.vocab();
@@ -275,8 +277,8 @@ std::vector<SlotProfile> AnalyzeSlots(const TemplateCluster& cluster,
     // determinism: unordered gather, sorted before use on the next line.
     std::vector<std::string> examples(distinct.begin(), distinct.end());
     std::sort(examples.begin(), examples.end());
-    if (examples.size() > options.max_examples) {
-      examples.resize(options.max_examples);
+    if (examples.size() > kMaxSlotExamples) {
+      examples.resize(kMaxSlotExamples);
     }
     profile.examples = std::move(examples);
   }

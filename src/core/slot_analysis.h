@@ -99,18 +99,14 @@ struct SlotProfile {
   double distinct_fraction = 0.0;
   // Mean number of words per non-empty fill.
   double mean_words = 0.0;
-  // Up to `max_examples` distinct example fills (joined words).
+  // The first 5 distinct fills (joined words) in byte order, or all of
+  // them when there are fewer.
   std::vector<std::string> examples;
-};
-
-struct SlotAnalysisOptions {
-  size_t max_examples = 5;
 };
 
 // Profiles every slot of a template cluster.
 std::vector<SlotProfile> AnalyzeSlots(const TemplateCluster& cluster,
-                                      const Corpus& corpus,
-                                      const SlotAnalysisOptions& options = {});
+                                      const Corpus& corpus);
 
 // One-line-per-slot human-readable summary.
 std::string RenderSlotProfiles(const std::vector<SlotProfile>& profiles);

@@ -14,11 +14,8 @@
 
 namespace infoshield {
 
-IncrementalInfoShield::IncrementalInfoShield(
-    InfoShieldOptions options, TokenizerOptions tokenizer_options)
-    : options_(options),
-      corpus_(tokenizer_options),
-      index_(options.coarse.tfidf) {
+IncrementalInfoShield::IncrementalInfoShield(InfoShieldOptions options)
+    : options_(options), index_(options.coarse.tfidf) {
   // result_ starts as the batch pipeline's output over an empty corpus:
   // no documents, no clusters, no templates.
 }

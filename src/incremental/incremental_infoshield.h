@@ -9,6 +9,10 @@
 // result through AssembleResult, and the engine runs the batch
 // pipeline's own code for every stage before it:
 //
+//   corpus      — each batch is appended with Corpus::TryAddBatch, so it
+//                 is tokenized by the one fixed tokenizer
+//                 (text/tokenizer.h) and interned in order, exactly as
+//                 a batch load of the concatenated texts would be.
 //   df table    — document frequency is a commutative integer sum, so
 //                 the batch's count is added to the engine's TfidfIndex
 //                 in place (TfidfIndex::AddDocuments, the fold the batch
@@ -54,7 +58,6 @@
 #include "core/infoshield.h"
 #include "text/corpus.h"
 #include "text/ngram.h"
-#include "text/tokenizer.h"
 #include "tfidf/tfidf_index.h"
 #include "util/status.h"
 
@@ -92,8 +95,7 @@ struct IngestStats {
 
 class IncrementalInfoShield {
  public:
-  explicit IncrementalInfoShield(InfoShieldOptions options,
-                                 TokenizerOptions tokenizer_options = {});
+  explicit IncrementalInfoShield(InfoShieldOptions options);
 
   IncrementalInfoShield(const IncrementalInfoShield&) = delete;
   IncrementalInfoShield& operator=(const IncrementalInfoShield&) = delete;

@@ -103,21 +103,6 @@ void LshIndex::Build(const std::vector<MinHashSignature>& signatures,
   partitions_ = std::move(built);
 }
 
-std::vector<DocId> LshIndex::Query(const MinHashSignature& sig) const {
-  std::vector<DocId> out;
-  for (const uint64_t key : BandKeys(sig, params_)) {
-    const Partition& part = partitions_[PartitionOf(key)];
-    const auto it = std::lower_bound(part.keys.begin(), part.keys.end(), key);
-    if (it == part.keys.end() || *it != key) continue;
-    const size_t bucket = static_cast<size_t>(it - part.keys.begin());
-    out.insert(out.end(), part.docs.begin() + part.offsets[bucket],
-               part.docs.begin() + part.offsets[bucket + 1]);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 LshIndex::Stats LshIndex::ComputeStats() const {
   Stats stats;
   ForEachBucket([&stats](std::span<const DocId> docs) {

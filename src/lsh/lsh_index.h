@@ -8,14 +8,13 @@
 // probability 1 - (1 - J^rows)^bands for Jaccard J, the classic S-curve
 // with threshold ~ (1/bands)^(1/rows).
 //
-// The index is the queryable side of the coarse backend. Build buckets
-// the signatures in the two lock-free passes of the df count
+// The index is the bucket-level view of the coarse backend. Build
+// buckets the signatures in the two lock-free passes of the df count
 // (tfidf/df_count.h): document chunks scatter their (band key, doc)
 // pairs by the key's top bits, then one worker per partition sorts its
 // pairs and cuts them into buckets. Every bucket therefore lists its
-// documents in ascending order whatever the thread count. Query returns
-// the sorted candidate set for a probe signature, and ForEachBucket walks
-// every bucket (ComputeStats, and the Template Matching baseline's
+// documents in ascending order whatever the thread count. ForEachBucket
+// walks every bucket (ComputeStats, and the Template Matching baseline's
 // candidate pairs); the coarse backend never reads the index for its
 // canonical edge replay (lsh_coarse.cc replays doc-major band keys
 // instead).
@@ -50,8 +49,8 @@ struct LshParams {
 };
 
 // The bands 64-bit bucket keys of one signature, band-major. Empty for
-// an empty signature. Pure; shared by Build, Query, and the coarse
-// backend's canonical replay.
+// an empty signature. Pure; shared by Build and the coarse backend's
+// canonical replay.
 std::vector<uint64_t> BandKeys(const MinHashSignature& sig,
                                const LshParams& params);
 
@@ -79,12 +78,6 @@ class LshIndex {
   // once per index.
   void Build(const std::vector<MinHashSignature>& signatures,
              size_t num_threads);
-
-  // DocIds sharing at least one band bucket with `sig`, sorted
-  // ascending, deduplicated. The probe itself is not inserted. This is
-  // the primitive a serving layer's "does this new ad look like an
-  // existing one" pre-filter uses.
-  std::vector<DocId> Query(const MinHashSignature& sig) const;
 
   // Aggregate bucket statistics (scans all partitions; call after Build).
   Stats ComputeStats() const;

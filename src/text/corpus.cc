@@ -27,11 +27,6 @@ DocId Corpus::Add(std::string_view text) {
   return AddBatch(std::move(one), /*num_threads=*/1);
 }
 
-Result<DocId> Corpus::TryAdd(std::string_view text) {
-  INFOSHIELD_RETURN_IF_ERROR(CheckRoom(1));
-  return Add(text);
-}
-
 namespace {
 
 // The words one chunk of texts sees, in first-occurrence order, with

@@ -32,8 +32,6 @@ struct Document {
 class Corpus {
  public:
   Corpus() = default;
-  explicit Corpus(TokenizerOptions tokenizer_options)
-      : tokenizer_(tokenizer_options) {}
 
   Corpus(const Corpus&) = delete;
   Corpus& operator=(const Corpus&) = delete;
@@ -44,9 +42,9 @@ class Corpus {
   // (the last representable id is reserved so "the next id" — what
   // AddBatch returns for an empty batch — always fits in a DocId).
   // Appending past this limit would silently wrap ids and corrupt the
-  // doc–phrase graph; Add/AddBatch/AddTokens CHECK-fail instead, and the
-  // TryAdd/TryAddBatch variants return ResourceExhausted for callers
-  // (e.g. the incremental ingestion path) that must surface the error.
+  // doc–phrase graph; Add/AddBatch/AddTokens CHECK-fail instead, and
+  // TryAddBatch returns ResourceExhausted for callers (e.g. the
+  // incremental ingestion path) that must surface the error.
   static constexpr size_t kMaxDocuments =
       static_cast<size_t>(UINT32_MAX) - 1;
 
@@ -59,10 +57,6 @@ class Corpus {
   // one-document case of AddBatch. CHECK-fails when the corpus is full
   // (see kMaxDocuments).
   DocId Add(std::string_view text);
-
-  // As Add, but reports a full corpus as Status ResourceExhausted
-  // instead of dying. On error the corpus is unchanged.
-  Result<DocId> TryAdd(std::string_view text);
 
   // Appends one document per text, in order, using `num_threads`
   // workers (1 = sequential, 0 = hardware concurrency); each text moves
@@ -93,7 +87,6 @@ class Corpus {
   const std::vector<Document>& docs() const { return docs_; }
   const Vocabulary& vocab() const { return vocab_; }
   Vocabulary& mutable_vocab() { return vocab_; }
-  const Tokenizer& tokenizer() const { return tokenizer_; }
 
   // Reconstructs a document's tokens as a space-joined string.
   std::string TokenText(DocId id) const;

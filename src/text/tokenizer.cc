@@ -69,7 +69,7 @@ bool IsValidUtf8(std::string_view text) {
   return true;
 }
 
-Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {
+Tokenizer::Tokenizer() {
   for (int b = 0; b < 256; ++b) {
     const unsigned char c = static_cast<unsigned char>(b);
     uint8_t cls = kSeparator;
@@ -78,17 +78,14 @@ Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {
       // they come: a well-formed sequence stays whole, and a malformed
       // byte is one byte of token that cannot swallow the ASCII after it.
       cls = kTokenByte;
-    } else if (IsAsciiAlpha(c)) {
+    } else if (IsAsciiAlpha(c) || IsAsciiDigit(c)) {
       cls = kTokenByte;
-    } else if (IsAsciiDigit(c)) {
-      cls = options_.keep_digits ? kTokenByte : kSeparator;
     } else if (!IsAsciiSpace(c)) {
       // ASCII punctuation and control bytes.
-      cls = options_.strip_punctuation ? kUrlByte : kTokenByte;
+      cls = kUrlByte;
     }
     byte_class_[b] = cls;
-    fold_[b] = static_cast<char>(
-        options_.lowercase && c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c);
+    fold_[b] = static_cast<char>(c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c);
   }
 }
 

@@ -1,12 +1,15 @@
 // Language-independent tokenizer.
 //
 // InfoShield is language-agnostic (paper §V-F, Advantage 1): no stop-word
-// lists, no stemming, no language-specific rules. The tokenizer therefore
-// only (a) lowercases ASCII letters, (b) treats runs of ASCII punctuation
-// as separators, and (c) passes multi-byte UTF-8 sequences through intact
-// so that Spanish/Italian accents and Japanese text survive as token
-// characters. URLs ("http..."-prefixed runs) are kept as single tokens
-// because they are strong near-duplicate evidence in spam campaigns.
+// lists, no stemming, no language-specific rules. The tokenizer is
+// therefore one fixed rule, with nothing to configure: it (a) lowercases
+// ASCII letters, (b) keeps ASCII digits as token characters (prices and
+// phone numbers matter for HT ads), (c) treats runs of ASCII punctuation
+// and whitespace as separators, and (d) passes multi-byte UTF-8 sequences
+// through intact so that Spanish/Italian accents and Japanese text
+// survive as token characters. URLs ("http..."-prefixed runs) are kept as
+// single tokens because they are strong near-duplicate evidence in spam
+// campaigns.
 
 #ifndef INFOSHIELD_TEXT_TOKENIZER_H_
 #define INFOSHIELD_TEXT_TOKENIZER_H_
@@ -18,16 +21,6 @@
 #include <vector>
 
 namespace infoshield {
-
-struct TokenizerOptions {
-  // Lowercase ASCII letters (paper's preprocessing lowercases text).
-  bool lowercase = true;
-  // Treat ASCII punctuation as separators. When false, punctuation
-  // characters become part of tokens (whitespace-only splitting).
-  bool strip_punctuation = true;
-  // Digits are token characters (prices, phone numbers matter for HT ads).
-  bool keep_digits = true;
-};
 
 // Length (2..4) of the well-formed UTF-8 multi-byte sequence starting at
 // text[pos], or 0 when text[pos] does not start one (ASCII byte, stray
@@ -44,10 +37,9 @@ bool IsValidUtf8(std::string_view text);
 
 class Tokenizer {
  public:
-  Tokenizer() : Tokenizer(TokenizerOptions{}) {}
-  explicit Tokenizer(TokenizerOptions options);
+  Tokenizer();
 
-  // Splits UTF-8 text into tokens per the options.
+  // Splits UTF-8 text into tokens.
   std::vector<std::string> Tokenize(std::string_view text) const;
 
   // As Tokenize, without a heap string per token: writes the token
@@ -57,10 +49,7 @@ class Tokenizer {
   void TokenizeViews(std::string_view text, std::string* scratch,
                      std::vector<std::string_view>* tokens) const;
 
-  const TokenizerOptions& options() const { return options_; }
-
  private:
-  TokenizerOptions options_;
   // Per input byte: whether it ends a token, belongs to one, or belongs
   // to one only inside a URL (tokenizer.cc), and the byte it becomes.
   std::array<uint8_t, 256> byte_class_{};

@@ -13,6 +13,14 @@
 
 namespace infoshield {
 
+namespace {
+
+// The share of a document's eligible phrases kept as its top phrases,
+// rounded up (Lemma 2's proof).
+constexpr double kTopPhraseFraction = 0.10;
+
+}  // namespace
+
 void TfidfIndex::Build(const Corpus& corpus, const TfidfOptions& options,
                        size_t num_threads) {
   options_ = options;
@@ -87,20 +95,16 @@ std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
                 std::min(options_.max_ngram, doc.tokens.size()));
   AppendNgramHashes(doc, min_n, options_.max_ngram, &grams);
 
-  // Probe first: keep, in place, only the occurrences whose df passes
-  // the min_df filter, so the sort below sees the eligible phrases alone
-  // (a df-1 phrase is most of a document's n-grams and can never score
-  // under min_df >= 2). Below min_df 2 the probe must see df-1 phrases
-  // too; otherwise the small map of phrases in two or more documents
-  // answers alone.
-  const bool probe_once = options_.min_df < 2;
+  // Probe first: keep, in place, only the occurrences found in the map of
+  // phrases seen in two or more documents (0 means absent), so the sort
+  // below sees the eligible phrases alone. A df-1 phrase cannot connect
+  // two documents, and df-1 phrases are most of a document's n-grams.
   auto df_of = [&](PhraseHash hash) -> size_t {
-    return probe_once ? DocumentFrequency(hash)
-                      : shared_[DfPartitionOf(hash)].Find(hash);
+    return shared_[DfPartitionOf(hash)].Find(hash);
   };
   size_t eligible = 0;
   for (const PhraseHash hash : grams) {
-    if (df_of(hash) >= options_.min_df) grams[eligible++] = hash;
+    if (df_of(hash) != 0) grams[eligible++] = hash;
   }
   grams.resize(eligible);
 
@@ -117,14 +121,11 @@ std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
     i = j;
   }
 
-  // top_fraction applies to the phrases actually eligible after the
-  // min_df filter; counting the pre-filter distinct phrases would
-  // inflate `keep` and defeat the fraction whenever min_df drops many
-  // phrases (with min_df == 1 the two counts coincide).
-  size_t keep = static_cast<size_t>(
-      std::ceil(options_.top_fraction * static_cast<double>(scored.size())));
-  keep = std::max(keep, options_.min_phrases_per_doc);
-  keep = std::min(keep, scored.size());
+  // The fraction applies to the eligible phrases, not to every distinct
+  // n-gram. Rounding up keeps one phrase whenever any is eligible, and
+  // never more than there are.
+  const size_t keep = static_cast<size_t>(
+      std::ceil(kTopPhraseFraction * static_cast<double>(scored.size())));
 
   // Deterministic order: score desc, hash asc as tie-break (a total
   // order, since the hashes are distinct).
@@ -140,9 +141,6 @@ std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
 
 Status TfidfIndex::ValidateInvariants() const {
   audit::Auditor a("TfidfIndex");
-  a.Expect(options_.top_fraction >= 0.0 && options_.top_fraction <= 1.0,
-           StrFormat("top_fraction %.3f outside [0, 1]",
-                     options_.top_fraction));
   a.Expect(options_.max_ngram >= 1, "max_ngram is 0");
   size_t total_phrases = 0;
   for (size_t p = 0; p < kDfPartitions; ++p) {

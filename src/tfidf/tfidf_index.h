@@ -2,16 +2,16 @@
 //
 // For each (phrase, document) pair, tf-idf = tf * log(N / df). For each
 // document, the phrases with the highest tf-idf scores are its "top
-// phrases"; the number selected is a fraction of the number of distinct
-// phrases in the document (top 10% per Lemma 2's proof), so long and short
-// documents are treated uniformly and the method stays domain-independent.
+// phrases"; the number selected is a fixed fraction of the document's
+// eligible phrases, 10% rounded up (Lemma 2's proof), so long and short
+// documents are treated uniformly and the method stays domain-independent
+// with nothing to tune.
 //
-// Phrases occurring in only one document are skipped when selecting top
-// phrases for clustering: a df-1 phrase cannot connect two documents, so
-// skipping it changes no coarse component while keeping the bipartite
-// graph small. (The paper's tf-idf already down-weights nothing here —
-// df-1 phrases have the *highest* idf — so this is purely the graph-side
-// optimization, applied after scoring.)
+// Phrases occurring in only one document are never eligible: a df-1
+// phrase cannot connect two documents, so skipping it changes no coarse
+// component while keeping the bipartite graph small. (The paper's tf-idf
+// already down-weights nothing here — df-1 phrases have the *highest*
+// idf — so this is purely the graph-side optimization.)
 //
 // The index owns the df table, split by hash partition (df_count.h) and,
 // within each partition, by df: a FlatDfMap of the phrases seen in two or
@@ -50,14 +50,6 @@ struct TfidfOptions {
   // signature the paper's "phrases" refer to. Document frequencies are
   // still tracked for all lengths >= 1.
   size_t min_ngram = 2;
-  // Fraction of a document's distinct phrases kept as top phrases.
-  double top_fraction = 0.10;
-  // Every document keeps at least this many top phrases (if it has any
-  // eligible phrase at all).
-  size_t min_phrases_per_doc = 1;
-  // Drop phrases whose document frequency is below this when selecting
-  // top phrases (2 = skip phrases that cannot connect documents).
-  size_t min_df = 2;
 };
 
 struct ScoredPhrase {
@@ -105,9 +97,9 @@ class TfidfIndex {
     return once_[p].Contains(phrase) ? 1 : 0;
   }
 
-  // The top phrases of one document by tf-idf, best first. With
-  // min_df >= 2 a df-1 phrase can never qualify, so only the phrases
-  // seen in two or more documents are probed.
+  // The top phrases of one document by tf-idf, best first: 10% of its
+  // phrases of min_ngram..max_ngram words that occur in two or more
+  // documents, rounded up. Only the df map of those phrases is probed.
   std::vector<ScoredPhrase> TopPhrases(const Document& doc) const;
 
   // tf-idf score of a phrase occurring `tf` times in one document.
@@ -120,7 +112,7 @@ class TfidfIndex {
   const TfidfOptions& options() const { return options_; }
   const TfidfBuildStats& build_stats() const { return build_stats_; }
 
-  // Invariant audit (util/audit.h): the stored options are sane, every
+  // Invariant audit (util/audit.h): max_ngram is at least 1, every
   // phrase sits in the partition its hash selects, every df in a map lies
   // in [2, num_documents], no phrase is in both its partition's map and
   // set, and the cached num_phrases matches the sizes of all maps and
@@ -130,8 +122,8 @@ class TfidfIndex {
 
  private:
   // tf-idf for a phrase whose df the caller already looked up —
-  // TopPhrases probes only the df map under min_df >= 2, where Score
-  // would probe the df-1 set too.
+  // TopPhrases probes only the df map, where Score would probe the df-1
+  // set too.
   double ScoreWithDf(size_t df, size_t tf) const;
 
   TfidfOptions options_;

@@ -155,7 +155,7 @@ TEST(CorpusTest, DocIdsAreSequential) {
 
 TEST(CorpusTest, TryAddBehavesLikeAddWhenRoomRemains) {
   Corpus c;
-  Result<DocId> id = c.TryAdd("great soap");
+  Result<DocId> id = c.TryAddBatch({"great soap"}, /*num_threads=*/1);
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(*id, 0u);
   Result<DocId> first = c.TryAddBatch({"a b", "c d"}, /*num_threads=*/2);
@@ -170,7 +170,7 @@ TEST(CorpusTest, TryAddReportsExhaustionAtTheDocIdLimit) {
   CorpusTestPeer::SetSizeOffset(c, Corpus::kMaxDocuments - c.size());
   // Exactly full: one more document would mint an id past the last
   // representable DocId instead of wrapping silently.
-  Result<DocId> id = c.TryAdd("one too many");
+  Result<DocId> id = c.TryAddBatch({"one too many"}, /*num_threads=*/1);
   ASSERT_FALSE(id.ok());
   EXPECT_EQ(id.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(c.size(), 1u);  // corpus unchanged

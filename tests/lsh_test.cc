@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_set>
@@ -175,8 +176,21 @@ TEST(LshIndexTest, QueryFindsCoBucketedDocuments) {
 
   LshIndex index(params, banding);
   index.Build(signatures, /*num_threads=*/1);
-  const std::vector<DocId> hits = index.Query(family.Signature(dup));
-  EXPECT_EQ(hits, (std::vector<DocId>{0, 1}));
+  // Docs 0 and 1 share every bucket; doc 2 shares none.
+  std::vector<std::vector<DocId>> buckets;
+  index.ForEachBucket([&buckets](std::span<const DocId> docs) {
+    buckets.emplace_back(docs.begin(), docs.end());
+  });
+  size_t shared = 0;
+  for (const std::vector<DocId>& docs : buckets) {
+    if (docs.size() > 1) {
+      EXPECT_EQ(docs, (std::vector<DocId>{0, 1}));
+      ++shared;
+    } else {
+      EXPECT_EQ(docs, (std::vector<DocId>{2}));
+    }
+  }
+  EXPECT_EQ(shared, banding.bands);
 
   const LshIndex::Stats stats = index.ComputeStats();
   EXPECT_EQ(stats.max_bucket, 2u);

@@ -26,17 +26,17 @@ std::vector<PhraseHash> ReferenceTopPhrases(
   std::vector<ScoredPhrase> scored;
   for (const auto& [hash, count] : tf) {
     const auto it = df.find(hash);
+    // A phrase in one document cannot connect two: only df >= 2 counts.
     const size_t phrase_df = it == df.end() ? 0 : it->second;
-    if (phrase_df < options.min_df) continue;
-    const double idf =
-        phrase_df == 0 ? 0.0
-                       : std::log(static_cast<double>(num_documents) /
-                                  static_cast<double>(phrase_df));
+    if (phrase_df < 2) continue;
+    const double idf = std::log(static_cast<double>(num_documents) /
+                                static_cast<double>(phrase_df));
     scored.push_back(ScoredPhrase{hash, static_cast<double>(count) * idf});
   }
-  size_t keep = static_cast<size_t>(
-      std::ceil(options.top_fraction * static_cast<double>(scored.size())));
-  keep = std::min(std::max(keep, options.min_phrases_per_doc), scored.size());
+  // The top 10% of the eligible phrases, rounded up.
+  const size_t keep = std::min(
+      static_cast<size_t>(std::ceil(0.10 * static_cast<double>(scored.size()))),
+      scored.size());
   std::sort(scored.begin(), scored.end(),
             [](const ScoredPhrase& a, const ScoredPhrase& b) {
               if (a.score != b.score) return a.score > b.score;

@@ -26,7 +26,8 @@ std::unordered_map<PhraseHash, uint32_t> ReferenceDocumentFrequencies(
 
 // The kTfidfGraph coarse stage, serially: the df map above, each
 // document's top phrases scored against it from a std::map of term
-// frequencies and a full sort, and the edges replayed in document
+// frequencies and a full sort (the phrases of df 2 or more, of which
+// the top 10% rounded up are kept), and the edges replayed in document
 // order through the shared CoarseEdgeAccumulator. Stats stay zero.
 CoarseResult ReferenceCoarse(const Corpus& corpus,
                              const CoarseOptions& options);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "io/csv.h"
+#include "text/tokenizer.h"
 #include "util/string_util.h"
 
 namespace infoshield::oracle {
@@ -26,8 +27,7 @@ bool IsAsciiSpace(unsigned char c) {
 // tokens interned in order.
 void AppendDocument(const std::string& text, Corpus* corpus) {
   std::vector<TokenId> ids;
-  for (const std::string& token :
-       ReferenceTokenize(text, corpus->tokenizer().options())) {
+  for (const std::string& token : ReferenceTokenize(text)) {
     ids.push_back(corpus->mutable_vocab().Intern(token));
   }
   corpus->AddTokens(std::move(ids), text);
@@ -35,8 +35,7 @@ void AppendDocument(const std::string& text, Corpus* corpus) {
 
 }  // namespace
 
-std::vector<std::string> ReferenceTokenize(std::string_view text,
-                                           const TokenizerOptions& options) {
+std::vector<std::string> ReferenceTokenize(std::string_view text) {
   std::vector<std::string> tokens;
   std::string current;
   size_t i = 0;
@@ -68,9 +67,7 @@ std::vector<std::string> ReferenceTokenize(std::string_view text,
     }
     if (IsAsciiAlpha(c)) {
       char out = static_cast<char>(c);
-      if (options.lowercase && c >= 'A' && c <= 'Z') {
-        out = static_cast<char>(c - 'A' + 'a');
-      }
+      if (c >= 'A' && c <= 'Z') out = static_cast<char>(c - 'A' + 'a');
       current.push_back(out);
       if (!in_url && (current == "http" || current == "https")) {
         if (text.substr(i + 1, 3) == "://") in_url = true;
@@ -79,21 +76,15 @@ std::vector<std::string> ReferenceTokenize(std::string_view text,
       continue;
     }
     if (IsAsciiDigit(c)) {
-      if (options.keep_digits) {
-        current.push_back(static_cast<char>(c));
-      } else {
-        flush();
-      }
+      current.push_back(static_cast<char>(c));
       ++i;
       continue;
     }
     // ASCII punctuation and control bytes.
     if (in_url) {
       current.push_back(static_cast<char>(c));
-    } else if (options.strip_punctuation) {
-      flush();
     } else {
-      current.push_back(static_cast<char>(c));
+      flush();
     }
     ++i;
   }

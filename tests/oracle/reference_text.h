@@ -13,17 +13,17 @@
 #include <vector>
 
 #include "text/corpus.h"
-#include "text/tokenizer.h"
 #include "util/status.h"
 
 namespace infoshield::oracle {
 
-// Tokenizer::Tokenize one character at a time: each byte is appended to
-// the current token or ends it, a well-formed UTF-8 sequence is copied
-// whole, and after every letter the token so far is compared with
-// "http" and "https" and, on a match, "://" is looked for next.
-std::vector<std::string> ReferenceTokenize(std::string_view text,
-                                           const TokenizerOptions& options);
+// Tokenizer::Tokenize one character at a time: ASCII letters (folded to
+// lower case) and digits are appended to the current token, whitespace
+// and punctuation end it, a well-formed UTF-8 sequence is copied whole,
+// and after every letter the token so far is compared with "http" and
+// "https" and, on a match, "://" is looked for next; punctuation inside
+// such a URL is appended too.
+std::vector<std::string> ReferenceTokenize(std::string_view text);
 
 // Reads one logical CSV record from `in` into `*record` with getline,
 // continuing across physical lines while quote parity says a quoted

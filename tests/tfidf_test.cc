@@ -24,6 +24,28 @@ Corpus SmallCorpus() {
   return c;
 }
 
+// Twelve 40-word documents over a 6-word pool: their n-grams repeat
+// within a document (tf > 1) and recur across documents at every df
+// from 1 up, so each document has dozens of eligible phrases and the top
+// 10% keeps several, at different scores.
+Corpus RepetitiveCorpus() {
+  const std::vector<std::string> pool = {"call", "now", "sweet",
+                                         "girl", "in",  "town"};
+  uint64_t state = 0x2545f4914f6cdd1dULL;
+  Corpus c;
+  for (int d = 0; d < 12; ++d) {
+    std::string text;
+    for (int w = 0; w < 40; ++w) {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      text += pool[state % pool.size()] + " ";
+    }
+    c.Add(text);
+  }
+  return c;
+}
+
 TEST(TfidfTest, DocumentFrequencyCountsDocsNotOccurrences) {
   Corpus c;
   c.Add("spam spam spam");
@@ -62,10 +84,8 @@ TEST(TfidfTest, RarerPhraseScoresHigher) {
 
 TEST(TfidfTest, TopPhrasesSkipDfOne) {
   Corpus c = SmallCorpus();
-  TfidfOptions opts;
-  opts.min_df = 2;
   TfidfIndex index;
-  index.Build(c, opts);
+  index.Build(c, TfidfOptions{});
   // Doc 2 shares only "the" (df 3) with others; all other phrases are
   // df-1 and skipped, so at most "the"-based shared phrases survive.
   for (const ScoredPhrase& p : index.TopPhrases(c.doc(2))) {
@@ -75,13 +95,11 @@ TEST(TfidfTest, TopPhrasesSkipDfOne) {
 
 TEST(TfidfTest, TopPhrasesRespectFraction) {
   Corpus c;
-  // 20 tokens, all distinct n-grams; top_fraction 0.1 over distinct
-  // phrases, min 1.
+  // 20 tokens, all distinct n-grams of df 2: the top 10% of 20 phrases.
   c.Add("a b c d e f g h i j k l m n o p q r s t");
   c.Add("a b c d e f g h i j k l m n o p q r s t");
   TfidfOptions opts;
   opts.max_ngram = 1;
-  opts.top_fraction = 0.1;
   TfidfIndex index;
   index.Build(c, opts);
   std::vector<ScoredPhrase> top = index.TopPhrases(c.doc(0));
@@ -89,35 +107,26 @@ TEST(TfidfTest, TopPhrasesRespectFraction) {
 }
 
 TEST(TfidfTest, TopFractionAppliesAfterMinDfFilter) {
-  // Doc 0 holds 20 distinct unigrams; only 4 of them also occur in doc 1
-  // (df 2), the rest are df-1 and filtered by min_df = 2. The fraction
-  // must apply to the 4 eligible phrases — ceil(0.5 * 4) = 2 — not to
-  // the 20 pre-filter distinct phrases, which would keep all 4.
+  // Doc 0 holds 75 distinct unigrams; only the 25 s-words also occur in
+  // doc 1 (df 2), and the 50 u-words are df-1 phrases, never eligible.
+  // The fraction must apply to the 25 eligible phrases — ceil(0.1 * 25)
+  // = 3 — not to the 75 distinct phrases, which would keep 8.
+  std::string shared;
+  std::string unique;
+  for (int i = 0; i < 25; ++i) shared += " s" + std::to_string(i);
+  for (int i = 0; i < 50; ++i) unique += " u" + std::to_string(i);
   Corpus c;
-  c.Add("alpha beta gamma delta u1 u2 u3 u4 u5 u6 u7 u8 u9 u10 u11 u12 "
-        "u13 u14 u15 u16");
-  c.Add("alpha beta gamma delta");
+  c.Add(shared + unique);
+  c.Add(shared);
   TfidfOptions opts;
   opts.max_ngram = 1;
-  opts.min_df = 2;
-  opts.top_fraction = 0.5;
   TfidfIndex index;
   index.Build(c, opts);
-  EXPECT_EQ(index.TopPhrases(c.doc(0)).size(), 2u);
-}
-
-TEST(TfidfTest, MinPhrasesFloorStillAppliesAfterFilter) {
-  Corpus c;
-  c.Add("alpha beta gamma delta u1 u2 u3 u4 u5 u6 u7 u8 u9 u10 u11 u12");
-  c.Add("alpha beta gamma delta");
-  TfidfOptions opts;
-  opts.max_ngram = 1;
-  opts.min_df = 2;
-  opts.top_fraction = 0.25;  // ceil(0.25 * 4) = 1, floored up to 3
-  opts.min_phrases_per_doc = 3;
-  TfidfIndex index;
-  index.Build(c, opts);
-  EXPECT_EQ(index.TopPhrases(c.doc(0)).size(), 3u);
+  const std::vector<ScoredPhrase> top = index.TopPhrases(c.doc(0));
+  EXPECT_EQ(top.size(), 3u);
+  for (const ScoredPhrase& p : top) {
+    EXPECT_EQ(index.DocumentFrequency(p.hash), 2u);
+  }
 }
 
 TEST(TfidfTest, MinPhrasesPerDocGuaranteesOne) {
@@ -158,13 +167,12 @@ TEST(TfidfTest, MinNgramClampedToMaxNgram) {
 }
 
 TEST(TfidfTest, ScoresSortedDescending) {
-  Corpus c = SmallCorpus();
-  TfidfOptions opts;
-  opts.top_fraction = 1.0;
-  opts.min_df = 1;
+  Corpus c = RepetitiveCorpus();
   TfidfIndex index;
-  index.Build(c, opts);
+  index.Build(c, TfidfOptions{});
   std::vector<ScoredPhrase> top = index.TopPhrases(c.doc(0));
+  ASSERT_GT(top.size(), 1u);
+  EXPECT_GT(top.front().score, top.back().score);
   for (size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(top[i - 1].score, top[i].score);
   }
@@ -334,7 +342,7 @@ TEST(TfidfTest, AddDocumentsInBatchesMatchesBuild) {
 }
 
 TEST(TfidfTest, PhraseSeenAgainInALaterBatchBecomesATopPhrase) {
-  // A df-1 phrase cannot pass min_df = 2. A later batch that repeats it
+  // A df-1 phrase is never a top phrase. A later batch that repeats it
   // promotes it with df 2, and it becomes a top phrase; the phrase count
   // stays the same, since the batch adds no phrase not seen before.
   Corpus c;
@@ -360,7 +368,8 @@ TEST(TfidfTest, PhraseSeenAgainInALaterBatchBecomesATopPhrase) {
 
 // TopPhrases as a sort of every n-gram occurrence: each run of equal
 // hashes is one phrase and its tf, probed for its df once, kept iff df
-// reaches min_df, then ranked by score desc, hash asc.
+// is 2 or more, then ranked by score desc, hash asc, and cut to the top
+// 10% rounded up.
 std::vector<ScoredPhrase> SortEveryGramTopPhrases(const TfidfIndex& index,
                                                   const Document& doc) {
   const TfidfOptions& opts = index.options();
@@ -372,7 +381,7 @@ std::vector<ScoredPhrase> SortEveryGramTopPhrases(const TfidfIndex& index,
   for (size_t i = 0; i < grams.size();) {
     size_t j = i;
     while (j < grams.size() && grams[j] == grams[i]) ++j;
-    if (index.DocumentFrequency(grams[i]) >= opts.min_df) {
+    if (index.DocumentFrequency(grams[i]) >= 2) {
       scored.push_back({grams[i], index.Score(grams[i], j - i)});
     }
     i = j;
@@ -382,10 +391,9 @@ std::vector<ScoredPhrase> SortEveryGramTopPhrases(const TfidfIndex& index,
               if (a.score != b.score) return a.score > b.score;
               return a.hash < b.hash;
             });
-  size_t keep = static_cast<size_t>(
-      std::ceil(opts.top_fraction * static_cast<double>(scored.size())));
-  keep = std::min(std::max(keep, opts.min_phrases_per_doc), scored.size());
-  scored.resize(keep);
+  scored.resize(std::min(
+      static_cast<size_t>(std::ceil(0.10 * static_cast<double>(scored.size()))),
+      scored.size()));
   return scored;
 }
 
@@ -393,8 +401,9 @@ TEST(TfidfTest, TopPhrasesMatchSortingEveryGram) {
   // Probing each occurrence's df before the sort must select exactly
   // what sorting every n-gram and probing each phrase once selects:
   // phrases repeated within a document (tf > 1), documents shorter than
-  // max_ngram, and df 1, 2 and 3 against every min_df from 0 to 3.
-  Corpus c;
+  // max_ngram, phrases of df 1, 2 and more, and documents long enough
+  // that the top 10% keeps several phrases.
+  Corpus c = RepetitiveCorpus();
   c.Add("call now call now call now for a good time");
   c.Add("call now for a good time tonight");
   c.Add("good time good time tonight only");
@@ -402,30 +411,28 @@ TEST(TfidfTest, TopPhrasesMatchSortingEveryGram) {
   c.Add("hi there");
   c.Add("for a good time call now");
   c.Add("a b a b a b a b");
-  for (size_t min_df = 0; min_df <= 3; ++min_df) {
-    for (size_t min_ngram : {1u, 2u}) {
-      TfidfOptions opts;
-      opts.min_df = min_df;
-      opts.min_ngram = min_ngram;
-      opts.top_fraction = 0.5;
-      TfidfIndex index;
-      index.Build(c, opts);
-      for (DocId d = 0; d < c.size(); ++d) {
-        const std::vector<ScoredPhrase> top = index.TopPhrases(c.doc(d));
-        const std::vector<ScoredPhrase> expected =
-            SortEveryGramTopPhrases(index, c.doc(d));
-        SCOPED_TRACE(testing::Message() << "min_df=" << min_df
-                                        << ", min_ngram=" << min_ngram
-                                        << ", doc " << d);
-        ASSERT_EQ(top.size(), expected.size());
-        for (size_t i = 0; i < top.size(); ++i) {
-          EXPECT_EQ(top[i].hash, expected[i].hash) << "phrase #" << i;
-          EXPECT_EQ(std::bit_cast<uint64_t>(top[i].score),
-                    std::bit_cast<uint64_t>(expected[i].score))
-              << "phrase #" << i;
-        }
+  for (size_t min_ngram : {1u, 2u}) {
+    TfidfOptions opts;
+    opts.min_ngram = min_ngram;
+    TfidfIndex index;
+    index.Build(c, opts);
+    size_t longest = 0;
+    for (DocId d = 0; d < c.size(); ++d) {
+      const std::vector<ScoredPhrase> top = index.TopPhrases(c.doc(d));
+      const std::vector<ScoredPhrase> expected =
+          SortEveryGramTopPhrases(index, c.doc(d));
+      SCOPED_TRACE(testing::Message() << "min_ngram=" << min_ngram
+                                      << ", doc " << d);
+      ASSERT_EQ(top.size(), expected.size());
+      for (size_t i = 0; i < top.size(); ++i) {
+        EXPECT_EQ(top[i].hash, expected[i].hash) << "phrase #" << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(top[i].score),
+                  std::bit_cast<uint64_t>(expected[i].score))
+            << "phrase #" << i;
       }
+      longest = std::max(longest, top.size());
     }
+    EXPECT_GT(longest, 1u) << "min_ngram=" << min_ngram;
   }
 }
 

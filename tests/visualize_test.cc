@@ -77,21 +77,22 @@ TEST(VisualizeTest, HtmlEscapesAndStructures) {
 }
 
 TEST(VisualizeTest, HtmlEscapesSpecialCharacters) {
-  TokenizerOptions keep_punct;
-  keep_punct.strip_punctuation = false;
-  Corpus c(keep_punct);
-  c.Add("price <b> 100 & rising now today yes");
-  c.Add("price <b> 100 & rising now today yes");
-  c.Add("price <b> 100 & rising now today yes");
+  // The tokenizer splits on punctuation except inside a URL, so the URL
+  // token "http://x.example/?a=<b>&c" carries "<", ">" and "&" into the
+  // template and every member.
+  Corpus c;
+  c.Add("price http://x.example/?a=<b>&c 100 rising now today yes");
+  c.Add("price http://x.example/?a=<b>&c 100 rising now today yes");
+  c.Add("price http://x.example/?a=<b>&c 100 rising now today yes");
   PadVocabulary(c, 300);
   InfoShield shield;
   InfoShieldResult r = shield.Run(c);
   ASSERT_GE(r.templates.size(), 1u);
   std::string html = RenderTemplateHtml(r.templates[0], c);
-  // Document tokens "<b>" and "&" must be escaped (the renderer's own
+  // The token's "<b>" and "&" must be escaped (the renderer's own
   // structural tags like <b>Template</b> are legitimate markup).
-  EXPECT_NE(html.find("&lt;b&gt;"), std::string::npos);
-  EXPECT_NE(html.find("&amp;"), std::string::npos);
+  EXPECT_NE(html.find("http://x.example/?a=&lt;b&gt;&amp;c"),
+            std::string::npos);
   // No raw document token may leak inside the member list.
   size_t list_start = html.find("<ul>");
   ASSERT_NE(list_start, std::string::npos);
