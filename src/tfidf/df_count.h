@@ -5,23 +5,26 @@
 // CountDocumentFrequencies computes it in two lock-free passes:
 //
 //   1. Contiguous document chunks are spread over the workers. Each
-//      document's n-gram hashes are written into a reused buffer, sorted
-//      and deduplicated there (a document counts once per phrase), and
-//      appended to the chunk's bucket for their partition: the hash's top
+//      document's n-gram hashes pass through a reused open-addressing
+//      table, stamped per document and sized once per chunk from its
+//      longest document, which drops the document's repeats (a document
+//      counts once per phrase). The first occurrences are appended to
+//      the chunk's bucket for their partition: the hash's top
 //      kDfPartitionBits bits.
 //   2. Each partition is owned by exactly one worker, which gathers that
-//      partition's hashes from every chunk by a counting sort on the next
-//      kDfSubRangeBits bits, sorts each small sub-range, run-length counts
-//      the hashes and hands the sorted run to the caller's fold on that
-//      same worker.
+//      partition's hashes from every chunk by a counting sort on the
+//      hash bits just below the partition bits, as many as put about 8
+//      hashes in each sub-range (none for a partition under 16 hashes),
+//      sorts each sub-range, run-length counts the hashes and hands the
+//      sorted run to the caller's fold on that same worker.
 //
 // No worker writes another worker's data, so there are no locks and no
 // merge, and the runs are a pure function of the documents: identical
-// for any thread count. TfidfIndex::AddDocuments folds each run straight
-// into its partition's tables, so no whole-corpus copy of the counts is
-// ever held beside them: the batch build folds a whole-corpus count into
-// empty tables, the incremental engine one batch's count into the live
-// ones.
+// for any thread count. TfidfIndex folds each run straight into its
+// partition's tables, so no whole-corpus copy of the counts is ever held
+// beside them: Build folds a whole-corpus count into an empty df >= 2
+// map, the incremental engine one batch's count into the live map and
+// df-1 set (AddDocuments).
 
 #ifndef INFOSHIELD_TFIDF_DF_COUNT_H_
 #define INFOSHIELD_TFIDF_DF_COUNT_H_
@@ -44,18 +47,6 @@ inline constexpr size_t kDfPartitions = size_t{1} << kDfPartitionBits;
 
 constexpr size_t DfPartitionOf(PhraseHash hash) {
   return static_cast<size_t>(hash >> (64 - kDfPartitionBits));
-}
-
-// Pass 2 gathers each partition by a counting sort on the kDfSubRangeBits
-// bits just below the partition bits, then sorts each sub-range alone: a
-// 96k-tweet corpus puts about 48 hashes in each.
-inline constexpr size_t kDfSubRangeBits = 11;
-inline constexpr size_t kDfSubRanges = size_t{1} << kDfSubRangeBits;
-
-constexpr size_t DfSubRangeOf(PhraseHash hash) {
-  return static_cast<size_t>(hash >>
-                             (64 - kDfPartitionBits - kDfSubRangeBits)) &
-         (kDfSubRanges - 1);
 }
 
 // A phrase and the number of documents it occurs in.
@@ -104,6 +95,13 @@ class FlatDfMap {
     }
   }
 
+  // Starts loading the slot where a Find of `hash` begins, so a later
+  // Find does not wait for it.
+  void Prefetch(PhraseHash hash) const {
+    if (slots_.empty()) return;
+    __builtin_prefetch(&slots_[FibonacciSlot(hash, shift_)]);
+  }
+
   // Adds `count` (> 0) to the df of `hash`, inserting the phrase if it is
   // absent. Returns true iff it was inserted.
   bool Add(PhraseHash hash, uint32_t count);
@@ -130,8 +128,9 @@ class FlatDfMap {
   int shift_ = 64;  // 64 - log2(slots_.size())
 };
 
-// One partition's set of phrases seen in exactly one document: the same
-// probing as FlatDfMap over 8-byte slots holding only the hash. 0 marks
+// One partition's set of phrases seen in exactly one document, kept only
+// by an index grown with TfidfIndex::AddDocuments: the same probing as
+// FlatDfMap over 8-byte slots holding only the hash. 0 marks
 // an empty slot, so the valid hash 0 is kept in a flag beside the array.
 // Erase shifts later members of the probe run back into the hole, so no
 // tombstones pile up as phrases are promoted out of the set. At most 3/4

@@ -7,6 +7,7 @@
 
 #include "tfidf/df_count.h"
 #include "util/audit.h"
+#include "util/logging.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -19,6 +20,10 @@ namespace {
 // rounded up (Lemma 2's proof).
 constexpr double kTopPhraseFraction = 0.10;
 
+// How many n-grams ahead TopPhrases prefetches the df-map slot it will
+// probe.
+constexpr size_t kPrefetchDistance = 8;
+
 }  // namespace
 
 void TfidfIndex::Build(const Corpus& corpus, const TfidfOptions& options,
@@ -26,13 +31,34 @@ void TfidfIndex::Build(const Corpus& corpus, const TfidfOptions& options,
   options_ = options;
   shared_ = {};
   once_ = {};
-  num_documents_ = 0;
+  built_ = true;
+  // Each partition's run is folded on the worker that counted it, into a
+  // local map moved into place (see AddDocuments). A whole-corpus run
+  // holds each phrase once, so every df >= 2 entry is a new phrase.
+  std::array<size_t, kDfPartitions> phrases{};
+  CountDocumentFrequencies(
+      corpus, 0, corpus.size(), options_.max_ngram, num_threads,
+      [&](size_t p, std::span<const PhraseDf> run) {
+        FlatDfMap shared;
+        shared.Reserve(static_cast<size_t>(std::count_if(
+            run.begin(), run.end(),
+            [](const PhraseDf& entry) { return entry.df > 1; })));
+        for (const PhraseDf& entry : run) {
+          if (entry.df > 1) shared.Add(entry.hash, entry.df);
+        }
+        shared_[p] = std::move(shared);
+        phrases[p] = run.size();
+      });
+  num_documents_ = corpus.size();
   num_phrases_ = 0;
-  AddDocuments(corpus, 0, corpus.size(), num_threads);
+  for (const size_t count : phrases) num_phrases_ += count;
+  INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
 }
 
 void TfidfIndex::AddDocuments(const Corpus& corpus, size_t begin, size_t end,
                               size_t num_threads) {
+  CHECK(!built_) << "AddDocuments on a built index: Build keeps no df-1 "
+                    "set, so a phrase seen again could not be promoted";
   // Each partition's run is folded on the worker that counted it. The
   // fold moves the partition's tables into locals and back, which copies
   // nothing and touches shared_ and once_ only at the worker's own index:
@@ -103,7 +129,12 @@ std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
     return shared_[DfPartitionOf(hash)].Find(hash);
   };
   size_t eligible = 0;
-  for (const PhraseHash hash : grams) {
+  for (size_t i = 0; i < grams.size(); ++i) {
+    if (i + kPrefetchDistance < grams.size()) {
+      const PhraseHash ahead = grams[i + kPrefetchDistance];
+      shared_[DfPartitionOf(ahead)].Prefetch(ahead);
+    }
+    const PhraseHash hash = grams[i];
     if (df_of(hash) != 0) grams[eligible++] = hash;
   }
   grams.resize(eligible);
@@ -145,6 +176,11 @@ Status TfidfIndex::ValidateInvariants() const {
   size_t total_phrases = 0;
   for (size_t p = 0; p < kDfPartitions; ++p) {
     total_phrases += shared_[p].size() + once_[p].size();
+    if (built_ && once_[p].size() != 0) {
+      a.Expect(false, StrFormat("built index holds %zu df-1 phrases in "
+                                "partition %zu",
+                                once_[p].size(), p));
+    }
     shared_[p].ForEach([&](const PhraseDf& entry) {
       if (DfPartitionOf(entry.hash) != p) {
         a.Expect(false,
@@ -176,7 +212,8 @@ Status TfidfIndex::ValidateInvariants() const {
       }
     });
   }
-  a.Expect(total_phrases == num_phrases_,
+  a.Expect(built_ ? total_phrases <= num_phrases_
+                  : total_phrases == num_phrases_,
            StrFormat("cached num_phrases %zu but partitions hold %zu",
                      num_phrases_, total_phrases));
   return a.Finish();

@@ -15,15 +15,20 @@
 //
 // The index owns the df table, split by hash partition (df_count.h) and,
 // within each partition, by df: a FlatDfMap of the phrases seen in two or
-// more documents and a hash-only FlatPhraseSet of those seen in exactly
-// one (94% of a 96k-tweet corpus's phrases). Both grow in place; a phrase
-// moves from the set to the map the first time a later batch sees it
-// again. Document frequency is a commutative integer sum, so adding
-// documents batch by batch lands on exactly the table one Build over all
-// of them produces. That additivity is what lets the batch coarse stage
-// (one Build) and the incremental engine (one AddDocuments per ingested
-// batch) share this code, and what makes the incremental engine's batch
-// oracle (DESIGN.md §15) attainable.
+// more documents and, in an index grown by AddDocuments, a hash-only
+// FlatPhraseSet of those seen in exactly one (94% of a 96k-tweet
+// corpus's phrases). Both grow in place; a phrase moves from the set to
+// the map the first time a later batch sees it again. Document frequency
+// is a commutative integer sum, so adding documents batch by batch lands
+// on exactly the df >= 2 map one Build over all of them produces, and on
+// the same phrase count. That additivity is what lets the batch coarse
+// stage (one Build) and the incremental engine (one AddDocuments per
+// ingested batch) share this code, and what makes the incremental
+// engine's batch oracle (DESIGN.md §15) attainable.
+//
+// Build sees every document at once, so no later batch can promote a
+// df-1 phrase: it counts those phrases in num_phrases() but stores only
+// the df >= 2 map, and a built index cannot take AddDocuments.
 
 #ifndef INFOSHIELD_TFIDF_TFIDF_INDEX_H_
 #define INFOSHIELD_TFIDF_TFIDF_INDEX_H_
@@ -75,21 +80,26 @@ class TfidfIndex {
   TfidfIndex(const TfidfIndex&) = delete;
   TfidfIndex& operator=(const TfidfIndex&) = delete;
 
-  // Resets the index to `options` and no documents, then adds every
-  // document of `corpus`. The table is identical for any thread count.
+  // Resets the index to `options` and every document of `corpus`,
+  // counted with `num_threads` workers (0 = hardware concurrency). The
+  // index keeps the phrases of df 2 or more, the same table at any thread
+  // count, and counts the df-1 phrases without storing them.
   void Build(const Corpus& corpus, const TfidfOptions& options,
              size_t num_threads = 1);
 
   // Counts the document frequencies of documents [begin, end) of
   // `corpus` (df_count.h) with `num_threads` workers (0 = hardware
-  // concurrency) and folds each partition's counts into the table in
-  // place on the worker that counted them. The documents must not have
-  // been added before: each counts once per phrase, and num_documents()
-  // grows by end - begin.
+  // concurrency) and folds each partition's counts into the map and the
+  // df-1 set in place on the worker that counted them. The documents
+  // must not have been added before: each counts once per phrase, and
+  // num_documents() grows by end - begin. CHECK-fails on a built index,
+  // which has no df-1 set to promote a phrase from.
   void AddDocuments(const Corpus& corpus, size_t begin, size_t end,
                     size_t num_threads = 1);
 
-  // Document frequency of a phrase (0 if unseen).
+  // Document frequency of a phrase: exact in an index grown by
+  // AddDocuments (0 if unseen); in a built index, exact for df 2 or more
+  // and 0 for a phrase of df 1 or none.
   size_t DocumentFrequency(PhraseHash phrase) const {
     const size_t p = DfPartitionOf(phrase);
     const uint32_t df = shared_[p].Find(phrase);
@@ -107,7 +117,8 @@ class TfidfIndex {
 
   // Documents added so far (the N in idf).
   size_t num_documents() const { return num_documents_; }
-  // Distinct phrases across all partitions.
+  // Distinct phrases across all partitions, df-1 phrases included, built
+  // or grown.
   size_t num_phrases() const { return num_phrases_; }
   const TfidfOptions& options() const { return options_; }
   const TfidfBuildStats& build_stats() const { return build_stats_; }
@@ -116,7 +127,8 @@ class TfidfIndex {
   // phrase sits in the partition its hash selects, every df in a map lies
   // in [2, num_documents], no phrase is in both its partition's map and
   // set, and the cached num_phrases matches the sizes of all maps and
-  // sets summed. Returns OK or an Internal status listing every
+  // sets summed (in a built index, which holds no set, it is at least the
+  // maps' sizes). Returns OK or an Internal status listing every
   // violation.
   Status ValidateInvariants() const;
 
@@ -129,11 +141,13 @@ class TfidfIndex {
   TfidfOptions options_;
   TfidfBuildStats build_stats_;
   // Per partition: phrases seen in two or more documents, with their df,
-  // and phrases seen in exactly one.
+  // and phrases seen in exactly one (empty in a built index).
   std::array<FlatDfMap, kDfPartitions> shared_;
   std::array<FlatPhraseSet, kDfPartitions> once_;
   size_t num_documents_ = 0;
   size_t num_phrases_ = 0;
+  // Set by Build: the index holds no df-1 set.
+  bool built_ = false;
 };
 
 // Every document's top phrase hashes (TfidfIndex::TopPhrases, best

@@ -153,7 +153,7 @@ TEST(CorpusTest, DocIdsAreSequential) {
   }
 }
 
-TEST(CorpusTest, TryAddBehavesLikeAddWhenRoomRemains) {
+TEST(CorpusTest, TryAddBatchBehavesLikeAddWhenRoomRemains) {
   Corpus c;
   Result<DocId> id = c.TryAddBatch({"great soap"}, /*num_threads=*/1);
   ASSERT_TRUE(id.ok());
@@ -164,7 +164,7 @@ TEST(CorpusTest, TryAddBehavesLikeAddWhenRoomRemains) {
   EXPECT_EQ(c.size(), 3u);
 }
 
-TEST(CorpusTest, TryAddReportsExhaustionAtTheDocIdLimit) {
+TEST(CorpusTest, TryAddBatchReportsExhaustionAtTheDocIdLimit) {
   Corpus c;
   c.Add("existing");
   CorpusTestPeer::SetSizeOffset(c, Corpus::kMaxDocuments - c.size());

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -118,39 +119,6 @@ TEST(DfCountTest, CountsOnlyTheRequestedRange) {
   EXPECT_EQ(Flatten(CountRuns(c, 7, 7, 3, 4)).size(), 0u);
 }
 
-// Documents of two interned words [a, b] whose bigram lands in partition
-// `p`, chosen from every ordered pair of `vocab` words so that neither
-// unigram does: partition p then holds the chosen bigrams alone.
-// `want(subrange, taken)` says whether to take a bigram of that
-// sub-range, `taken` being how many of its sub-range are taken already.
-template <typename Want>
-Corpus BigramCorpus(size_t p, size_t vocab, Want want) {
-  Corpus c;
-  for (size_t w = 0; w < vocab; ++w) {
-    c.mutable_vocab().Intern("w" + std::to_string(w));
-  }
-  std::vector<size_t> taken(kDfSubRanges, 0);
-  for (TokenId a = 0; a < vocab; ++a) {
-    if (DfPartitionOf(HashNgram(&a, 1)) == p) continue;
-    for (TokenId b = 0; b < vocab; ++b) {
-      const TokenId pair[] = {a, b};
-      const PhraseHash hash = HashNgram(pair, 2);
-      if (DfPartitionOf(hash) != p ||
-          DfPartitionOf(HashNgram(&b, 1)) == p) {
-        continue;
-      }
-      const size_t s = DfSubRangeOf(hash);
-      if (!want(s, taken[s])) continue;
-      // One to three documents each, so the runs carry df 1, 2 and 3.
-      for (size_t copy = 0; copy <= taken[s] % 3; ++copy) {
-        c.AddTokens({a, b}, "");
-      }
-      ++taken[s];
-    }
-  }
-  return c;
-}
-
 // Every partition's run as a std::map count of each document's distinct
 // n-grams yields it.
 PartitionRuns MapCountRuns(const Corpus& c, size_t max_ngram) {
@@ -170,36 +138,170 @@ PartitionRuns MapCountRuns(const Corpus& c, size_t max_ngram) {
   return runs;
 }
 
-TEST(DfCountTest, PartitionInOneSubRangeMatchesMapCount) {
-  // Partition 7 holds only bigrams of sub-range 100, so the gather puts
-  // every one of its hashes into a single sub-range to sort.
-  const Corpus c = BigramCorpus(
-      7, 1500, [](size_t s, size_t) { return s == 100; });
-  const PartitionRuns expected = MapCountRuns(c, 2);
-  ASSERT_GE(expected[7].size(), 8u);
-  for (const PhraseDf& entry : expected[7]) {
-    ASSERT_EQ(DfSubRangeOf(entry.hash), 100u);
+// The hashes a partition's run counts, repeats across documents included:
+// what pass 2 gathers and splits into sub-ranges.
+size_t GatheredHashes(const std::vector<PhraseDf>& run) {
+  size_t total = 0;
+  for (const PhraseDf& entry : run) total += entry.df;
+  return total;
+}
+
+// A corpus whose vocabulary is the words w0..w{size - 1}.
+Corpus CorpusWithVocabulary(size_t size) {
+  Corpus c;
+  for (size_t w = 0; w < size; ++w) {
+    c.mutable_vocab().Intern("w" + std::to_string(w));
   }
+  return c;
+}
+
+TEST(DfCountTest, PartitionInOneSubRangeMatchesMapCount) {
+  // One-word documents, counted as unigrams, so each partition holds
+  // exactly the words chosen for it: partition 5 none, 7 one hash, 9 a
+  // few, 11 fifteen (the most one sub-range takes) and 13 sixteen (the
+  // fewest split in two). Listed: the df of each word taken.
+  const std::map<size_t, std::vector<uint32_t>> dfs = {
+      {5, {}},
+      {7, {1}},
+      {9, {1, 2, 3}},
+      {11, {3, 3, 3, 3, 3}},
+      {13, {2, 2, 2, 2, 2, 2, 2, 2}},
+  };
+  Corpus c = CorpusWithVocabulary(2000);
+  std::map<size_t, size_t> taken;
+  for (TokenId w = 0; w < 2000; ++w) {
+    const size_t p = DfPartitionOf(HashNgram(&w, 1));
+    const auto it = dfs.find(p);
+    if (it == dfs.end() || taken[p] == it->second.size()) continue;
+    for (uint32_t copy = 0; copy < it->second[taken[p]]; ++copy) {
+      c.AddTokens({w}, "");
+    }
+    ++taken[p];
+  }
+  const PartitionRuns expected = MapCountRuns(c, 1);
+  for (const auto& [p, want] : dfs) {
+    ASSERT_EQ(expected[p].size(), want.size()) << "partition " << p;
+  }
+  EXPECT_EQ(GatheredHashes(expected[11]), 15u);
+  EXPECT_EQ(GatheredHashes(expected[13]), 16u);
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    EXPECT_EQ(CountRuns(c, 0, c.size(), 1, threads), expected)
+        << "threads=" << threads;
+  }
+}
+
+TEST(DfCountTest, PartitionSpanningEverySubRangeMatchesMapCount) {
+  // Walks over 3,000 words in which every step's bigram lands in
+  // partition 42, so that partition gathers more than 2^19 hashes and
+  // the gather splits it 2^16 ways, most of which its distinct hashes
+  // occupy. Walks revisit bigrams, within a document and across
+  // documents.
+  constexpr size_t kWords = 3000;
+  std::vector<std::vector<TokenId>> next(kWords);
+  for (TokenId a = 0; a < kWords; ++a) {
+    for (TokenId b = 0; b < kWords; ++b) {
+      const TokenId pair[] = {a, b};
+      if (DfPartitionOf(HashNgram(pair, 2)) == 42) next[a].push_back(b);
+    }
+  }
+  Corpus c = CorpusWithVocabulary(kWords);
+  uint64_t state = 0x9e3779b97f4a7c15ULL;
+  auto random = [&state](size_t bound) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<size_t>(state % bound);
+  };
+  for (size_t d = 0; d < 2200; ++d) {
+    std::vector<TokenId> walk = {static_cast<TokenId>(random(kWords))};
+    while (walk.size() < 256) {
+      const std::vector<TokenId>& options = next[walk.back()];
+      walk.push_back(options[random(options.size())]);
+    }
+    c.AddTokens(std::move(walk), "");
+  }
+  const PartitionRuns expected = MapCountRuns(c, 2);
+  ASSERT_GT(GatheredHashes(expected[42]), size_t{1} << 19);
+  ASSERT_LT(GatheredHashes(expected[42]), size_t{1} << 20);
+  // The 16 hash bits below the partition bits index the sub-ranges.
+  std::set<PhraseHash> occupied;
+  for (const PhraseDf& entry : expected[42]) {
+    occupied.insert((entry.hash << kDfPartitionBits) >> 48);
+  }
+  EXPECT_GT(occupied.size(), size_t{1} << 15);
   for (size_t threads : {1u, 4u}) {
     EXPECT_EQ(CountRuns(c, 0, c.size(), 2, threads), expected)
         << "threads=" << threads;
   }
 }
 
-TEST(DfCountTest, PartitionSpanningEverySubRangeMatchesMapCount) {
-  // Partition 42 holds two bigrams of each of the 2,048 sub-ranges.
-  const Corpus c = BigramCorpus(
-      42, 1500, [](size_t, size_t taken) { return taken < 2; });
-  const PartitionRuns expected = MapCountRuns(c, 2);
-  std::vector<size_t> per_subrange(kDfSubRanges, 0);
-  for (const PhraseDf& entry : expected[42]) {
-    ++per_subrange[DfSubRangeOf(entry.hash)];
+// The runs CountDocumentFrequencies folds for documents [0, c.size())
+// hold exactly the serial reference's (hash, df) pairs at 1, 2, 4 and 8
+// threads.
+void ExpectRunsMatchReference(const Corpus& c, size_t max_ngram) {
+  const std::unordered_map<PhraseHash, uint32_t> reference =
+      oracle::ReferenceDocumentFrequencies(c, 0, c.size(), max_ngram);
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    const std::vector<PhraseDf> counted =
+        Flatten(CountRuns(c, 0, c.size(), max_ngram, threads));
+    EXPECT_EQ(counted.size(), reference.size()) << "threads=" << threads;
+    for (const PhraseDf& entry : counted) {
+      const auto it = reference.find(entry.hash);
+      ASSERT_NE(it, reference.end()) << "threads=" << threads;
+      EXPECT_EQ(entry.df, it->second) << "threads=" << threads;
+    }
   }
-  ASSERT_EQ(per_subrange, std::vector<size_t>(kDfSubRanges, 2));
-  for (size_t threads : {1u, 4u}) {
-    EXPECT_EQ(CountRuns(c, 0, c.size(), 2, threads), expected)
-        << "threads=" << threads;
+}
+
+TEST(DfCountTest, RepeatedNgramsCountOncePerDocument) {
+  // Documents that say little but say it often: every n-gram up to 5
+  // words recurs dozens of times within its document, so nearly every
+  // hash pass 1 generates is a repeat it must drop.
+  Corpus c;
+  for (int d = 0; d < 40; ++d) {
+    std::string text;
+    const int period = 1 + d % 4;
+    for (int w = 0; w < 120; ++w) {
+      text += "rep" + std::to_string((w % period) + d % 3) + " ";
+    }
+    c.Add(text);
   }
+  c.Add("spam spam spam spam spam spam spam spam");
+  c.Add("call now call now call now call now");
+  ExpectRunsMatchReference(c, 5);
+}
+
+TEST(DfCountTest, EmptyDocumentsCountNothing) {
+  // Empty documents first, between others, last, and enough of them in a
+  // row that some chunks hold nothing else.
+  Corpus c;
+  for (int d = 0; d < 12; ++d) c.Add("");
+  c.Add("call now for a good time");
+  c.Add("");
+  c.Add("call now for a good time tonight");
+  for (int d = 0; d < 12; ++d) c.Add("");
+  ExpectRunsMatchReference(c, 5);
+  Corpus only_empty;
+  only_empty.Add("");
+  EXPECT_TRUE(Flatten(CountRuns(only_empty, 0, 1, 5, 4)).empty());
+}
+
+TEST(DfCountTest, LongDocumentAmongShortOnesMatchesReference) {
+  // One document with 100 times the n-grams of the others in its chunk,
+  // at every thread count, and one at each end of the corpus.
+  std::string longest;
+  for (int w = 0; w < 1500; ++w) {
+    longest += "w" + std::to_string(w * 7919 % 613) + " ";
+  }
+  Corpus c;
+  c.Add(longest);
+  for (int d = 0; d < 30; ++d) {
+    c.Add("short ad " + std::to_string(d % 5) + " call w" +
+          std::to_string(d));
+    if (d == 14) c.Add(longest + " tail");
+  }
+  c.Add("w1 w2 w3 " + longest);
+  ExpectRunsMatchReference(c, 5);
 }
 
 TEST(FlatDfMapTest, AddAccumulatesIntoExistingCounts) {

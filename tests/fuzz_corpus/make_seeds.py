@@ -311,6 +311,24 @@ write("diff_coarse", "unigrams_and_degree_cap",
 write("diff_coarse", "min_cluster_three",
       synthetic(0x08, [([1, 3, 5, 7, 9, 11], [[0] * 6, [0] * 6, [0] * 6])],
                 []))
+# Documents that repeat their n-grams: one word 12 and 24 times, an
+# alternating pair, and noise of one word eight times. The df count must
+# count each phrase once per document however often it recurs there.
+write("diff_coarse", "repeated_ngrams",
+      synthetic(0x00,
+                [([3] * 12, [[0] * 12, [0] * 12, [(0x10, 3)] * 12]),
+                 ([1, 2] * 5, [[0] * 10, [0] * 10, [0x01] + [0] * 9])],
+                [[(0x00, 5)] * 8, [(0x00, 1), (0x00, 2)] * 2]))
+# One 24-word document (a word inserted after each of 12) among
+# documents of one to three words, so it has far more n-grams than any
+# other document in its chunk at every thread count.
+write("diff_coarse", "one_long_document",
+      synthetic(0x00,
+                [(list(range(12)),
+                  [[(0x10, w) for w in [12, 13, 14, 15] + list(range(8))],
+                   [0x01] * 9 + [0] * 3, [0x01] * 10 + [0] * 2]),
+                 ([12, 13, 14], [[0] * 3, [0x01, 0, 0]])],
+                [[(0x01, 1)], [(0x00, 13)], [(0x01, 2), (0x00, 14)]]))
 
 # --- diff_coarse_backend: params + exact-duplicate families ----------
 # Decode order: shingle_k-1, band choice, num_families-1, then per

@@ -161,7 +161,7 @@ TEST(LshIndexTest, BandKeysPartitionTheSignature) {
   EXPECT_TRUE(BandKeys(MinHashSignature{}, banding).empty());
 }
 
-TEST(LshIndexTest, QueryFindsCoBucketedDocuments) {
+TEST(LshIndexTest, ForEachBucketGroupsCoBucketedDocuments) {
   MinHashParams params;
   params.num_hashes = 16;
   const MinHashFamily family(params);

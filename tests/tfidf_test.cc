@@ -73,13 +73,26 @@ TEST(TfidfTest, CommonPhraseScoresZero) {
 }
 
 TEST(TfidfTest, RarerPhraseScoresHigher) {
+  // An index grown by AddDocuments keeps its df-1 phrases and scores
+  // them highest. A built index stores none: a df-1 phrase reads df 0
+  // and scores 0, and a df-2 phrase scores exactly as in the grown one.
   Corpus c = SmallCorpus();
-  TfidfIndex index;
-  index.Build(c, TfidfOptions{});
-  TokenId quick = c.vocab().Find("quick");  // df 2
-  TokenId lazy = c.vocab().Find("lazy");    // df 1
-  EXPECT_GT(index.Score(HashNgram(&lazy, 1), 1),
-            index.Score(HashNgram(&quick, 1), 1));
+  TfidfIndex grown{TfidfOptions{}};
+  grown.AddDocuments(c, 0, c.size());
+  TfidfIndex built;
+  built.Build(c, TfidfOptions{});
+  TokenId quick_token = c.vocab().Find("quick");  // df 2
+  TokenId lazy_token = c.vocab().Find("lazy");    // df 1
+  const PhraseHash quick = HashNgram(&quick_token, 1);
+  const PhraseHash lazy = HashNgram(&lazy_token, 1);
+  EXPECT_EQ(grown.DocumentFrequency(lazy), 1u);
+  EXPECT_GT(grown.Score(lazy, 1), grown.Score(quick, 1));
+  EXPECT_EQ(built.DocumentFrequency(lazy), 0u);
+  EXPECT_EQ(built.Score(lazy, 1), 0.0);
+  EXPECT_GT(built.Score(quick, 1), 0.0);
+  EXPECT_EQ(std::bit_cast<uint64_t>(built.Score(quick, 1)),
+            std::bit_cast<uint64_t>(grown.Score(quick, 1)));
+  EXPECT_EQ(built.num_phrases(), grown.num_phrases());
 }
 
 TEST(TfidfTest, TopPhrasesSkipDfOne) {
@@ -106,7 +119,7 @@ TEST(TfidfTest, TopPhrasesRespectFraction) {
   EXPECT_EQ(top.size(), 2u);  // ceil(0.1 * 20)
 }
 
-TEST(TfidfTest, TopFractionAppliesAfterMinDfFilter) {
+TEST(TfidfTest, TopFractionAppliesToEligiblePhrasesOnly) {
   // Doc 0 holds 75 distinct unigrams; only the 25 s-words also occur in
   // doc 1 (df 2), and the 50 u-words are df-1 phrases, never eligible.
   // The fraction must apply to the 25 eligible phrases — ceil(0.1 * 25)
@@ -129,7 +142,7 @@ TEST(TfidfTest, TopFractionAppliesAfterMinDfFilter) {
   }
 }
 
-TEST(TfidfTest, MinPhrasesPerDocGuaranteesOne) {
+TEST(TfidfTest, RoundingUpKeepsTheOnlyEligiblePhrase) {
   Corpus c;
   c.Add("x y");
   c.Add("x y");
@@ -225,9 +238,10 @@ TEST(TfidfTest, MaxNgramBeyondDocumentLengthChangesNothing) {
 
 TEST(TfidfTest, ParallelBuildMatchesSerial) {
   // The partitioned df count must equal the serial reference's global
-  // map at every thread count — same table size, same count per hash —
+  // map at every thread count — same phrase count, same count per hash —
   // because top-phrase selection (and so the whole coarse output) reads
-  // exactly these numbers.
+  // exactly these numbers. A grown index holds every phrase; a built one
+  // holds those of df 2 or more and reads 0 for the rest.
   Corpus c;
   for (int i = 0; i < 40; ++i) {
     c.Add("shared spam phrase number " + std::to_string(i % 7) +
@@ -236,14 +250,24 @@ TEST(TfidfTest, ParallelBuildMatchesSerial) {
   const std::unordered_map<PhraseHash, uint32_t> reference =
       oracle::ReferenceDocumentFrequencies(c, 0, c.size(),
                                            TfidfOptions{}.max_ngram);
-  for (size_t threads : {1u, 4u}) {
-    TfidfIndex index;
-    index.Build(c, TfidfOptions{}, threads);
-    EXPECT_EQ(index.num_documents(), c.size());
-    EXPECT_EQ(index.num_phrases(), reference.size());
+  size_t df_one = 0;
+  for (const auto& [hash, df] : reference) df_one += df == 1 ? 1 : 0;
+  ASSERT_GT(df_one, 0u);
+  ASSERT_LT(df_one, reference.size());
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    TfidfIndex built;
+    built.Build(c, TfidfOptions{}, threads);
+    TfidfIndex grown{TfidfOptions{}};
+    grown.AddDocuments(c, 0, c.size(), threads);
+    for (const TfidfIndex* index : {&built, &grown}) {
+      EXPECT_EQ(index->num_documents(), c.size());
+      EXPECT_EQ(index->num_phrases(), reference.size());
+    }
     // determinism: independent per-entry checks.
     for (const auto& [hash, df] : reference) {
-      EXPECT_EQ(index.DocumentFrequency(hash), df) << "threads=" << threads;
+      EXPECT_EQ(grown.DocumentFrequency(hash), df) << "threads=" << threads;
+      EXPECT_EQ(built.DocumentFrequency(hash), df >= 2 ? df : 0)
+          << "threads=" << threads;
     }
   }
 }
@@ -291,25 +315,31 @@ Corpus AdCorpus() {
 
 TEST(TfidfTest, AddDocumentsInBatchesMatchesBuild) {
   // df is a commutative sum, so adding the corpus batch by batch must
-  // land on exactly the table Build makes over the whole corpus: same
-  // counts, same dfs, same top phrases to the bit. The incremental
-  // engine's batch oracle rests on this.
+  // land on exactly the counts of the whole corpus: every phrase's df
+  // as the serial reference counts it, and the phrase count and top
+  // phrases, to the bit, of Build over the whole corpus. Build keeps no
+  // df-1 phrase: it reads 0 there and never makes one eligible. The
+  // incremental engine's batch oracle rests on this.
   const Corpus c = AdCorpus();
   const size_t n = c.size();
   const TfidfOptions options;
+  const std::unordered_map<PhraseHash, uint32_t> reference =
+      oracle::ReferenceDocumentFrequencies(c, 0, n, options.max_ngram);
 
   const TfidfIndex empty(options);
   EXPECT_EQ(empty.num_documents(), 0u);
   EXPECT_EQ(empty.num_phrases(), 0u);
 
-  TfidfIndex built;
-  built.Build(c, options);
   // Batch boundaries: the whole corpus, [0, 3) then [3, n), and one
   // document at a time.
   std::vector<size_t> singles;
   for (size_t d = 0; d <= n; ++d) singles.push_back(d);
   const std::vector<std::vector<size_t>> cuts = {{0, n}, {0, 3, n}, singles};
-  for (size_t threads : {1u, 4u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    TfidfIndex built;
+    built.Build(c, options, threads);
+    EXPECT_EQ(built.num_phrases(), reference.size());
+    EXPECT_TRUE(built.ValidateInvariants().ok());
     for (const std::vector<size_t>& cut : cuts) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " batches=" +
                    std::to_string(cut.size() - 1));
@@ -319,26 +349,34 @@ TEST(TfidfTest, AddDocumentsInBatchesMatchesBuild) {
       }
       EXPECT_EQ(index.num_documents(), n);
       EXPECT_EQ(index.num_phrases(), built.num_phrases());
+      for (const auto& [hash, df] : reference) {
+        EXPECT_EQ(index.DocumentFrequency(hash), df);
+        EXPECT_EQ(built.DocumentFrequency(hash), df >= 2 ? df : 0);
+      }
       for (const Document& doc : c.docs()) {
-        for (const oracle::NgramSpan& g :
-             oracle::ExtractNgrams(doc, options.max_ngram)) {
-          EXPECT_EQ(index.DocumentFrequency(g.hash),
-                    built.DocumentFrequency(g.hash))
-              << "df diverged for a phrase of doc " << doc.id;
-        }
-        const std::vector<ScoredPhrase> want = built.TopPhrases(doc);
-        const std::vector<ScoredPhrase> got = index.TopPhrases(doc);
+        const std::vector<ScoredPhrase> want = index.TopPhrases(doc);
+        const std::vector<ScoredPhrase> got = built.TopPhrases(doc);
         ASSERT_EQ(got.size(), want.size()) << "doc " << doc.id;
         for (size_t i = 0; i < want.size(); ++i) {
           EXPECT_EQ(got[i].hash, want[i].hash) << "doc " << doc.id;
           EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
                     std::bit_cast<uint64_t>(want[i].score))
               << "doc " << doc.id << " rank " << i;
+          EXPECT_GE(reference.at(got[i].hash), 2u) << "doc " << doc.id;
         }
       }
       EXPECT_TRUE(index.ValidateInvariants().ok());
     }
   }
+}
+
+TEST(TfidfTest, AddDocumentsOnABuiltIndexDies) {
+  // A built index has no df-1 set, so it cannot promote a phrase a later
+  // batch sees again.
+  const Corpus c = AdCorpus();
+  TfidfIndex index;
+  index.Build(c, TfidfOptions{});
+  EXPECT_DEATH(index.AddDocuments(c, 0, 1), "Check failed");
 }
 
 TEST(TfidfTest, PhraseSeenAgainInALaterBatchBecomesATopPhrase) {
@@ -481,37 +519,48 @@ TEST(SnapshotDfTableTest, EmptyTableIsGenerationZero) {
 }
 
 TEST(SnapshotDfTableTest, FoldInMatchesBatchBuildExactly) {
-  // A built index is a starting point like an empty one: folding later
-  // documents into it lands on the table one Build over all of them
-  // makes, phrase for phrase.
+  // Folding later documents into an index grown from the first ones
+  // lands on the table one AddDocuments over all of them makes, df-1
+  // phrases included, and on the phrase count and df >= 2 entries of
+  // one Build over all of them.
   const TfidfOptions options;
   Corpus growing;
   for (size_t d = 0; d < 3; ++d) growing.Add(AdTexts()[d]);
-  TfidfIndex index;
-  index.Build(growing, options);
+  TfidfIndex index(options);
+  index.AddDocuments(growing, 0, growing.size());
   for (size_t d = 3; d < AdTexts().size(); ++d) growing.Add(AdTexts()[d]);
   index.AddDocuments(growing, 3, growing.size(), /*num_threads=*/4);
 
   const Corpus whole = AdCorpus();
-  TfidfIndex reference;
-  reference.Build(whole, options);
+  TfidfIndex reference(options);
+  reference.AddDocuments(whole, 0, whole.size());
+  TfidfIndex built;
+  built.Build(whole, options);
   EXPECT_EQ(index.num_documents(), whole.size());
   EXPECT_EQ(index.num_phrases(), reference.num_phrases());
+  EXPECT_EQ(built.num_phrases(), reference.num_phrases());
+  size_t df_one = 0;
   for (const Document& doc : whole.docs()) {
     for (const oracle::NgramSpan& g :
          oracle::ExtractNgrams(doc, options.max_ngram)) {
-      EXPECT_EQ(index.DocumentFrequency(g.hash),
-                reference.DocumentFrequency(g.hash))
+      const size_t df = reference.DocumentFrequency(g.hash);
+      EXPECT_EQ(index.DocumentFrequency(g.hash), df)
           << "df diverged for a phrase of doc " << doc.id;
+      EXPECT_EQ(built.DocumentFrequency(g.hash), df >= 2 ? df : 0)
+          << "df diverged for a phrase of doc " << doc.id;
+      df_one += df == 1 ? 1 : 0;
     }
   }
+  EXPECT_GT(df_one, 0u);
   EXPECT_TRUE(index.ValidateInvariants().ok());
 }
 
 TEST(SnapshotDfTableTest, IndexFromSnapshotScoresByteIdenticallyToBuild) {
   // Scores read off a table grown one document at a time are
-  // bit-identical to Build's, so SelectTopPhrases picks the same phrases
-  // in the same order at any thread count.
+  // bit-identical to Build's for every phrase of df 2 or more; a df-1
+  // phrase, which Build does not store, scores 0 there. SelectTopPhrases
+  // reads only the former, so it picks the same phrases in the same
+  // order from both at any thread count.
   const Corpus c = AdCorpus();
   const TfidfOptions options;
   TfidfIndex built;
@@ -524,17 +573,19 @@ TEST(SnapshotDfTableTest, IndexFromSnapshotScoresByteIdenticallyToBuild) {
   for (const Document& doc : c.docs()) {
     for (const oracle::NgramSpan& g :
          oracle::ExtractNgrams(doc, options.max_ngram)) {
+      const bool stored = grown.DocumentFrequency(g.hash) >= 2;
       for (size_t tf : {1u, 2u}) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(grown.Score(g.hash, tf)),
-                  std::bit_cast<uint64_t>(built.Score(g.hash, tf)))
+        EXPECT_EQ(std::bit_cast<uint64_t>(built.Score(g.hash, tf)),
+                  std::bit_cast<uint64_t>(stored ? grown.Score(g.hash, tf)
+                                                 : 0.0))
             << "doc " << doc.id << " tf " << tf;
       }
     }
   }
   const std::vector<std::vector<PhraseHash>> want =
-      SelectTopPhrases(built, c, /*num_threads=*/1);
-  for (size_t threads : {1u, 4u}) {
-    EXPECT_EQ(SelectTopPhrases(grown, c, threads), want)
+      SelectTopPhrases(grown, c, /*num_threads=*/1);
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    EXPECT_EQ(SelectTopPhrases(built, c, threads), want)
         << "threads=" << threads;
   }
 }
